@@ -12,7 +12,6 @@ are computed by plain rewriting, no Groebner machinery.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from .field import Field, RationalField
 from .stringgroup import GroupElement, WeightSequence, generator_letter
@@ -50,7 +49,6 @@ class CoordinateAlgebra:
         self.params = ps
         self.letter = generator_letter(weights.weights)
         self._basis_cache: dict[GroupElement, tuple] = {}
-        self._lock = threading.Lock()
 
     def __eq__(self, other):
         return (isinstance(other, CoordinateAlgebra)
@@ -172,8 +170,7 @@ class CoordinateAlgebra:
         """
         if x.weights != self.weights:
             raise ValueError("degree belongs to a different string group")
-        with self._lock:
-            hit = self._basis_cache.get(x)
+        hit = self._basis_cache.get(x)
         if hit is not None:
             return hit
         if x.l < 0:
@@ -185,8 +182,7 @@ class CoordinateAlgebra:
             basis = tuple(
                 (a * p1 + l1, (x.l - a) * p2 + l2) + rest for a in range(x.l + 1)
             )
-        with self._lock:
-            self._basis_cache[x] = basis
+        self._basis_cache[x] = basis
         return basis
 
     def dim(self, x: GroupElement) -> int:

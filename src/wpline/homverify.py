@@ -7,15 +7,27 @@ degree-wise bookkeeping: if the group map is admissible, source and target
 components have equal finite dimension in every image degree, so surjectivity
 (full rank of the pooled images, by exact Gaussian elimination) already gives
 bijectivity there.  Injectivity is never tested separately.
+
+The ranks run on binary forms.  The target S(p, lam) is free over
+k[U, V] with U = X_1^{p_1} and V = X_2^{p_2} (Geigle-Lenzing), so its
+component of degree l*c + sum(l_i x_i) is X_1^{l_1} ... X_t^{l_t} times the
+binary forms of degree l, and an element there is its torsion, l, and the
+coefficients of U^a V^(l-a).  A product adds torsions and multiplies forms;
+each torsion carry multiplies by U, by V, or by V - lam_i U.  Over F_q the
+coefficients are plain ints mod q.  Over Q the rank is taken modulo a large
+prime that divides no denominator; a full rank there is the rank over Q, and
+only a smaller one is redone with exact fractions.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import AlgebraElement, CoordinateAlgebra
+from .field import PrimeField, primes
 from .stringgroup import AdmissibilityReport, GroupElement, GroupHom, _sort_key
 
 
@@ -27,24 +39,110 @@ class RelationError(ValueError):
     """The generator images do not satisfy a defining relation of the source."""
 
 
-def row_rank(rows: list[list], zero) -> int:
+def row_rank(rows: list[list], zero, modulus: int | None = None) -> int:
     """Rank of a list of coefficient rows by Gaussian elimination.
 
-    Exact coefficients make pivot choice irrelevant, so the first nonzero
-    entry is always taken.
+    Entries are exact field elements with the given ``zero``, or, with a
+    prime ``modulus``, plain ints standing for residues mod it.  Exact
+    coefficients make pivot choice irrelevant, so the first nonzero entry is
+    always taken, and elimination stops once the rank is min(rows, columns).
     """
+    if modulus is not None:
+        return _rank_mod(rows, modulus)
+    full = min(len(rows), len(rows[0])) if rows else 0
     pivots: list[tuple[int, list]] = []
     for row in rows:
-        row = list(row)
+        if len(pivots) == full:
+            break
         for col, prow in pivots:
-            if row[col] != zero:
-                factor = row[col] / prow[col]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        for col, v in enumerate(row):
-            if v != zero:
-                pivots.append((col, row))
-                break
+            c = row[col]
+            if c != zero:
+                row = [a - c * b for a, b in zip(row, prow)]
+        col = next((i for i, v in enumerate(row) if v != zero), None)
+        if col is not None:
+            inv = 1 / row[col]
+            pivots.append((col, [a * inv for a in row]))
     return len(pivots)
+
+
+def _slot_bits(bound: int) -> int:
+    """Bits per packed slot for values below ``bound``: a multiple of 64."""
+    return -(-bound.bit_length() // 64) * 64
+
+
+def _pack(values: list[int], k: int) -> int:
+    """sum(v_i * 2^(k*i)) for nonnegative values below 2^k (Kronecker)."""
+    if k == 64:
+        words = array("Q", values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
+    nb = k // 8
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+
+
+def _unpack(n: int, k: int, m: int) -> list[int]:
+    """The lowest m slots of k bits of n, lowest first; inverse of _pack."""
+    raw = n.to_bytes(m * k // 8, "little")
+    if k == 64:
+        words = array("Q", raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
+    nb = k // 8
+    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank mod a prime q, each row packed into one integer so that a row
+    operation is one big-integer multiply-add.  Adding (q - c) times a pivot
+    row keeps every slot nonnegative; slots are reduced mod q only when a
+    row becomes a pivot, and its leading slot is its lowest nonzero one."""
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    full = min(len(rows), cols)
+    k = _slot_bits(q * q * (full + 1))  # above q + (pivots) * (q - 1)^2
+    mask = (1 << k) - 1
+    pivots: list[tuple[int, int, int]] = []  # (bit offset, inverse of the lead, row)
+    for row in rows:
+        if len(pivots) == full:
+            break
+        r = _pack([v % q for v in row], k)
+        for shift, inv, prow in pivots:
+            c = (r >> shift & mask) * inv % q
+            if c:
+                r += (q - c) * prow
+        r = _pack([v % q for v in _unpack(r, k, cols)], k)
+        if r:
+            shift = (r & -r).bit_length() - 1
+            shift -= shift % k
+            pivots.append((shift, pow(r >> shift & mask, -1, q), r))
+    return len(pivots)
+
+
+def _poly_mul(f: list, g: list, q: int | None) -> list:
+    """Product of coefficient lists, mod q by one integer multiply after
+    Kronecker substitution, or exactly over Q when q is None."""
+    if q is None:
+        out = [Fraction(0)] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return out
+    k = _slot_bits(q * q * min(len(f), len(g)))
+    prod = _pack(f, k) * _pack(g, k)
+    return [c % q for c in _unpack(prod, k, len(f) + len(g) - 1)]
+
+
+def _scalar(c, q):
+    """A field element (``Fraction`` or ``Fp``) in the coefficient domain q."""
+    if q is None:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator * pow(c.denominator, -1, q) % q
+    return c.value
 
 
 @dataclass(frozen=True)
@@ -104,19 +202,6 @@ class VerificationResult:
         return report
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("WPL_THREADS", "1").strip() or "1"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("WPL_THREADS must be an integer") from None
-    if n < 0:
-        raise ValueError("WPL_THREADS must be nonnegative")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 class AlgebraHom:
     """An algebra homomorphism compatible with a string-group homomorphism.
 
@@ -125,6 +210,10 @@ class AlgebraHom:
     images.  ``unchecked`` skips validation and exists for negative controls,
     letting the degree records expose a broken map instead.
     """
+
+    #: the first modulus of ranks over Q; the next prime is taken while it
+    #: divides a denominator of the target parameters or of the images
+    RANK_PRIME = 268435399  # the largest prime below 2^28: 64-bit slots up to 255 columns
 
     def __init__(self, source: CoordinateAlgebra, target: CoordinateAlgebra,
                  group_hom: GroupHom, gen_images, validate: bool = True):
@@ -143,8 +232,19 @@ class AlgebraHom:
         self.target = target
         self.group_hom = group_hom
         self.gen_images = images
-        self._power_cache: dict[tuple[int, int], AlgebraElement] = {}
-        self._mono_cache: dict[tuple, AlgebraElement] = {}
+        if isinstance(target.field, PrimeField):
+            self.rank_modulus = target.field.q
+        else:
+            dens = {c.denominator for im in images for c in im.terms.values()}
+            dens.update(lam.denominator for lam in target.params)
+            q = self.RANK_PRIME
+            while any(d % q == 0 for d in dens):
+                q = next(primes(q + 1, 2 * q))
+            self.rank_modulus = q
+        # binary-form caches per coefficient domain (rank_modulus, or None
+        # for exact rationals): generator powers and images without x_2
+        self._powers: dict[tuple, list] = {}
+        self._heads: dict[tuple, tuple | None] = {}
         if validate:
             self._validate()
 
@@ -179,34 +279,96 @@ class AlgebraHom:
 
     # -- application ---------------------------------------------------------
 
-    def _gen_power(self, j: int, n: int) -> AlgebraElement:
-        key = (j, n)
-        hit = self._power_cache.get(key)
-        if hit is None:
-            if n == 0:
-                hit = self.target.one
-            else:
-                hit = self._gen_power(j, n - 1) * self.gen_images[j]
-            self._power_cache[key] = hit
-        return hit
-
-    def _monomial_image(self, exps: tuple) -> AlgebraElement:
-        hit = self._mono_cache.get(exps)
-        if hit is None:
-            hit = self.target.one
-            for j, a in enumerate(exps):
-                if a:
-                    hit = hit * self._gen_power(j, a)
-            self._mono_cache[exps] = hit
-        return hit
-
     def __call__(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.algebra != self.source:
             raise ValueError("element does not belong to the source algebra")
         out = self.target.zero
         for e, c in elem.terms.items():
-            out = out + c * self._monomial_image(e)
+            img = c * self.target.one
+            for im, a in zip(self.gen_images, e):
+                if a:
+                    img = img * im ** a
+            out = out + img
         return out
+
+    # -- binary forms ----------------------------------------------------------
+    #
+    # A nonzero homogeneous element of the target is (torsion, l, coeffs) with
+    # coeffs[a] the coefficient of U^a V^(l-a); zero is None.  Coefficients
+    # live in the domain q: ints mod q, or Fractions when q is None.
+
+    def _gen_form(self, j: int, q):
+        im = self.gen_images[j]
+        if im.is_zero():
+            return None
+        d = im.degree()
+        if d is None:
+            raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
+        p1 = self.target.weights.weights[0]
+        coeffs = [0 if q else Fraction(0)] * (d.l + 1)
+        for e, c in im.terms.items():
+            coeffs[e[0] // p1] = _scalar(c, q)
+        return d.torsion, d.l, coeffs
+
+    def _mul(self, f, g, q):
+        if f is None or g is None:
+            return None
+        coeffs = _poly_mul(f[2], g[2], q)
+        zero = 0 if q else Fraction(0)
+        l = f[1] + g[1]
+        tor = []
+        for i, (a, b, p) in enumerate(zip(f[0], g[0], self.target.weights.weights)):
+            s = a + b
+            if s >= p:  # carry X_i^{p_i}: U, V, or V - lam_i U
+                s -= p
+                l += 1
+                if i == 0:
+                    coeffs = [zero] + coeffs
+                elif i == 1:
+                    coeffs = coeffs + [zero]
+                else:
+                    lam = _scalar(self.target.params[i - 2], q)
+                    coeffs = [v - lam * u for v, u in zip(coeffs + [zero], [zero] + coeffs)]
+                    if q:
+                        coeffs = [v % q for v in coeffs]
+            tor.append(s)
+        return tuple(tor), l, coeffs
+
+    def _power(self, j: int, n: int, q):
+        powers = self._powers.get((q, j))
+        if powers is None:
+            one = 1 if q else Fraction(1)
+            powers = self._powers[(q, j)] = [((0,) * len(self.target.weights), 0, [one])]
+        if len(powers) <= n:
+            gen = self._gen_form(j, q)
+            while len(powers) <= n:
+                powers.append(self._mul(powers[-1], gen, q))
+        return powers[n]
+
+    def _image(self, exps: tuple, q):
+        """Form of the image of a source monomial: its cached part without
+        x_2 times the cached power of the image of x_2."""
+        key = (q, exps[0]) + exps[2:]
+        head = self._heads.get(key, False)
+        if head is False:
+            head = self._power(0, exps[0], q)
+            for j in range(2, len(exps)):
+                head = self._mul(head, self._power(j, exps[j], q), q)
+            self._heads[key] = head
+        return self._mul(head, self._power(1, exps[1], q), q)
+
+    def _rows(self, x: GroupElement, monos: list, cols: int, q) -> list[list]:
+        rows = []
+        for y, mono in monos:
+            form = self._image(mono, q)
+            if form is None:
+                rows.append([0 if q else Fraction(0)] * cols)
+            elif form[0] != x.torsion or form[1] != x.l:
+                raise GradednessError(
+                    "image of a monomial of degree %s leaves the component of %s" % (y, x))
+            else:
+                rows.append(form[2])
+        return rows
 
     # -- verification --------------------------------------------------------
 
@@ -216,45 +378,21 @@ class AlgebraHom:
         and measure their rank inside the target component of x."""
         if fiber is None:
             fiber = tuple(sorted(self.group_hom.fiber(x), key=_sort_key))
-        basis = self.target.component_basis(x)
-        index = {e: i for i, e in enumerate(basis)}
-        zero = self.target.field.zero
-        rows = []
-        source_dim = 0
-        for y in fiber:
-            source_dim += y.mult()
-            for mono in self.source.component_basis(y):
-                img = self._monomial_image(mono)
-                vec = [zero] * len(basis)
-                for e, c in img.terms.items():
-                    pos = index.get(e)
-                    if pos is None:
-                        raise GradednessError(
-                            "image of a monomial of degree %s leaves the component of %s"
-                            % (y, x)
-                        )
-                    vec[pos] = c
-                rows.append(vec)
-        return DegreeRecord(
-            degree=x,
-            fiber=fiber,
-            source_dim=source_dim,
-            target_dim=len(basis),
-            image_rank=row_rank(rows, zero),
-        )
+        cols = len(self.target.component_basis(x))
+        monos = [(y, mono) for y in fiber for mono in self.source.component_basis(y)]
+        q = self.rank_modulus
+        rank = row_rank(self._rows(x, monos, cols, q), 0, q)
+        if not isinstance(self.target.field, PrimeField) and rank < min(len(monos), cols):
+            rank = row_rank(self._rows(x, monos, cols, None), Fraction(0))
+        return DegreeRecord(degree=x, fiber=fiber, source_dim=len(monos),
+                            target_dim=cols, image_rank=rank)
 
     def verify_window(self, window: int) -> VerificationResult:
         """Admissibility plus a degree record for every image degree with
         |l| <= window, in deterministic order."""
-        admissibility = self.group_hom.is_admissible(window)
         buckets = self.group_hom.window_fibers(window)
-        items = sorted(buckets.items(), key=lambda kv: _sort_key(kv[0]))
-        workers = _worker_count()
-        if workers > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = tuple(pool.map(
-                    lambda kv: self.check_surjective_at(kv[0], kv[1]), items))
-        else:
-            records = tuple(self.check_surjective_at(x, fib) for x, fib in items)
+        admissibility = self.group_hom.is_admissible(window, buckets)
+        records = tuple(self.check_surjective_at(x, buckets[x])
+                        for x in sorted(buckets, key=_sort_key))
         return VerificationResult(window=window, admissibility=admissibility,
                                   records=records)

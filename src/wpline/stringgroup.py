@@ -375,9 +375,10 @@ class GroupHom:
                     buckets.setdefault(img, []).append(GroupElement(self.source, l, r))
         return {x: tuple(sorted(ys, key=_sort_key)) for x, ys in buckets.items()}
 
-    def check_fiber_mults(self, window: int) -> AdmissibilityReport:
-        """Test the fiber mult-sum condition on every image element in the window."""
-        buckets = self.window_fibers(window)
+    def check_fiber_mults(self, window: int, fibers: dict | None = None) -> AdmissibilityReport:
+        """Test the fiber mult-sum condition on every image element in the
+        window; ``fibers`` is ``window_fibers(window)`` when already at hand."""
+        buckets = self.window_fibers(window) if fibers is None else fibers
         failures = []
         edge_ok = True
         for x in sorted(buckets, key=_sort_key):
@@ -398,6 +399,6 @@ class GroupHom:
             edge_regime_ok=edge_ok,
         )
 
-    def is_admissible(self, window: int = 64) -> AdmissibilityReport:
+    def is_admissible(self, window: int = 64, fibers: dict | None = None) -> AdmissibilityReport:
         """Effectiveness plus the mult-sum condition on the given window."""
-        return self.check_fiber_mults(window)
+        return self.check_fiber_mults(window, fibers)

@@ -1,0 +1,72 @@
+"""Reference oracle for degree records, independent of the binary-form kernel.
+
+Monomial images are products of powers of the generator images computed with
+``AlgebraElement`` arithmetic (sparse terms and the rewriting system), the
+vectors are read off the target component basis, and the rank comes from
+plain Gaussian elimination on the target field's own elements (``Fraction``
+or ``Fp``), never reduced modulo anything else.  This is the verifier's
+original path, kept here to cross-check the kernel in
+``wpline.homverify``.
+"""
+
+from wpline import GradednessError
+from wpline.homverify import DegreeRecord
+from wpline.stringgroup import _sort_key
+
+
+def reference_rank(rows, zero):
+    """Rank by Gaussian elimination, first nonzero entry as the pivot."""
+    pivots = []
+    for row in rows:
+        row = list(row)
+        for col, prow in pivots:
+            if row[col] != zero:
+                factor = row[col] / prow[col]
+                row = [a - factor * b for a, b in zip(row, prow)]
+        for col, v in enumerate(row):
+            if v != zero:
+                pivots.append((col, row))
+                break
+    return len(pivots)
+
+
+def monomial_image(hom, exps, powers):
+    """The image of a source monomial as an element of the target algebra;
+    ``powers`` caches the powers of the generator images."""
+    img = hom.target.one
+    for j, a in enumerate(exps):
+        if a:
+            if (j, a) not in powers:
+                powers[(j, a)] = hom.gen_images[j] ** a
+            img = img * powers[(j, a)]
+    return img
+
+
+def reference_record(hom, x, fiber=None, powers=None):
+    if fiber is None:
+        fiber = tuple(sorted(hom.group_hom.fiber(x), key=_sort_key))
+    powers = {} if powers is None else powers
+    basis = hom.target.component_basis(x)
+    index = {e: i for i, e in enumerate(basis)}
+    zero = hom.target.field.zero
+    rows = []
+    for y in fiber:
+        for mono in hom.source.component_basis(y):
+            vec = [zero] * len(basis)
+            for e, c in monomial_image(hom, mono, powers).terms.items():
+                if e not in index:
+                    raise GradednessError(
+                        "image of a monomial of degree %s leaves the component of %s"
+                        % (y, x))
+                vec[index[e]] = c
+            rows.append(vec)
+    return DegreeRecord(degree=x, fiber=fiber, source_dim=sum(y.mult() for y in fiber),
+                        target_dim=len(basis), image_rank=reference_rank(rows, zero))
+
+
+def reference_records(hom, window):
+    """Degree records over the window, in the verifier's order."""
+    buckets = hom.group_hom.window_fibers(window)
+    powers = {}
+    return [reference_record(hom, x, buckets[x], powers).as_dict()
+            for x in sorted(buckets, key=_sort_key)]

@@ -171,16 +171,6 @@ class TestVerifyWindow:
                                "image_rank", "pass"}
         assert report["summary"] == "pass"
 
-    def test_thread_env_gives_identical_records(self, case_specs, monkeypatch):
-        base = case_specs["C"].algebra_hom.verify_window(5)
-        monkeypatch.setenv("WPL_THREADS", "4")
-        spec = builtin_case("C", F5)
-        threaded = spec.algebra_hom.verify_window(5)
-        assert [r.as_dict() for r in threaded.records] == [r.as_dict() for r in base.records]
-        monkeypatch.setenv("WPL_THREADS", "bogus")
-        with pytest.raises(ValueError):
-            spec.algebra_hom.verify_window(3)
-
 
 class TestBuiltinCases:
     @pytest.mark.parametrize("cid", ["A", "B", "C", "D"])

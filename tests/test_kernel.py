@@ -1,0 +1,277 @@
+"""The binary-form kernel against independent oracles.
+
+Degree records are compared with the sparse-rewriting reference path in
+``reference.py``; ranks and products of binary forms are compared with
+sympy, which the tests use as an oracle and the package never imports.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy.polys.domains import GF, QQ
+from sympy.polys.matrices import DomainMatrix
+
+from reference import reference_records
+from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
+                    PrimeField, RationalField, builtin_case, builtin_group_hom,
+                    homverify, row_rank)
+from wpline.field import ConstantUnavailable, InvalidLambda, is_prime, primes
+from wpline.homverify import _poly_mul
+
+Q = RationalField()
+P = AlgebraHom.RANK_PRIME
+#: fields on which each built-in case resolves: Q where it can, and three primes
+CASE_FIELDS = {
+    "A": (Q, PrimeField(5), PrimeField(7), PrimeField(11)),
+    "B": (PrimeField(7), PrimeField(19), PrimeField(31)),
+    "C": (PrimeField(5), PrimeField(17), PrimeField(29)),
+    "D": (Q, PrimeField(7), PrimeField(17), PrimeField(23)),
+}
+RANDOM_FIELDS = (Q, PrimeField(5), PrimeField(7), PrimeField(13))
+SLOW = settings(max_examples=30, deadline=None,
+                suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+def records(hom, window):
+    return [r.as_dict() for r in hom.verify_window(window).records]
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the name of the error it raised."""
+    try:
+        return fn(*args)
+    except GradednessError as exc:
+        return type(exc).__name__
+
+
+# -- degree records against the reference path --------------------------------
+
+@SLOW
+@given(st.data())
+def test_builtin_cases_match_reference(data):
+    cid = data.draw(st.sampled_from("ABCD"), label="case")
+    field = data.draw(st.sampled_from(CASE_FIELDS[cid]), label="field")
+    window = data.draw(st.integers(1, 12), label="window")
+    pick = data.draw(st.sampled_from(("smallest", "largest")), label="root pick")
+    lam = None
+    if cid == "D" and isinstance(field, RationalField):
+        s = data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=60),
+                      label="s")
+        assume(s not in (0, 1, -1))
+        lam = 1 - s * s
+    elif cid == "D":
+        lam = data.draw(st.integers(2, field.q - 1), label="lambda")
+    try:
+        spec = builtin_case(cid, field, lam=lam, root_pick=pick)
+    except (ConstantUnavailable, InvalidLambda):
+        assume(False)
+    hom = spec.algebra_hom
+    assert records(hom, window) == reference_records(hom, window)
+
+
+def _params(data, field, count):
+    """Normalized parameters (1, lam_4, ...) of a coordinate algebra."""
+    out = [1]
+    while len(out) < count:
+        if isinstance(field, RationalField):
+            lam = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))
+        else:
+            lam = data.draw(st.integers(2, field.q - 1))
+        assume(lam not in out and lam != 0)
+        out.append(lam)
+    return out
+
+
+def _random_element(data, algebra, degree):
+    """A random element of the component of ``degree``, possibly zero."""
+    if isinstance(algebra.field, RationalField):
+        coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    else:
+        coeff = st.integers(0, algebra.field.q - 1)
+    basis = algebra.component_basis(degree)
+    coeffs = data.draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)))
+    return algebra.element(zip(coeffs, basis))
+
+
+@SLOW
+@given(st.data())
+def test_random_homogeneous_maps_match_reference(data):
+    """Unchecked maps with random images of the degrees the group map demands
+    (sometimes zero, mostly of deficient rank) give the reference records."""
+    cid = data.draw(st.sampled_from("ABCD"), label="group map")
+    pi = builtin_group_hom(cid)
+    field = data.draw(st.sampled_from(RANDOM_FIELDS), label="field")
+    source = CoordinateAlgebra(pi.source, field, _params(data, field, len(pi.source) - 2))
+    target = CoordinateAlgebra(pi.target, field, _params(data, field, len(pi.target) - 2))
+    images = [_random_element(data, target, d) for d in pi.gen_images]
+    hom = AlgebraHom.unchecked(source, target, pi, images)
+    window = data.draw(st.integers(1, 8), label="window")
+    assert outcome(records, hom, window) == outcome(reference_records, hom, window)
+
+
+@SLOW
+@given(st.data())
+def test_images_of_a_wrong_degree_match_reference(data):
+    """A homogeneous image of another degree leaves its component in the
+    same degree for both paths."""
+    cid = data.draw(st.sampled_from("ABCD"), label="group map")
+    pi = builtin_group_hom(cid)
+    field = data.draw(st.sampled_from(RANDOM_FIELDS), label="field")
+    source = CoordinateAlgebra(pi.source, field, _params(data, field, len(pi.source) - 2))
+    target = CoordinateAlgebra(pi.target, field, _params(data, field, len(pi.target) - 2))
+    degrees = list(pi.gen_images)
+    j = data.draw(st.integers(0, len(degrees) - 1), label="generator")
+    degrees[j] = degrees[j] + data.draw(st.sampled_from(target.weights.gens), label="shift")
+    images = [_random_element(data, target, d) for d in degrees]
+    hom = AlgebraHom.unchecked(source, target, pi, images)
+    window = data.draw(st.integers(1, 6), label="window")
+    assert outcome(records, hom, window) == outcome(reference_records, hom, window)
+
+
+# -- ranks and products against sympy --------------------------------------------
+
+def _sympy_rank(rows, domain, convert=None):
+    convert = convert or domain
+    cols = len(rows[0]) if rows else 0
+    return DomainMatrix([[convert(v) for v in row] for row in rows],
+                        (len(rows), cols), domain).rank()
+
+
+@st.composite
+def _matrices(draw, entry):
+    """Small matrices, often of deficient rank (a product of two thin ones)."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    r = draw(st.integers(1, 3))
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+#: small primes, the rank prime, and primes whose packed slots exceed 64 bits
+RANK_MODULI = (5, 7, 13, P, 1000000007, 2 ** 61 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANK_MODULI), _matrices(st.integers(-10 ** 20, 10 ** 20)))
+def test_rank_mod_q_matches_sympy(q, rows):
+    """Entries are any ints, negative or far above q, standing for residues."""
+    assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(st.fractions(min_value=-20, max_value=20, max_denominator=12)))
+def test_exact_rank_matches_sympy(rows):
+    assert row_rank(rows, Fraction(0)) == _sympy_rank(
+        rows, QQ, lambda v: QQ(v.numerator, v.denominator))
+
+
+def _sympy_product(f, g, domain):
+    u = symbols("u")
+    prod = Poly(f[::-1], u, domain=domain) * Poly(g[::-1], u, domain=domain)
+    coeffs = prod.all_coeffs()[::-1]
+    return coeffs + [0] * (len(f) + len(g) - 1 - len(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANK_MODULI), st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=40),
+       st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=40))
+def test_form_product_mod_q_matches_sympy(q, f, g):
+    f, g = [v % q for v in f], [v % q for v in g]
+    want = [int(c) % q for c in _sympy_product(f, g, GF(q))]
+    assert _poly_mul(f, g, q) == want
+
+
+@pytest.mark.parametrize("q", RANK_MODULI)
+@pytest.mark.parametrize("n", [1, 17, 40, 300])
+def test_form_product_at_the_coefficient_bound(q, n):
+    """Every coefficient q - 1: the largest sums the packed slots must hold."""
+    f, g = [q - 1] * n, [q - 1] * (n + 3)
+    assert _poly_mul(f, g, q) == [int(c) % q for c in _sympy_product(f, g, GF(q))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=12),
+       st.lists(st.fractions(max_denominator=50), min_size=1, max_size=12))
+def test_exact_form_product_matches_sympy(f, g):
+    want = [Fraction(int(c.numerator), int(c.denominator)) if c else Fraction(0)
+            for c in _sympy_product([QQ(v.numerator, v.denominator) for v in f],
+                                    [QQ(v.numerator, v.denominator) for v in g], QQ)]
+    assert _poly_mul(f, g, None) == want
+
+
+# -- the rank over Q: modular first, exact when deficient ------------------------
+
+def _case_a(field, third):
+    """Case A with the third generator image replaced by third(x3*x4)."""
+    spec = builtin_case("A", field)
+    tgt = spec.algebra_hom.target
+    x1, x2, x3, x4 = tgt.gens
+    return AlgebraHom.unchecked(spec.algebra_hom.source, tgt, spec.group_hom,
+                                [x1, x2, third(x3 * x4)])
+
+
+def test_image_scaled_by_the_rank_prime_falls_back_to_the_exact_rank(monkeypatch):
+    base = records(builtin_case("A", Q).algebra_hom, 8)
+    hom = _case_a(Q, lambda m: P * m)
+    assert hom.rank_modulus == P
+    calls = []
+    plain = homverify.row_rank
+
+    def spy(rows, zero, modulus=None):
+        rank = plain(rows, zero, modulus)
+        calls.append((modulus, rank))
+        return rank
+
+    monkeypatch.setattr(homverify, "row_rank", spy)
+    got = records(hom, 8)
+    # the scaled image vanishes mod P, so some degrees lose rank there and
+    # are redone exactly; over Q every vector is only rescaled
+    redone = [(before, after) for (m0, before), (m1, after) in zip(calls, calls[1:])
+              if m0 == P and m1 is None]
+    assert redone and all(after > before for before, after in redone)
+    assert got == base == reference_records(hom, 8)
+    assert all(r["pass"] for r in got)
+
+
+def test_denominator_divisible_by_the_rank_prime_takes_the_next_prime():
+    nxt = next(primes(P + 1, 2 * P))
+    assert is_prime(nxt)
+    S = CoordinateAlgebra((2, 2, 2, 2), Q, [1, Fraction(3, P)])
+    L = S.weights
+    ident = AlgebraHom(S, S, GroupHom(L, L, L.gens), S.gens)
+    assert ident.rank_modulus == nxt
+    result = ident.verify_window(6)
+    assert result.passed
+    assert [r.as_dict() for r in result.records] == reference_records(ident, 6)
+    hom = _case_a(Q, lambda m: Fraction(1, P) * m)
+    assert hom.rank_modulus == nxt
+    assert records(hom, 6) == records(builtin_case("A", Q).algebra_hom, 6)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_zero_image_gives_its_exact_rank_deficit(field):
+    hom = _case_a(field, lambda m: m.algebra.zero)
+    result = hom.verify_window(8)
+    assert not result.passed
+    for rec in result.records:
+        # x1 and x2 map to themselves, so exactly the source monomials
+        # without the third generator keep independent images
+        alive = sum(1 for y in rec.fiber for mono in hom.source.component_basis(y)
+                    if mono[2] == 0)
+        assert rec.image_rank == alive
+    assert any(r.image_rank < r.target_dim for r in result.records)
+    assert [r.as_dict() for r in result.records] == reference_records(hom, 8)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_inhomogeneous_image_raises(field):
+    hom = _case_a(field, lambda m: m + m.algebra.gens[0])
+    with pytest.raises(GradednessError):
+        hom.verify_window(4)
+    with pytest.raises(GradednessError):
+        hom.check_surjective_at(hom.group_hom.gen_images[2])
