@@ -356,6 +356,9 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ZeroDivisionError as exc:
+        print("error: division by zero in an input value (%s)" % exc, file=sys.stderr)
+        return 2
 
 
 def entry():  # console-script hook

@@ -2,7 +2,9 @@
 
 No floating point anywhere.  Rational elements are ``fractions.Fraction``;
 prime-field elements are :class:`Fp` residues.  Root finding covers degrees
-two and three, which is all the named constants need.
+two and three, which is all the named constants need, and never scans the
+field: over F_q it splits gcd(f, x^q - x), over Q it finds the integer roots
+of a monic integer transform.
 """
 
 from __future__ import annotations
@@ -99,16 +101,37 @@ class Fp:
     __str__ = __repr__
 
 
+#: the first 13 primes; as Miller-Rabin bases they decide primality for every
+#: n below MILLER_RABIN_LIMIT (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < MILLER_RABIN_LIMIT (about 3.3e24);
+    larger n raise ValueError, since these bases no longer decide them."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError("primality of %d is not decided above %d"
+                         % (n, MILLER_RABIN_LIMIT))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -154,14 +177,16 @@ class Field:
     def cbrt(self, a):
         return self.find_root([-self(a), self.zero, self.zero, self.one])
 
-    def _poly_degree(self, coeffs) -> int:
+    def _poly_coeffs(self, coeffs) -> list:
+        """The coefficients in the field, without leading zeros; the degree
+        must be 2 or 3."""
         cs = [self(c) for c in coeffs]
         while cs and cs[-1] == self.zero:
             cs.pop()
         deg = len(cs) - 1
         if deg not in (2, 3):
             raise ValueError("root search supports degrees 2 and 3, got degree %d" % deg)
-        return deg
+        return cs
 
 
 class RationalField(Field):
@@ -190,37 +215,72 @@ class RationalField(Field):
         return "RationalField()"
 
     def roots(self, coeffs) -> list:
-        self._poly_degree(coeffs)
-        cs = [self(c) for c in coeffs]
+        """Clear denominators, then substitute y = a_n x: the monic integer
+        polynomial P(y) = a_n^(n-1) f(y / a_n) has the integer roots a_n r
+        for the rational roots r of f.  Quadratics take an integer square
+        root of the discriminant; cubics bisect over the integers on each
+        piece where P is monotone."""
+        cs = self._poly_coeffs(coeffs)
+        n = len(cs) - 1
         den = math.lcm(*(c.denominator for c in cs))
         ics = [int(c * den) for c in cs]
-        while ics and ics[-1] == 0:
-            ics.pop()
-        lead, const = ics[-1], ics[0]
-        found = set()
-        if const == 0:
-            found.add(Fraction(0))
-            while ics and ics[0] == 0:
-                ics = ics[1:]
-            const = ics[0]
-        for p in _divisors(abs(const)):
-            for q in _divisors(abs(lead)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(cs, cand) == 0:
-                        found.add(cand)
-        return sorted(found)
+        a = ics[n]
+        mon = [c * a ** (n - 1 - i) for i, c in enumerate(ics[:n])] + [1]
+        ys = _int_roots_quadratic(mon) if n == 2 else _int_roots_cubic(mon)
+        return sorted(r for r in {Fraction(y, a) for y in ys} if _poly_eval(cs, r) == 0)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _int_roots_quadratic(mon) -> list[int]:
+    c, b, _ = mon
+    disc = b * b - 4 * c
+    if disc < 0:
+        return []
+    s = math.isqrt(disc)
+    # disc = b^2 mod 4, so a square root s has the parity of b
+    return [(-b - s) // 2, (-b + s) // 2] if s * s == disc else []
+
+
+def _int_roots_cubic(mon) -> list[int]:
+    d, c, b, _ = mon
+    bound = 1 + max(abs(b), abs(c), abs(d))   # Cauchy: every real root is inside
+    # P' = 3y^2 + 2by + c vanishes at t1 <= t2, t = (-b -+ sqrt(D)) / 3 with
+    # D = b^2 - 3c.  With k = isqrt(D), t1 lies in [m1, m1 + 1] and t2 in
+    # [m2, m2 + 1], so P is monotone on the integers of [-bound, m1],
+    # [m1 + 1, m2] and [m2 + 1, bound].  If D <= 0, P is monotone everywhere
+    # and the middle piece, for k = 0, holds at most one integer.
+    D = b * b - 3 * c
+    k = math.isqrt(D) if D > 0 else 0
+    m1, m2 = (-b - k - 1) // 3, (k - b) // 3
+
+    def ev(y):
+        return ((y + b) * y + c) * y + d
+
+    found = (_bisect_root(ev, lo, hi)
+             for lo, hi in ((-bound, m1), (m1 + 1, m2), (m2 + 1, bound)))
+    return [y for y in found if y is not None]
+
+
+def _bisect_root(ev, lo: int, hi: int):
+    """The integer root of ``ev`` in [lo, hi], where it is monotone, or None."""
+    if lo > hi:
+        return None
+    flo, fhi = ev(lo), ev(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        fm = ev(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return None
 
 
 def _poly_eval(coeffs, x):
@@ -228,6 +288,82 @@ def _poly_eval(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+# -- polynomials over F_q: ascending lists of ints in [0, q), no trailing zero
+
+def _pdivmod(a, b, q):
+    """Quotient and remainder of a by the monic b."""
+    a = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        t = a[i + db]
+        if t:
+            quot[i] = t
+            for j in range(db + 1):
+                a[i + j] = (a[i + j] - t * b[j]) % q
+    rem = a[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _psub(a, b, q):
+    n = max(len(a), len(b))
+    out = [(x - y) % q for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _pmulmod(a, b, f, q):
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _pdivmod([c % q for c in prod], f, q)[1]
+
+
+def _ppowmod(base, e: int, f, q):
+    """base^e mod the monic f, by square and multiply."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, f, q)
+        e >>= 1
+        if e:
+            base = _pmulmod(base, base, f, q)
+    return result
+
+
+def _monic(a, q):
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _pgcd(a, b, q):
+    """The monic gcd of a and b, a nonzero."""
+    while b:
+        a, b = b, _pdivmod(a, _monic(b, q), q)[1]
+    return _monic(a, q)
+
+
+def _split_linear(g, q) -> list[int]:
+    """The roots of a monic g that is a product of distinct linear factors.
+
+    Equal-degree splitting (Cantor and Zassenhaus, Math. Comp. 1981) with the
+    shifts a = 0, 1, 2, ... in turn: h = gcd(g, (x + a)^((q-1)/2) - 1) holds
+    the roots r with r + a a nonzero square.  Two distinct roots fall apart
+    for some shift, because (r + a) / (r' + a) runs through every value but 1.
+    """
+    if len(g) <= 2:
+        return [(-g[0]) % q] if len(g) == 2 else []
+    for a in range(q):
+        h = _pgcd(g, _psub(_ppowmod([a, 1], (q - 1) // 2, g, q), [1], q), q)
+        if 1 < len(h) < len(g):
+            return _split_linear(h, q) + _split_linear(_pdivmod(g, h, q)[0], q)
+    raise AssertionError("no shift splits %r mod %d" % (g, q))  # pragma: no cover
 
 
 class PrimeField(Field):
@@ -267,9 +403,12 @@ class PrimeField(Field):
         return "PrimeField(%d)" % self.q
 
     def roots(self, coeffs) -> list:
-        self._poly_degree(coeffs)
-        cs = [self(c) for c in coeffs]
-        return [Fp(v, self.q) for v in range(self.q) if _poly_eval(cs, Fp(v, self.q)) == 0]
+        """g = gcd(f, x^q - x) is the product of the distinct linear factors
+        of f; x^q mod f takes about log2(q) squarings, then g is split."""
+        q = self.q
+        f = _monic([c.value for c in self._poly_coeffs(coeffs)], q)
+        g = _pgcd(f, _psub(_ppowmod([0, 1], q, f, q), [0, 1], q), q)
+        return [Fp(r, q) for r in sorted(_split_linear(g, q)) if _poly_eval(f, r) % q == 0]
 
 
 def field_from_spec(spec: str) -> Field:

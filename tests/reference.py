@@ -1,4 +1,5 @@
-"""Reference oracle for degree records, independent of the binary-form kernel.
+"""Reference oracles: degree records independent of the binary-form kernel,
+and roots by exhaustive search.
 
 Monomial images are products of powers of the generator images computed with
 ``AlgebraElement`` arithmetic (sparse terms and the rewriting system), the
@@ -9,7 +10,10 @@ original path, kept here to cross-check the kernel in
 ``wpline.homverify``.
 """
 
-from wpline import GradednessError
+import math
+from fractions import Fraction
+
+from wpline import Fp, GradednessError, PrimeField
 from wpline.homverify import DegreeRecord
 from wpline.stringgroup import _sort_key
 
@@ -70,3 +74,43 @@ def reference_records(hom, window):
     powers = {}
     return [reference_record(hom, x, buckets[x], powers).as_dict()
             for x in sorted(buckets, key=_sort_key)]
+
+
+def _poly_eval(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _divisors(n):
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.extend({d, n // d})
+        d += 1
+    return out
+
+
+def reference_roots(field, coeffs):
+    """All roots of a polynomial by exhaustive search, sorted: every residue
+    of F_q, or every fraction p/q with p dividing the cleared constant term
+    and q the cleared leading coefficient (rational root theorem)."""
+    cs = [field(c) for c in coeffs]
+    while cs and cs[-1] == field.zero:
+        cs.pop()
+    if isinstance(field, PrimeField):
+        return [Fp(v, field.q) for v in range(field.q) if _poly_eval(cs, Fp(v, field.q)) == 0]
+    den = math.lcm(*(c.denominator for c in cs))
+    ics = [int(c * den) for c in cs]
+    found = set()
+    while ics[0] == 0:
+        found.add(Fraction(0))
+        ics = ics[1:]
+    for p in _divisors(abs(ics[0])):
+        for q in _divisors(abs(ics[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if _poly_eval(cs, cand) == 0:
+                    found.add(cand)
+    return sorted(found)

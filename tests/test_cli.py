@@ -118,6 +118,12 @@ class TestAlgebraCommands:
                            "--params", "1", "--degree", "1;0,0,0,0")
         assert code == 2 and "error" in err
 
+    def test_param_with_vanishing_denominator_exit_2(self, capsys):
+        code, out, err = run(capsys, "algebra", "dim", "--weights", "2,2,2,2",
+                             "--params", "1/7", "--field", "7",
+                             "--degree", "1;0,0,0,0")
+        assert code == 2 and out == "" and err.startswith("error: division by zero")
+
 
 class TestVerifyCommand:
     def test_case_a_rationals_passes(self, capsys):
@@ -168,6 +174,31 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert report["field"] == "5" and report["summary"] == "pass"
+
+    def test_lambda_with_zero_denominator_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "D", "--field", "rationals",
+                             "--lambda", "1/0")
+        assert code == 2 and out == "" and err.startswith("error: division by zero")
+
+    def test_large_primes_answer(self, capsys):
+        code, _, err = run(capsys, "verify", "--case", "C", "--field", "1000033",
+                           "--window", "4")
+        assert code == 2 and "no cube root of -4" in err
+        for case in ("B", "C"):
+            code, _, err = run(capsys, "verify", "--case", case,
+                               "--field", "1000000007", "--window", "4")
+            assert code == 2 and "auto-prime" in err
+        code, out, _ = run(capsys, "verify", "--case", "D", "--field", "1000000007",
+                           "--lambda", "-1", "--window", "4")
+        assert code == 0 and json.loads(out)["summary"] == "pass"
+        code, out, _ = run(capsys, "verify", "--case", "A",
+                           "--field", str(2 ** 61 - 1), "--window", "4")
+        assert code == 0 and json.loads(out)["summary"] == "pass"
+
+    def test_prime_beyond_primality_limit_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--case", "A",
+                           "--field", "3317044064679887385961987", "--window", "4")
+        assert code == 2 and "not decided" in err
 
     def test_case_d_needs_lambda(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "D", "--field", "7",

@@ -1,11 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ, Poly, symbols
 
+from reference import reference_roots
 from wpline import (ConstantUnavailable, Fp, InvalidLambda, PrimeField,
                     RationalField, field_from_spec, is_prime, primes,
                     resolve_constants)
+from wpline.field import MILLER_RABIN_LIMIT
 
 Q = RationalField()
 F7 = PrimeField(7)
@@ -63,6 +70,8 @@ class TestArithmetic:
     def test_primes_helper(self):
         assert list(primes(5, 20)) == [5, 7, 11, 13, 17, 19]
         assert is_prime(997) and not is_prime(999)
+        assert list(primes(5, 10 ** 4)) == [n for n in range(5, 10 ** 4 + 1)
+                                            if _trial_division(n)]
 
     def test_field_from_spec(self):
         assert field_from_spec("rationals") == Q
@@ -184,3 +193,180 @@ class TestConstants:
         c = resolve_constants("C", PrimeField(17))
         assert c.sqrt_minus_one ** 2 == -PrimeField(17).one
         assert c.cbrt_minus_four ** 3 == PrimeField(17)(-4)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_1e5(self):
+        assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+            [n for n in range(10 ** 5) if _trial_division(n)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(2 ** 63, 2 ** 64), st.integers(2 ** 79, 2 ** 80)))
+    def test_matches_sympy_on_64_and_80_bits(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+        assert is_prime(sympy.nextprime(n))
+        half = n.bit_length() // 2
+        assert not is_prime(sympy.nextprime(n >> half) * sympy.nextprime(n % 2 ** half))
+
+    @pytest.mark.parametrize("n", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+        318665857834031151167461,   # strong pseudoprime to the first 12 prime bases
+    ])
+    def test_strong_pseudoprimes(self, n):
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
+
+    def test_matches_sympy_at_fixed_values(self):
+        for n in (5, 41, 43, 10 ** 9 + 7, 2 ** 61 - 1, 2 ** 79 - 67, 2 ** 81 - 1,
+                  sympy.prevprime(MILLER_RABIN_LIMIT)):
+            assert is_prime(n) == sympy.isprime(n)
+
+    def test_refuses_undecided_sizes(self):
+        # the limit itself is a strong pseudoprime to all 13 bases
+        for n in (MILLER_RABIN_LIMIT, sympy.nextprime(MILLER_RABIN_LIMIT), 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="not decided"):
+                is_prime(n)
+            with pytest.raises(ValueError):
+                PrimeField(n)
+        assert not is_prime(2 ** 100)   # a small factor still decides
+
+
+def _from_roots(roots, lead, extra=(1,)):
+    """Ascending coefficients of lead * prod(x - r) * extra."""
+    cs = [lead]
+    for r in roots:
+        cs = [0] + cs
+        for i in range(len(cs) - 1):
+            cs[i] -= r * cs[i + 1]
+    out = [0] * (len(cs) + len(extra) - 1)
+    for i, a in enumerate(cs):
+        for j, b in enumerate(extra):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _polys(draw, coeff, root, lead):
+    """Degree-2 or degree-3 polynomials: random coefficients, products of
+    chosen roots (often repeated or zero), or one chosen root times a random
+    quadratic."""
+    deg = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["random", "roots", "mixed"]))
+    if kind == "random":
+        return [draw(coeff) for _ in range(deg)] + [draw(lead)]
+    if kind == "roots":
+        pool = [0, draw(root), draw(root)]
+        return _from_roots(draw(st.lists(st.sampled_from(pool), min_size=deg, max_size=deg)),
+                           draw(lead))
+    extra = [draw(coeff), draw(coeff), draw(lead)]
+    return _from_roots([draw(root)] if deg == 3 else [], draw(lead), extra)
+
+
+def _prime_polys(q):
+    nonzero = st.integers(-10 ** 6, 10 ** 6).filter(lambda v: v % q)
+    return _polys(st.integers(-10 ** 6, 10 ** 6), st.integers(0, q - 1), nonzero)
+
+
+def _rational_polys(height, max_den):
+    frac = st.fractions(min_value=-height, max_value=height, max_denominator=max_den)
+    return _polys(frac, frac, frac.filter(bool))
+
+
+SMALL_PRIMES = [q for q in range(5, 200) if _trial_division(q)]
+
+
+@pytest.mark.parametrize("q", SMALL_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_prime_roots_match_exhaustive_search(q, data):
+    F = PrimeField(q)
+    cs = data.draw(_prime_polys(q))
+    assert F.roots(cs) == reference_roots(F, cs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_polys(30, 6))
+def test_rational_roots_match_trial_division(cs):
+    assert Q.roots(cs) == reference_roots(Q, cs)
+
+
+x = symbols("x")
+
+
+def _sympy_roots_mod(cs, q):
+    _, factors = Poly(list(reversed(cs)), x, modulus=q).factor_list()
+    return sorted(-int(f.all_coeffs()[1]) % q for f, _ in factors if f.degree() == 1)
+
+
+@pytest.mark.parametrize("q", [10 ** 9 + 7, 2 ** 61 - 1])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prime_roots_match_sympy_at_large_primes(q, data):
+    cs = data.draw(_prime_polys(q))
+    assert [r.value for r in PrimeField(q).roots(cs)] == _sympy_roots_mod(cs, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([10 ** 3, 10 ** 10, 10 ** 30]).flatmap(
+    lambda h: _rational_polys(h, h)))
+def test_rational_roots_match_sympy_at_large_heights(cs):
+    want = sorted(Fraction(int(r.p), int(r.q))
+                  for r in Poly(list(reversed(cs)), x, domain=QQ).ground_roots())
+    assert Q.roots(cs) == want
+
+
+@pytest.mark.parametrize("roots,lead", [
+    ([Fraction(10 ** 30 + 1, 7), Fraction(10 ** 30 + 1, 7), Fraction(-3, 10 ** 29)], 5),
+    ([Fraction(-2, 3), Fraction(5, 11), Fraction(10 ** 30, 10 ** 30 - 1)], Fraction(-9, 4)),
+    ([Fraction(0), Fraction(0), Fraction(10 ** 30 - 1, 10 ** 15)], Fraction(1, 10 ** 30)),
+    ([Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)], 8),
+])
+def test_rational_cubics_with_known_roots(roots, lead):
+    assert Q.roots(_from_roots(roots, lead)) == sorted(set(roots))
+
+
+def test_rational_cubics_with_close_roots():
+    # roots near the critical points, where the monotone pieces meet
+    pts = [Fraction(v, 2) for v in range(-5, 6)]
+    for i, r in enumerate(pts):
+        for j, s in enumerate(pts[i:], i):
+            for t in pts[j:j + 4]:
+                for lead in (1, -3, Fraction(2, 5)):
+                    assert Q.roots(_from_roots([r, s, t], lead)) == sorted({r, s, t})
+            cs = _from_roots([r], 1, [s, 2 * t, 1])   # times x^2 + 2t x + s
+            assert Q.roots(cs) == reference_roots(Q, cs)
+
+
+class TestLargePrimeConstants:
+    Q_1E9 = 10 ** 9 + 7   # 2 mod 3 and 3 mod 4: no epsilon, no sqrt(-1)
+    Q_ALL = 1000001161    # 1 mod 12, -4 a cube: B, C and D all resolve
+
+    def test_cases_b_c_d_at_1e9_plus_7(self):
+        F = PrimeField(self.Q_1E9)
+        with pytest.raises(ConstantUnavailable):
+            resolve_constants("B", F)
+        with pytest.raises(ConstantUnavailable):
+            resolve_constants("C", F)
+        d = resolve_constants("D", F, lam=-1)
+        assert d.sqrt_one_minus_lambda ** 2 == 2
+        assert d.sqrt_xi_plus ** 2 == d.xi_plus
+        assert d.xi_plus * d.xi_minus == 1
+
+    @pytest.mark.parametrize("pick", ["smallest", "largest"])
+    def test_every_case_near_1e9(self, pick):
+        F = PrimeField(self.Q_ALL)
+        b = resolve_constants("B", F, root_pick=pick)
+        assert b.epsilon ** 2 - b.epsilon + 1 == 0 and b.delta ** 2 == 6 * b.epsilon - 3
+        c = resolve_constants("C", F, root_pick=pick)
+        assert c.sqrt_minus_one ** 2 == -1 and c.cbrt_minus_four ** 3 == -4
+        assert len(F.roots([4, 0, 0, 1])) == 3
+        d = resolve_constants("D", F, lam=-1, root_pick=pick)
+        assert d.sqrt_xi_plus ** 2 == d.xi_plus
+        first = 0 if pick == "smallest" else -1
+        assert b.epsilon == F.roots([1, -1, 1])[first]
+        assert c.cbrt_minus_four == F.roots([4, 0, 0, 1])[first]

@@ -3,7 +3,11 @@
 Each digest is the SHA-256 of the complete stdout of one call, pinned from
 the verifier's output before ranks moved to the binary-form kernel: the
 baseline cases on their baseline fields at windows 20 and 40, case D over Q
-with a rational lambda (both root picks), and a tamper control.
+with a rational lambda (both root picks), and a tamper control.  The cases
+B, C and D at primes near 10^5 and 10^6, with both root picks, were pinned
+while roots were still found by scanning every residue; they fix which of
+several roots each pick binds (at 100183 only the smaller epsilon works, so
+``largest`` backtracks).
 """
 
 import hashlib
@@ -35,6 +39,34 @@ GOLDEN = [
      "5a08baad74b653ec5034e91447e82769133aa16cbb7b8a84dcdac184669108d3"),
     ("verify --case D --field 17 --lambda -1 --tamper lambda=2 --window 12", 1,
      "f9f8317e7be5ae5830713003cbc30890ab6279b04ec9bbe985887695c711c962"),
+    ("verify --case B --field 100153 --window 12", 0,
+     "ae7eef32b88ca48d3b126c17b6b74212950339b27a93be49226cdf4a9748e5ab"),
+    ("verify --case B --field 100153 --root-pick largest --window 12", 0,
+     "6504482480e6b7146d82770a9bbf3f0470c718192cc2c76c1e1b4a77235bb51f"),
+    ("verify --case B --field 100183 --window 12", 0,
+     "53320e5f58dce56d0cf65cb51586fae38296d1de258703a74b5d443c9bb5baf5"),
+    ("verify --case B --field 100183 --root-pick largest --window 12", 0,
+     "c8601653351fdde91a8369d6e0bd0f63044623bcfa0dc043de836b38f66c56b5"),
+    ("verify --case C --field 100069 --window 12", 0,
+     "27c527effd50787225c8f6401eff5d55a18f761d3746e5b960b90eac06c39eb5"),
+    ("verify --case C --field 100069 --root-pick largest --window 12", 0,
+     "075745146cee66e14a22d5094282c3c1ff85b31de098f8d5982b4346b4d258df"),
+    ("verify --case D --field 100057 --lambda -1 --window 12", 0,
+     "fda2576936534fb39e8d028496a599f7afbde47423dc2faca5009d772368327f"),
+    ("verify --case D --field 100057 --lambda -1 --root-pick largest --window 12", 0,
+     "af928a6f047744b15afcb4109c888cc9d66828da80eff4fec287497d0a5a5b41"),
+    ("verify --case B --field 1000033 --window 12", 0,
+     "0164b4a732b2b56843ec6ec0b81a8b3a6d71ed3cd84caaa72d8f1c136b3336ca"),
+    ("verify --case B --field 1000033 --root-pick largest --window 12", 0,
+     "ca6718e1dfbc75df03686ab40e1fec297df21639e55047cfe8cca724d9d9e626"),
+    ("verify --case C --field 1000333 --window 12", 0,
+     "ef7a8d69ffb1190b451fda62f30c08d852ef10e40e9672be05a1313f40c357f2"),
+    ("verify --case C --field 1000333 --root-pick largest --window 12", 0,
+     "2265eb8f337389dc96935e7e86292d2451f5cca274a519834ea26df040a86fc4"),
+    ("verify --case D --field 1000033 --lambda -1 --window 12", 0,
+     "87f2d45bd6ecbca7dab4bf5c64c900eb0faed89129055577a83778ef298272e3"),
+    ("verify --case D --field 1000033 --lambda -1 --root-pick largest --window 12", 0,
+     "df7d8dc0ee719a0aa2cebf7b2986331d9bf69efa6d5a1deff6c6c6e1fc0970a0"),
 ]
 
 
