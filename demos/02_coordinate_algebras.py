@@ -27,12 +27,12 @@ S4 = CoordinateAlgebra((2, 2, 2, 2), RationalField(), [1, -1])
 L = S4.weights
 c = L.canonical()
 print("\nbasis of the canonical-degree component of S(2,2,2,2;-1):",
-      [str(S4.monomial(e)) for e in S4.component_basis(c)])
+      [str(S4.reduce_monomial(e)) for e in S4.component_basis(c)])
 
 print("\nHilbert data along multiples of the canonical degree:")
 print("  l   dim   mult   brute force")
 for l in range(-2, 6):
-    x = L.element(l, (0, 0, 0, 0))
+    x = L.normalize(l, (0, 0, 0, 0))
     print("%3d %5d %6d %11d"
           % (l, S4.dim(x), x.mult(), S4.brute_force_dim(x)))
 

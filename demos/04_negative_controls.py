@@ -32,7 +32,7 @@ except WellDefinednessError as exc:
 print("\n3. dropped cube-root scalar in the second image, over F_17")
 spec = builtin_case("C", PrimeField(17))
 y1, y2, y3 = spec.algebra_hom.target.gens
-i = spec.constants.sqrt_minus_one
+i = spec.constants["sqrt_minus_one"]
 try:
     AlgebraHom(spec.algebra_hom.source, spec.algebra_hom.target,
                spec.group_hom, [y3, y1 * y2, i * (y1 ** 3 + y2 ** 3)])

@@ -5,11 +5,11 @@ isomorphisms onto restriction subalgebras."""
 
 from .algebra import AlgebraElement, CoordinateAlgebra
 from .cases import (CASE_IDS, CaseSpec, auto_prime, builtin_case,
-                    builtin_group_hom, expected_kernel, find_admissible_primes)
+                    builtin_group_hom, case_config, expected_kernel,
+                    find_admissible_primes, resolve_constants)
 from .config import VerifyConfig, parse_scalar
-from .field import (ConstantBindings, ConstantUnavailable, Field, Fp,
-                    InvalidLambda, PrimeField, RationalField, field_from_spec,
-                    is_prime, primes, resolve_constants)
+from .field import (ConstantUnavailable, Field, Fp, InvalidLambda, PrimeField,
+                    RationalField, field_from_spec, is_prime, primes)
 from .homverify import (AlgebraHom, DegreeRecord, GradednessError,
                         RelationError, VerificationResult, row_rank)
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom,
@@ -20,12 +20,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "AlgebraElement", "AlgebraHom", "CASE_IDS",
-    "CaseSpec", "ConstantBindings", "ConstantUnavailable", "CoordinateAlgebra",
+    "CaseSpec", "ConstantUnavailable", "CoordinateAlgebra",
     "DegreeRecord", "Field", "Fp", "GradednessError", "GroupElement",
     "GroupHom", "InfiniteFiberError", "InvalidLambda", "PrimeField",
     "RationalField", "RelationError", "VerificationResult", "VerifyConfig",
     "WeightSequence", "WellDefinednessError", "auto_prime", "builtin_case",
-    "builtin_group_hom", "expected_kernel", "field_from_spec",
+    "builtin_group_hom", "case_config", "expected_kernel", "field_from_spec",
     "find_admissible_primes", "generator_letter", "is_prime", "parse_scalar",
     "primes", "resolve_constants", "row_rank",
 ]

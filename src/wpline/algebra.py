@@ -87,10 +87,6 @@ class CoordinateAlgebra:
             out.append(AlgebraElement(self, {tuple(e): self.field.one}))
         return tuple(out)
 
-    def monomial(self, exps, coeff=1) -> "AlgebraElement":
-        """Canonical form of ``coeff`` times the monomial with given exponents."""
-        return self.reduce_monomial(exps, coeff)
-
     def element(self, terms) -> "AlgebraElement":
         """Canonical form of a sum of (coeff, exponent-vector) pairs."""
         raw: dict = {}

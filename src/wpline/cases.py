@@ -1,7 +1,7 @@
 """The four built-in verification cases and admissible-prime discovery.
 
-Each case pairs a string-group homomorphism with compatible generator images
-between coordinate algebras of tubular weight types:
+Each case is a :class:`VerifyConfig` document plus the paper's kernel of
+its string-group homomorphism:
 
   A: (4,4,2)   -> (2,2,2,2; -1)          kernel of order 2
   B: (6,3,2)   -> (2,2,2,2; eps)         kernel of order 3
@@ -15,137 +15,134 @@ relations exactly for that orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .algebra import CoordinateAlgebra
-from .field import (ConstantBindings, ConstantUnavailable, Field, InvalidLambda,
-                    PrimeField, primes, resolve_constants)
+from .config import VerifyConfig
+from .field import ConstantUnavailable, Field, InvalidLambda, PrimeField, primes
 from .homverify import AlgebraHom
 from .stringgroup import GroupElement, GroupHom, WeightSequence, _kernel_sort_key
 
-CASE_IDS = ("A", "B", "C", "D")
+CASES = {
+    "A": {"source": {"weights": [4, 4, 2], "params": ["1"]},
+          "target": {"weights": [2, 2, 2, 2], "params": ["1", "-1"]},
+          "constants": {},
+          "pi": ["0;1,0,0,0", "0;0,1,0,0", "0;0,0,1,1"],
+          "phi": [[["1", [1, 0, 0, 0]]], [["1", [0, 1, 0, 0]]], [["1", [0, 0, 1, 1]]]],
+          "kernel": ["0;0,0,0", "-1;2,2,0"]},
+    "B": {"source": {"weights": [6, 3, 2], "params": ["1"]},
+          "target": {"weights": [2, 2, 2, 2], "params": ["1", "epsilon"]},
+          "constants": {"epsilon": ["1", "-1", "1"],
+                        "delta": ["3 - 6*epsilon", "0", "1"]},
+          "pi": ["0;0,0,0,1", "1;0,0,0,0", "0;1,1,1,0"],
+          "phi": [[["1", [0, 0, 0, 1]]],
+                  [["1", [0, 2, 0, 0]], ["epsilon - 1", [2, 0, 0, 0]]],
+                  [["delta", [1, 1, 1, 0]]]],
+          "kernel": ["0;0,0,0", "-1;2,2,0", "-1;4,1,0"]},
+    "C": {"source": {"weights": [6, 3, 2], "params": ["1"]},
+          "target": {"weights": [3, 3, 3], "params": ["1"]},
+          "constants": {"sqrt_minus_one": ["1", "0", "1"],
+                        "cbrt_minus_four": ["4", "0", "0", "1"]},
+          "pi": ["0;0,0,1", "0;1,1,0", "1;0,0,0"],
+          "phi": [[["1", [0, 0, 1]]], [["cbrt_minus_four", [1, 1, 0]]],
+                  [["sqrt_minus_one", [3, 0, 0]], ["sqrt_minus_one", [0, 3, 0]]]],
+          "kernel": ["0;0,0,0", "-1;3,0,1"]},
+    "D": {"source": {"weights": [2, 2, 2, 2], "params": ["1", "lambda_prime"]},
+          "target": {"weights": [2, 2, 2, 2], "params": ["1", "lambda"]},
+          "constants": {"sqrt_one_minus_lambda": ["lambda - 1", "0", "1"],
+                        "xi_plus": "2 - lambda + 2*sqrt_one_minus_lambda",
+                        "xi_minus": "2 - lambda - 2*sqrt_one_minus_lambda",
+                        "sqrt_xi_plus": ["-xi_plus", "0", "1"],
+                        "lambda_prime": "xi_minus / xi_plus"},
+          "pi": ["0;1,0,1,0", "0;0,1,0,1", "1;0,0,0,0", "1;0,0,0,0"],
+          "phi": [[["sqrt_xi_plus", [1, 0, 1, 0]]], [["1", [0, 1, 0, 1]]],
+                  [["1", [0, 2, 0, 0]], ["-(1 + sqrt_one_minus_lambda)", [2, 0, 0, 0]]],
+                  [["1", [0, 2, 0, 0]], ["-(1 - sqrt_one_minus_lambda)", [2, 0, 0, 0]]]],
+          "kernel": ["0;0,0,0,0", "-1;0,0,1,1"]},
+}
+CASE_IDS = tuple(CASES)
 
-L2222 = WeightSequence((2, 2, 2, 2))
-L333 = WeightSequence((3, 3, 3))
-L442 = WeightSequence((4, 4, 2))
-L632 = WeightSequence((6, 3, 2))
+
+def case_config(case_id: str) -> VerifyConfig:
+    """The document of a built-in case, over Q at window 20 unless overridden."""
+    if str(case_id).upper() not in CASES:
+        raise ValueError("unknown case %r" % case_id)
+    return VerifyConfig.from_dict(dict(CASES[str(case_id).upper()], field="rationals", window=20))
 
 
 def builtin_group_hom(case_id: str) -> GroupHom:
     """The string-group homomorphism of a built-in case (field independent)."""
-    cid = str(case_id).upper()
-    if cid == "A":
-        x1, x2, x3, x4 = L2222.gens
-        return GroupHom(L442, L2222, [x1, x2, x3 + x4])
-    if cid == "B":
-        x1, x2, x3, x4 = L2222.gens
-        return GroupHom(L632, L2222, [x4, L2222.canonical(), x1 + x2 + x3])
-    if cid == "C":
-        y1, y2, y3 = L333.gens
-        return GroupHom(L632, L333, [y3, y1 + y2, L333.canonical()])
-    if cid == "D":
-        x1, x2, x3, x4 = L2222.gens
-        c = L2222.canonical()
-        return GroupHom(L2222, L2222, [x1 + x3, x2 + x4, c, c])
-    raise ValueError("unknown case %r" % case_id)
+    return case_config(case_id).group_hom()
 
 
 def expected_kernel(case_id: str) -> tuple[GroupElement, ...]:
-    cid = str(case_id).upper()
-    if cid == "A":
-        elems = [L442.zero(), L442.element(-1, (2, 2, 0))]
-    elif cid == "B":
-        elems = [L632.zero(), L632.element(-1, (4, 1, 0)), L632.element(-1, (2, 2, 0))]
-    elif cid == "C":
-        elems = [L632.zero(), L632.element(-1, (3, 0, 1))]
-    elif cid == "D":
-        elems = [L2222.zero(), L2222.element(-1, (0, 0, 1, 1))]
-    else:
-        raise ValueError("unknown case %r" % case_id)
-    return tuple(sorted(elems, key=_kernel_sort_key))
+    """The kernel of a built-in case's group map, as the paper gives it."""
+    source = WeightSequence(case_config(case_id).source_weights)
+    return tuple(sorted(map(source.parse, CASES[str(case_id).upper()]["kernel"]),
+                        key=_kernel_sort_key))
 
 
 @dataclass
 class CaseSpec:
-    """A fully instantiated built-in case over a concrete field."""
+    """A case over a concrete field with its constants resolved.  The maps
+    are built on first use, so that a map which breaks a relation still
+    leaves the constants to report."""
 
     case_id: str
+    config: VerifyConfig
     field: Field
-    constants: ConstantBindings
-    lam: object
-    group_hom: GroupHom
-    algebra_hom: AlgebraHom
-    expected_kernel: tuple[GroupElement, ...]
+    constants: dict
+
+    @cached_property
+    def group_hom(self) -> GroupHom:
+        return self.config.group_hom()
+
+    @cached_property
+    def algebra_hom(self) -> AlgebraHom:
+        return self.config.build(self.field, self.constants, self.group_hom)
+
+    @property
+    def expected_kernel(self) -> tuple[GroupElement, ...]:
+        return tuple(sorted(self.group_hom.kernel(), key=_kernel_sort_key))
 
     def report_constants(self) -> dict:
-        out = self.constants.as_dict()
-        if self.lam is not None:
-            out["lambda"] = str(self.lam)
-        return out
+        return {k: str(v) for k, v in self.constants.items()}
+
+    def tampered(self, value: str) -> "CaseSpec":
+        """The same case with the last target parameter replaced by ``value``."""
+        params = self.config.target_params
+        if len(params) < 2:
+            raise ValueError("case %s target has no free parameter to tamper with"
+                             % self.case_id)
+        return replace(self, config=replace(self.config, target_params=params[:-1] + (value,)))
 
 
-def builtin_case(case_id: str, field: Field, lam=None,
-                 root_pick: str = "smallest") -> CaseSpec:
-    """Instantiate a built-in case, resolving its constants in ``field``.
-
-    Raises ConstantUnavailable when a needed root is missing (choose another
-    prime) and InvalidLambda for parameter problems in case D.
-    """
-    cid = str(case_id).upper()
-    if cid not in CASE_IDS:
-        raise ValueError("unknown case %r" % case_id)
-    consts = resolve_constants(cid, field, lam=lam, root_pick=root_pick)
-    pi = builtin_group_hom(cid)
-    one = field.one
-
-    if cid == "A":
-        source = CoordinateAlgebra(L442, field, [one])
-        target = CoordinateAlgebra(L2222, field, [one, field(-1)])
-        x1, x2, x3, x4 = target.gens
-        images = [x1, x2, x3 * x4]
-        lam_used = None
-    elif cid == "B":
-        eps, delta = consts.epsilon, consts.delta
-        source = CoordinateAlgebra(L632, field, [one])
-        target = CoordinateAlgebra(L2222, field, [one, eps])
-        x1, x2, x3, x4 = target.gens
-        images = [x4, x2 * x2 + (eps - 1) * (x1 * x1), delta * (x1 * x2 * x3)]
-        lam_used = None
-    elif cid == "C":
-        i, r = consts.sqrt_minus_one, consts.cbrt_minus_four
-        source = CoordinateAlgebra(L632, field, [one])
-        target = CoordinateAlgebra(L333, field, [one])
-        y1, y2, y3 = target.gens
-        images = [y3, r * (y1 * y2), i * (y1 ** 3 + y2 ** 3)]
-        lam_used = None
-    elif cid == "D":
-        lam_used = field(lam)
-        s, u = consts.sqrt_one_minus_lambda, consts.sqrt_xi_plus
-        source = CoordinateAlgebra(L2222, field, [one, consts.lambda_prime])
-        target = CoordinateAlgebra(L2222, field, [one, lam_used])
-        x1, x2, x3, x4 = target.gens
-        sq1 = x1 * x1
-        sq2 = x2 * x2
-        images = [u * (x1 * x3), x2 * x4, sq2 - (1 + s) * sq1, sq2 - (1 - s) * sq1]
-
-    phi = AlgebraHom(source, target, pi, images)
-    want = expected_kernel(cid)
-    got = tuple(sorted(pi.kernel(), key=_kernel_sort_key))
-    if got != want:
-        raise AssertionError("computed kernel %s differs from the expected %s"
-                             % (got, want))  # pragma: no cover
-    return CaseSpec(case_id=cid, field=field, constants=consts, lam=lam_used,
-                    group_hom=pi, algebra_hom=phi, expected_kernel=want)
+def builtin_case(case, field: Field, lam=None, root_pick: str = "smallest") -> CaseSpec:
+    """Instantiate a built-in case id, or a VerifyConfig as case "custom",
+    over ``field``.  Raises ConstantUnavailable when a needed root is missing
+    (choose another prime) and InvalidLambda for a bad or missing lambda."""
+    cid, cfg = ((str(case).upper(), case_config(case)) if isinstance(case, str)
+                else ("custom", case))
+    spec = CaseSpec(cid, cfg, field, cfg.resolve(field, lam, root_pick))
+    if cid in CASES and spec.expected_kernel != expected_kernel(cid):
+        raise AssertionError("case %s: the kernel differs from the paper's" % cid)  # pragma: no cover
+    return spec
 
 
-def find_admissible_primes(case_id: str, count: int = 3, lam=None,
+def resolve_constants(case_id: str, field: Field, lam=None,
+                      root_pick: str = "smallest") -> dict:
+    """The constants of a built-in case (with ``lambda`` for D) in ``field``."""
+    return case_config(case_id).resolve(field, lam, root_pick)
+
+
+def find_admissible_primes(case, count: int = 3, lam=None,
                            start: int = 5, stop: int = 1000) -> list[int]:
     """Smallest primes (never 2 or 3) whose fields resolve the case constants."""
-    cid = str(case_id).upper()
+    cfg = case_config(case) if isinstance(case, str) else case
     found = []
     for q in primes(start, stop):
         try:
-            resolve_constants(cid, PrimeField(q), lam=lam)
+            cfg.resolve(PrimeField(q), lam)
         except (ConstantUnavailable, InvalidLambda):
             continue
         found.append(q)
@@ -154,11 +151,10 @@ def find_admissible_primes(case_id: str, count: int = 3, lam=None,
     return found
 
 
-def auto_prime(case_id: str, lam=None, start: int = 5, stop: int = 1000) -> int:
+def auto_prime(case, lam=None, start: int = 5, stop: int = 1000) -> int:
     """The smallest admissible prime, for the command-line --auto-prime flag."""
-    found = find_admissible_primes(case_id, count=1, lam=lam, start=start, stop=stop)
+    found = find_admissible_primes(case, count=1, lam=lam, start=start, stop=stop)
     if not found:
-        raise ConstantUnavailable(
-            "no prime in [%d, %d] resolves the constants of case %s" % (start, stop, case_id)
-        )
+        raise ConstantUnavailable("no prime in [%d, %d] resolves the constants of case %s"
+                                  % (start, stop, case if isinstance(case, str) else "custom"))
     return found[0]

@@ -9,11 +9,12 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .algebra import CoordinateAlgebra
-from .cases import CASE_IDS, auto_prime, builtin_case, builtin_group_hom
+from .cases import CASE_IDS, auto_prime, builtin_case, builtin_group_hom, case_config
 from .config import VerifyConfig, parse_scalar
 from .field import (ConstantUnavailable, InvalidLambda, PrimeField,
                     field_from_spec)
@@ -37,7 +38,9 @@ def _render(elem, pretty: bool) -> str:
     return elem.pretty() if pretty else str(elem)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="wpline",
         description="string groups, graded coordinate algebras and graded-isomorphism checks",
@@ -97,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify a built-in case or a config file")
     verify.add_argument("--case", choices=CASE_IDS)
     verify.add_argument("--config")
-    verify.add_argument("--field", default=None, help="'rationals' or a prime")
+    verify.add_argument("--field", default=None,
+                        help="'rationals' or a prime (default: the config's field, or Q)")
     verify.add_argument("--lambda", dest="lam", default=None,
-                        help="target parameter for case D")
+                        help="value of the name lambda, e.g. case D's target parameter")
     verify.add_argument("--window", type=int, default=None,
                         help="level window (default 20, or the config's value)")
     verify.add_argument("--out", default=None)
@@ -108,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--root-pick", choices=("smallest", "largest"),
                         default="smallest")
     verify.add_argument("--tamper", default=None,
-                        help="negative control, e.g. lambda=2 replaces the target parameter")
+                        help="negative control, e.g. lambda=2 replaces the last target parameter")
     return parser
 
 
@@ -191,7 +195,7 @@ def _cmd_algebra(args) -> int:
         if args.as_json:
             print(json.dumps([list(e) for e in basis]))
         else:
-            monos = [str(alg.monomial(e)) for e in basis]
+            monos = [str(alg.reduce_monomial(e)) for e in basis]
             print("[%s]" % ", ".join(monos))
         return 0
     if sc == "reduce":
@@ -208,7 +212,7 @@ def _cmd_algebra(args) -> int:
         else:
             tor = (0,) * len(alg.weights)
         for l in range(args.lmin, args.lmax + 1):
-            x = alg.weights.element(l, tor)
+            x = alg.weights.normalize(l, tor)
             print("%d %d" % (l, alg.dim(x)))
         return 0
     raise UsageError("unknown algebra subcommand %r" % sc)
@@ -224,91 +228,41 @@ def _emit_report(report: dict, out_path: str | None):
     print(text)
 
 
-def _tampered_hom(spec, tamper: str):
-    """Rebuild a built-in case with a tampered target parameter."""
-    from .homverify import AlgebraHom
-    key, _, value = tamper.partition("=")
-    if key.strip() != "lambda" or not value:
-        raise UsageError("unsupported --tamper directive %r (try lambda=VALUE)" % tamper)
-    target = spec.algebra_hom.target
-    if len(target.weights) < 4:
-        raise UsageError("case %s target has no free parameter to tamper with"
-                         % spec.case_id)
-    params = list(target.params)
-    params[-1] = parse_scalar(value, spec.field)
-    new_target = CoordinateAlgebra(target.weights, spec.field, params)
-    images = [new_target.element([(c, e) for e, c in im.terms.items()])
-              for im in spec.algebra_hom.gen_images]
-    return AlgebraHom(spec.algebra_hom.source, new_target, spec.group_hom, images)
-
-
 def _cmd_verify(args) -> int:
     if bool(args.case) == bool(args.config):
         raise UsageError("verify needs exactly one of --case or --config")
-
-    if args.config:
-        cfg = VerifyConfig.load(args.config)
-        window = args.window if args.window is not None else cfg.window
-        try:
-            field, env, phi = cfg.build()
-        except (RelationError, GradednessError, WellDefinednessError) as exc:
-            report = {
-                "case": "custom",
-                "field": cfg.field_spec,
-                "window": window,
-                "records": [],
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "summary": "fail",
-            }
-            _emit_report(report, args.out)
-            return 1
-        result = phi.verify_window(window)
-        report = result.to_report(case="custom", field_name=field.name,
-                                  constants={k: str(v) for k, v in env.items()})
-        _emit_report(report, args.out)
-        return 0 if result.passed else 1
-
-    case_id = args.case
-    window = args.window if args.window is not None else 20
+    cfg = case_config(args.case) if args.case else VerifyConfig.load(args.config)
+    window = args.window if args.window is not None else cfg.window
     if args.auto_prime:
         if args.field is not None:
             raise UsageError("--auto-prime replaces --field")
-        q = auto_prime(case_id, lam=args.lam)
-        field = PrimeField(q)
+        field = PrimeField(auto_prime(args.case or cfg, lam=args.lam))
     else:
-        field = field_from_spec(args.field or "rationals")
-    lam = args.lam
-    if case_id == "D" and lam is None:
-        raise UsageError("case D needs --lambda")
-
-    spec = builtin_case(case_id, field, lam=lam, root_pick=args.root_pick)
-    hom = spec.algebra_hom
-    tamper_note = {}
+        field = field_from_spec(args.field or cfg.field_spec)
+    spec = builtin_case(args.case or cfg, field, lam=args.lam, root_pick=args.root_pick)
+    extra = {}
     if args.tamper:
-        tamper_note = {"tamper": args.tamper}
-        try:
-            hom = _tampered_hom(spec, args.tamper)
-        except (RelationError, GradednessError, WellDefinednessError) as exc:
-            report = {
-                "case": case_id,
-                "field": field.name,
-                "window": window,
-                "admissible": spec.group_hom.is_admissible(window).admissible,
-                "kernel": [str(k) for k in spec.expected_kernel],
-                "constants": spec.report_constants(),
-                "records": [],
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "summary": "fail",
-                **tamper_note,
-            }
-            _emit_report(report, args.out)
-            return 1
-
-    result = hom.verify_window(window)
-    report = result.to_report(case=case_id, field_name=field.name,
-                              constants=spec.report_constants(), extra=tamper_note)
+        key, _, value = args.tamper.partition("=")
+        if key.strip() != "lambda" or not value:
+            raise UsageError("unsupported --tamper directive %r (try lambda=VALUE)"
+                             % args.tamper)
+        spec, extra = spec.tampered(value), {"tamper": args.tamper}
+    try:
+        hom = spec.algebra_hom
+    except (RelationError, GradednessError, WellDefinednessError) as exc:
+        report = {"case": spec.case_id, "field": field.name, "window": window,
+                  "constants": spec.report_constants(), "records": [],
+                  "error": {"type": type(exc).__name__, "message": str(exc)},
+                  "summary": "fail", **extra}
+        if not isinstance(exc, WellDefinednessError):  # the group map exists
+            report["admissible"] = spec.group_hom.is_admissible(window).admissible
+            report["kernel"] = [str(k) for k in spec.expected_kernel]
+    else:
+        report = hom.verify_window(window).to_report(
+            case=spec.case_id, field_name=field.name,
+            constants=spec.report_constants(), extra=extra)
     _emit_report(report, args.out)
-    return 0 if result.passed else 1
+    return 0 if report["summary"] == "pass" else 1
 
 
 #: flags whose values can begin with "-" (element literals, parameters, ...)

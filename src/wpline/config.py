@@ -1,19 +1,21 @@
 """JSON configurations for verifying user-supplied homomorphism pairs.
 
 A configuration names two algebras, a coefficient field, named constants
-given by their defining polynomials, group generator images in "l;l1,..."
-notation, and algebra generator images as term lists whose coefficients are
-small expressions over integers and the named constants.  Parsing keeps the
-raw strings so that parse -> serialize -> parse is the identity.
+given by their defining polynomials or derived from earlier ones, group
+generator images in "l;l1,..." notation, and algebra generator images as
+term lists whose coefficients are small expressions over integers and the
+named constants.  Parsing keeps the raw strings so that parse -> serialize
+-> parse is the identity.  The built-in cases A-D are such documents.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .algebra import CoordinateAlgebra
-from .field import ConstantUnavailable, Field, field_from_spec
+from .field import ConstantUnavailable, Field, InvalidLambda
 from .homverify import AlgebraHom
 from .stringgroup import GroupHom, WeightSequence
 
@@ -88,41 +90,28 @@ def parse_scalar(text: str, field: Field, env: dict | None = None):
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            out.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError("unexpected character %r in expression %r" % (ch, text))
+    for num, name, op in re.findall(r"\s*(?:(\d+)|([^\W\d]\w*)|(\S))", text):
+        if op and op not in "+-*/^()":
+            raise ValueError("unexpected character %r in expression %r" % (op, text))
+        out.append(("int", num) if num else ("name", name) if name else (op, op))
     return out
 
 
 @dataclass
 class VerifyConfig:
-    """A verification job as loaded from JSON, with raw strings preserved."""
+    """A verification job as loaded from JSON, with raw strings preserved.
+
+    A constant is either a root, given by the ascending coefficient list of
+    its polynomial (degree 2 or 3), or a derived value, given by one
+    expression.  The name ``lambda`` is bound from the command line.
+    """
 
     source_weights: tuple[int, ...]
     source_params: tuple[str, ...]
     target_weights: tuple[int, ...]
     target_params: tuple[str, ...]
     field_spec: str
-    constants: dict  # name -> list of coefficient expressions, ascending degree
+    constants: dict  # name -> coefficient expressions, ascending, or one expression
     pi: tuple[str, ...]
     phi: tuple  # per generator: list of [coeff expression, exponent vector]
     window: int = 20
@@ -136,7 +125,7 @@ class VerifyConfig:
                 target_weights=tuple(int(p) for p in data["target"]["weights"]),
                 target_params=tuple(str(v) for v in data["target"].get("params", [])),
                 field_spec=str(data["field"]),
-                constants={str(k): [str(c) for c in v]
+                constants={str(k): v if isinstance(v, str) else [str(c) for c in v]
                            for k, v in data.get("constants", {}).items()},
                 pi=tuple(str(s) for s in data["pi"]),
                 phi=tuple(tuple((str(c), tuple(int(a) for a in e)) for c, e in gen)
@@ -153,7 +142,8 @@ class VerifyConfig:
             "target": {"weights": list(self.target_weights),
                        "params": list(self.target_params)},
             "field": self.field_spec,
-            "constants": {k: list(v) for k, v in self.constants.items()},
+            "constants": {k: v if isinstance(v, str) else list(v)
+                          for k, v in self.constants.items()},
             "pi": list(self.pi),
             "phi": [[[c, list(e)] for c, e in gen] for gen in self.phi],
             "window": self.window,
@@ -169,25 +159,65 @@ class VerifyConfig:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def build(self) -> tuple[Field, dict, AlgebraHom]:
-        """Materialize field, constants and the algebra homomorphism."""
-        field = field_from_spec(self.field_spec)
+    def resolve(self, field: Field, lam=None, root_pick: str = "smallest") -> dict:
+        """Bind ``lambda`` (if the document uses it) and then every constant,
+        depth-first in order: the roots of each are tried smallest first (or
+        largest first) until all later constants resolve too."""
+        if root_pick not in ("smallest", "largest"):
+            raise ValueError("root_pick must be 'smallest' or 'largest'")
         env: dict = {}
-        for name, coeffs in self.constants.items():
-            poly = [parse_scalar(c, field, env) for c in coeffs]
-            root = field.find_root(poly)
-            if root is None:
-                raise ConstantUnavailable(
-                    "constant %r has no root in %s" % (name, field.name))
-            env[name] = root
-        src_w = WeightSequence(self.source_weights)
+        texts = [*self.source_params, *self.target_params, *(c for g in self.phi for c, _ in g),
+                 *(c for v in self.constants.values() for c in ([v] if isinstance(v, str) else v))]
+        if any(("name", "lambda") in _tokenize(t) for t in texts):
+            if lam is None:
+                raise InvalidLambda("the constant lambda is unset (pass --lambda)")
+            env["lambda"] = field(lam)
+            if env["lambda"] in (field.zero, field.one):
+                raise InvalidLambda("lambda must avoid 0 and 1")
+        items = list(self.constants.items())
+
+        def search(i: int) -> dict:
+            if i == len(items):
+                return env
+            name, spec = items[i]
+            if isinstance(spec, str):
+                env[name] = parse_scalar(spec, field, env)
+                return search(i + 1)
+            roots = field.roots([parse_scalar(c, field, env) for c in spec])
+            error = _unavailable(name, spec, field)
+            for root in (roots[::-1] if root_pick == "largest" else roots):
+                env[name] = root
+                try:
+                    return search(i + 1)
+                except ConstantUnavailable as exc:
+                    error = exc
+            raise error
+
+        return search(0)
+
+    def group_hom(self) -> GroupHom:
         tgt_w = WeightSequence(self.target_weights)
-        source = CoordinateAlgebra(src_w, field,
-                                   [parse_scalar(v, field, env) for v in self.source_params])
-        target = CoordinateAlgebra(tgt_w, field,
-                                   [parse_scalar(v, field, env) for v in self.target_params])
-        pi = GroupHom(src_w, tgt_w, [tgt_w.parse(s) for s in self.pi])
+        return GroupHom(WeightSequence(self.source_weights), tgt_w, map(tgt_w.parse, self.pi))
+
+    def build(self, field: Field, env: dict, pi: GroupHom) -> AlgebraHom:
+        """The algebra map over ``field``, with the constants bound in ``env``."""
+        def values(texts):
+            return [parse_scalar(t, field, env) for t in texts]
+        source = CoordinateAlgebra(pi.source, field, values(self.source_params))
+        target = CoordinateAlgebra(pi.target, field, values(self.target_params))
         images = [target.element([(parse_scalar(c, field, env), e) for c, e in gen])
                   for gen in self.phi]
-        phi = AlgebraHom(source, target, pi, images)
-        return field, env, phi
+        return AlgebraHom(source, target, pi, images)
+
+
+def _unavailable(name: str, coeffs: list, field: Field) -> ConstantUnavailable:
+    """The error for a constant without a root; x^n - a has an n-th root of a."""
+    a = coeffs[0].strip()
+    if coeffs[-1] != "1" or any(c != "0" for c in coeffs[1:-1]):
+        return ConstantUnavailable("constant %r has no root in %s" % (name, field.name))
+    if a.startswith("-") and len(_tokenize(a[1:])) == 1:
+        a = a[1:].strip()
+    else:
+        a = "-" + a if len(_tokenize(a)) == 1 else "-(%s)" % a
+    return ConstantUnavailable("no %s root of %s in %s"
+                               % (("square", "cube")[len(coeffs) - 3], a, field.name))

@@ -10,7 +10,6 @@ of a monic integer transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -422,116 +421,3 @@ def field_from_spec(spec: str) -> Field:
         raise ValueError("field must be 'rationals' or a prime, got %r" % spec) from None
     return PrimeField(q)
 
-
-@dataclass
-class ConstantBindings:
-    """Named algebraic constants resolved in a field, each one exact.
-
-    Which entries are bound depends on the case: epsilon/delta for B,
-    sqrt_minus_one/cbrt_minus_four for C, and the xi family for D.
-    """
-
-    epsilon: object = None            # root of x^2 - x + 1
-    delta: object = None              # square root of 6*epsilon - 3
-    sqrt_minus_one: object = None
-    cbrt_minus_four: object = None
-    sqrt_one_minus_lambda: object = None
-    xi_plus: object = None            # (2 - lambda) + 2*sqrt(1 - lambda)
-    xi_minus: object = None           # (2 - lambda) - 2*sqrt(1 - lambda)
-    sqrt_xi_plus: object = None
-    lambda_prime: object = None       # xi_minus / xi_plus
-
-    def as_dict(self) -> dict:
-        out = {}
-        for name in ("epsilon", "delta", "sqrt_minus_one", "cbrt_minus_four",
-                     "sqrt_one_minus_lambda", "xi_plus", "xi_minus",
-                     "sqrt_xi_plus", "lambda_prime"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = str(v)
-        return out
-
-
-def _pick(roots: list, root_pick: str):
-    if root_pick == "smallest":
-        return list(roots)
-    if root_pick == "largest":
-        return list(reversed(roots))
-    raise ValueError("root_pick must be 'smallest' or 'largest'")
-
-
-def resolve_constants(case_id: str, field: Field, lam=None,
-                      root_pick: str = "smallest") -> ConstantBindings:
-    """Bind exactly the constants a built-in case needs, verified exactly.
-
-    Case B backtracks over both roots of x^2 - x + 1 because the square root
-    of 6*epsilon - 3 exists for at most one of them in some primes.  Case D
-    needs ``lam`` outside {0, 1}, a square root of 1 - lam, and xi_plus to be
-    a nonzero square.
-    """
-    cid = str(case_id).upper()
-    if cid == "A":
-        return ConstantBindings()
-
-    if cid == "B":
-        eps_roots = field.roots([field.one, -field.one, field.one])
-        if not eps_roots:
-            raise ConstantUnavailable("no root of x^2 - x + 1 in %s" % field.name)
-        for eps in _pick(eps_roots, root_pick):
-            d = 6 * eps - 3
-            d_roots = field.roots([-d, field.zero, field.one])
-            d_roots = [r for r in d_roots if r != field.zero]
-            if d_roots:
-                delta = _pick(d_roots, root_pick)[0]
-                assert eps * eps - eps + 1 == field.zero
-                assert delta * delta == 6 * eps - 3
-                return ConstantBindings(epsilon=eps, delta=delta)
-        raise ConstantUnavailable(
-            "6*eps - 3 is not a nonzero square in %s for any root eps of x^2 - x + 1"
-            % field.name
-        )
-
-    if cid == "C":
-        i_roots = field.roots([field.one, field.zero, field.one])
-        if not i_roots:
-            raise ConstantUnavailable("no square root of -1 in %s" % field.name)
-        r_roots = field.roots([field(4), field.zero, field.zero, field.one])
-        if not r_roots:
-            raise ConstantUnavailable("no cube root of -4 in %s" % field.name)
-        i = _pick(i_roots, root_pick)[0]
-        r = _pick(r_roots, root_pick)[0]
-        assert i * i == -field.one and r * r * r == field(-4)
-        return ConstantBindings(sqrt_minus_one=i, cbrt_minus_four=r)
-
-    if cid == "D":
-        if lam is None:
-            raise InvalidLambda("case D needs a lambda parameter")
-        lam = field(lam)
-        if lam == field.zero or lam == field.one:
-            raise InvalidLambda("lambda must avoid 0 and 1")
-        s_roots = field.roots([lam - 1, field.zero, field.one])
-        if not s_roots:
-            raise ConstantUnavailable("no square root of 1 - lambda in %s" % field.name)
-        s = _pick(s_roots, root_pick)[0]
-        xi_plus = (2 - lam) + 2 * s
-        xi_minus = (2 - lam) - 2 * s
-        if xi_plus == field.zero:
-            raise ConstantUnavailable("xi_plus vanishes")  # pragma: no cover
-        u_roots = field.roots([-xi_plus, field.zero, field.one])
-        u_roots = [r for r in u_roots if r != field.zero]
-        if not u_roots:
-            raise ConstantUnavailable("xi_plus = %s is not a nonzero square in %s"
-                                      % (xi_plus, field.name))
-        u = _pick(u_roots, root_pick)[0]
-        lam_prime = xi_minus / xi_plus
-        if lam_prime == field.zero or lam_prime == field.one:
-            raise InvalidLambda("derived parameter landed in {0, 1}")  # pragma: no cover
-        assert s * s == 1 - lam
-        assert u * u == xi_plus
-        assert xi_plus * xi_minus == lam * lam
-        return ConstantBindings(
-            sqrt_one_minus_lambda=s, xi_plus=xi_plus, xi_minus=xi_minus,
-            sqrt_xi_plus=u, lambda_prime=lam_prime,
-        )
-
-    raise ValueError("unknown case %r" % case_id)

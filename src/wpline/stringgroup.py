@@ -88,9 +88,6 @@ class WeightSequence:
             tor.append(m)
         return GroupElement(self, carry, tuple(tor))
 
-    def element(self, l: int, torsion: Iterable[int]) -> "GroupElement":
-        return self.normalize(l, torsion)
-
     def parse(self, text: str) -> "GroupElement":
         """Parse the "l;l1,l2,...,lt" element notation (entries may be any ints)."""
         try:
@@ -198,21 +195,14 @@ class GroupElement:
     def order(self) -> int | float:
         """Least n >= 1 with n*a = 0, or math.inf.
 
-        Nonzero degree certifies infinite order; otherwise the element is
-        torsion and iteration terminates well inside the safety bound.
+        Nonzero degree certifies infinite order.  In degree 0, n*a = 0 once n
+        kills every torsion coordinate, since the canonical part then has
+        degree 0 too: n = lcm of p_i / gcd(p_i, l_i).
         """
         if self.degree() != 0:
             return math.inf
-        zero = self.weights.zero()
-        if self == zero:
-            return 1
-        bound = self.weights.lcm * math.prod(self.weights.weights)
-        acc = self
-        for n in range(2, bound + 2):
-            acc = acc + self
-            if acc == zero:
-                return n
-        raise RuntimeError("order iteration exceeded its bound")  # pragma: no cover
+        return math.lcm(*(p // math.gcd(p, v)
+                          for p, v in zip(self.weights.weights, self.torsion)))
 
 
 def _sort_key(e: GroupElement) -> tuple:
@@ -375,9 +365,10 @@ class GroupHom:
                     buckets.setdefault(img, []).append(GroupElement(self.source, l, r))
         return {x: tuple(sorted(ys, key=_sort_key)) for x, ys in buckets.items()}
 
-    def check_fiber_mults(self, window: int, fibers: dict | None = None) -> AdmissibilityReport:
-        """Test the fiber mult-sum condition on every image element in the
-        window; ``fibers`` is ``window_fibers(window)`` when already at hand."""
+    def is_admissible(self, window: int = 64, fibers: dict | None = None) -> AdmissibilityReport:
+        """Effectiveness plus the fiber mult-sum condition on every image
+        element in the window; ``fibers`` is ``window_fibers(window)`` when
+        already at hand."""
         buckets = self.window_fibers(window) if fibers is None else fibers
         failures = []
         edge_ok = True
@@ -398,7 +389,3 @@ class GroupHom:
             kernel=self._kernel,
             edge_regime_ok=edge_ok,
         )
-
-    def is_admissible(self, window: int = 64, fibers: dict | None = None) -> AdmissibilityReport:
-        """Effectiveness plus the mult-sum condition on the given window."""
-        return self.check_fiber_mults(window, fibers)

@@ -13,7 +13,7 @@ GROUPS = [WeightSequence(ws) for ws in TUBULAR]
 
 
 def _random_element(rng, L, lo=-8, hi=8):
-    return L.element(rng.randint(lo, hi), tuple(rng.randrange(p) for p in L.weights))
+    return L.normalize(rng.randint(lo, hi), tuple(rng.randrange(p) for p in L.weights))
 
 
 def check_group_axioms(n=200, seed=1287):
@@ -96,7 +96,7 @@ def check_confluence(n=200, seed=9029):
 def _random_homogeneous(rng, alg, max_l=3):
     L = alg.weights
     for _ in range(40):
-        x = L.element(rng.randint(0, max_l), tuple(rng.randrange(p) for p in L.weights))
+        x = L.normalize(rng.randint(0, max_l), tuple(rng.randrange(p) for p in L.weights))
         basis = alg.component_basis(x)
         if basis:
             break
@@ -106,7 +106,7 @@ def _random_homogeneous(rng, alg, max_l=3):
     elem = alg.zero
     for c, e in zip(coeffs, basis):
         if c != alg.field.zero:
-            elem = elem + alg.monomial(e, c)
+            elem = elem + alg.reduce_monomial(e, c)
     return x, elem
 
 

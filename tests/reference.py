@@ -1,5 +1,5 @@
 """Reference oracles: degree records independent of the binary-form kernel,
-and roots by exhaustive search.
+roots by exhaustive search, and element orders by repeated addition.
 
 Monomial images are products of powers of the generator images computed with
 ``AlgebraElement`` arithmetic (sparse terms and the rewriting system), the
@@ -114,3 +114,16 @@ def reference_roots(field, coeffs):
                 if _poly_eval(cs, cand) == 0:
                     found.add(cand)
     return sorted(found)
+
+
+def reference_order(elem):
+    """Least n >= 1 with n*elem = 0 by adding elem to itself, or math.inf
+    for nonzero degree; n never exceeds lcm * prod(p_i)."""
+    if elem.degree() != 0:
+        return math.inf
+    zero = elem.weights.zero()
+    acc, n = elem, 1
+    while acc != zero:
+        acc, n = acc + elem, n + 1
+        assert n <= elem.weights.lcm * math.prod(elem.weights.weights)
+    return n

@@ -84,7 +84,7 @@ def test_criterion_4_dimension_formula():
             L = alg.weights
             for l in range(-10, 11):
                 for tor in L.torsion_tuples():
-                    x = L.element(l, tor)
+                    x = L.normalize(l, tor)
                     basis_dim = len(alg.component_basis(x))
                     assert basis_dim == x.mult() == alg.brute_force_dim(x), str(x)
                     checked += 1
@@ -135,7 +135,7 @@ def test_criterion_6_negative_controls():
         spec = builtin_case("C", PrimeField(17))
         tgt = spec.algebra_hom.target
         y1, y2, y3 = tgt.gens
-        i = spec.constants.sqrt_minus_one
+        i = spec.constants["sqrt_minus_one"]
         with pytest.raises(RelationError):
             AlgebraHom(spec.algebra_hom.source, tgt, spec.group_hom,
                        [y3, y1 * y2, i * (y1 ** 3 + y2 ** 3)])

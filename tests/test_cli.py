@@ -44,6 +44,12 @@ class TestGroupCommands:
                            "--elem", "0;3,0,0", "--elem", "0;1,0,0")
         assert code == 0 and out.strip() == "1;0,0,0"
 
+    def test_order_at_a_large_prime_weight(self, capsys):
+        p = 10 ** 9 + 7
+        code, out, _ = run(capsys, "group", "order", "--weights", "%d,%d,%d" % (p, p, p),
+                           "--elem", "-1;1,%d,0" % (p - 1))
+        assert code == 0 and out.strip() == str(p)
+
     def test_order_and_infinity(self, capsys):
         code, out, _ = run(capsys, "group", "order", "--weights", "6,3,2",
                            "--elem", "-2;5,2,1")
@@ -262,6 +268,21 @@ CASE_A_CONFIG = {
 }
 
 
+CASE_C_CONFIG = {
+    "source": {"weights": [6, 3, 2], "params": ["1"]},
+    "target": {"weights": [3, 3, 3], "params": ["1"]},
+    "field": "5",
+    "constants": {"i": ["1", "0", "1"], "r": ["4", "0", "0", "1"]},
+    "pi": ["0;0,0,1", "0;1,1,0", "1;0,0,0"],
+    "phi": [
+        [["1", [0, 0, 1]]],
+        [["r", [1, 1, 0]]],
+        [["i", [3, 0, 0]], ["i", [0, 3, 0]]],
+    ],
+    "window": 5,
+}
+
+
 class TestConfig:
     def test_round_trip_is_identity(self):
         cfg = VerifyConfig.from_dict(CASE_A_CONFIG)
@@ -315,6 +336,72 @@ class TestConfig:
         assert code == 1
         report = json.loads(out)
         assert report["error"]["type"] == "RelationError"
+
+    def test_config_error_report_matches_case_error_report(self, capsys, tmp_path):
+        cfg = dict(CASE_A_CONFIG, field="Q")
+        cfg["target"] = {"weights": [2, 2, 2, 2], "params": ["1", "2"]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "verify", "--config", str(path))
+        assert code == 1
+        custom = json.loads(out)
+        code, out, _ = run(capsys, "verify", "--case", "A", "--field", "Q",
+                           "--window", "6", "--tamper", "lambda=2")
+        assert code == 1
+        case = json.loads(out)
+        assert custom["field"] == case["field"] == "rationals"
+        assert custom["case"] == "custom" and case["case"] == "A"
+        assert set(custom) | {"tamper"} == set(case)
+        for key in ("window", "admissible", "kernel", "constants", "records",
+                    "error", "summary"):
+            assert custom[key] == case[key], key
+
+    def test_flags_apply_to_configs(self, capsys, tmp_path):
+        path = tmp_path / "caseA.json"
+        path.write_text(json.dumps(CASE_A_CONFIG))
+        code, out, _ = run(capsys, "verify", "--config", str(path), "--tamper", "lambda=2",
+                           "--root-pick", "largest", "--field", "7", "--lambda", "5")
+        assert code == 1
+        report = json.loads(out)
+        assert report["field"] == "7" and report["tamper"] == "lambda=2"
+        assert report["error"]["type"] == "RelationError" and report["records"] == []
+        code, out, _ = run(capsys, "verify", "--config", str(path), "--auto-prime")
+        assert code == 0 and json.loads(out)["field"] == "5"
+        code, _, err = run(capsys, "verify", "--config", str(path), "--auto-prime",
+                           "--field", "7")
+        assert code == 2 and "auto-prime" in err
+
+    def test_root_pick_largest_on_a_config(self, capsys, tmp_path):
+        cfg = dict(CASE_C_CONFIG, field="1000001161")
+        path = tmp_path / "caseC.json"
+        path.write_text(json.dumps(cfg))
+        field = PrimeField(1000001161)
+        for pick, first in (("smallest", 0), ("largest", -1)):
+            code, out, _ = run(capsys, "verify", "--config", str(path), "--window", "3",
+                               "--root-pick", pick)
+            assert code == 0
+            consts = json.loads(out)["constants"]
+            assert consts == {"i": str(field.roots([1, 0, 1])[first]),
+                              "r": str(field.roots([4, 0, 0, 1])[first])}
+
+    def test_config_lambda_comes_from_the_command_line(self, capsys, tmp_path):
+        cfg = dict(CASE_A_CONFIG, field="7")
+        cfg["target"] = {"weights": [2, 2, 2, 2], "params": ["1", "lambda"]}
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "verify", "--config", str(path), "--lambda", "-1")
+        assert code == 0 and json.loads(out)["constants"] == {"lambda": "6"}
+        code, _, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2 and "lambda" in err
+        code, _, err = run(capsys, "verify", "--config", str(path), "--lambda", "8")
+        assert code == 2 and "lambda" in err
+
+    def test_derived_constants_round_trip_and_resolve(self, tmp_path):
+        cfg = VerifyConfig.from_dict(dict(CASE_A_CONFIG, constants={
+            "s": ["-2", "0", "1"], "t": "s^2 + 1"}))
+        assert VerifyConfig.from_dict(cfg.to_dict()) == cfg
+        env = cfg.resolve(PrimeField(7), root_pick="largest")
+        assert env == {"s": PrimeField(7)(4), "t": PrimeField(7)(3)}
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--config", str(tmp_path / "nope.json"))

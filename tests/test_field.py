@@ -113,44 +113,44 @@ class TestRootFinding:
 
 class TestConstants:
     def test_case_a_needs_nothing(self):
-        assert resolve_constants("A", Q).as_dict() == {}
+        assert resolve_constants("A", Q) == {}
 
     def test_case_b_mod_7(self):
         b = resolve_constants("B", F7)
-        assert b.epsilon == F7(3)
-        assert b.delta == F7(1)
-        assert b.epsilon ** 2 - b.epsilon + 1 == 0
-        assert b.delta ** 2 == 6 * b.epsilon - 3
+        assert b["epsilon"] == F7(3)
+        assert b["delta"] == F7(1)
+        assert b["epsilon"] ** 2 - b["epsilon"] + 1 == 0
+        assert b["delta"] ** 2 == 6 * b["epsilon"] - 3
 
     def test_case_b_backtracks_when_picking_largest(self):
         # the larger root 5 has 6*5-3 = 27 = 6 mod 7, a non-residue, so the
         # search must fall back to epsilon = 3 and then pick the larger delta
         b = resolve_constants("B", F7, root_pick="largest")
-        assert b.epsilon == F7(3)
-        assert b.delta == F7(6)
-        assert b.delta ** 2 == 6 * b.epsilon - 3
+        assert b["epsilon"] == F7(3)
+        assert b["delta"] == F7(6)
+        assert b["delta"] ** 2 == 6 * b["epsilon"] - 3
 
     def test_case_c_mod_5(self):
         c = resolve_constants("C", F5)
-        assert c.sqrt_minus_one == F5(2)
-        assert c.cbrt_minus_four == F5(1)
+        assert c["sqrt_minus_one"] == F5(2)
+        assert c["cbrt_minus_four"] == F5(1)
 
     def test_case_d_mod_7(self):
         d = resolve_constants("D", F7, lam=-1)
-        assert d.sqrt_one_minus_lambda == F7(3)
-        assert d.xi_plus == F7(2)
-        assert d.xi_minus == F7(4)
-        assert d.sqrt_xi_plus == F7(3)
-        assert d.lambda_prime == F7(2)
+        assert d["sqrt_one_minus_lambda"] == F7(3)
+        assert d["xi_plus"] == F7(2)
+        assert d["xi_minus"] == F7(4)
+        assert d["sqrt_xi_plus"] == F7(3)
+        assert d["lambda_prime"] == F7(2)
         # closed-form cross-check at lam = -1: 17 - 12*sqrt(2)
-        assert 17 - 12 * d.sqrt_one_minus_lambda == d.lambda_prime
+        assert 17 - 12 * d["sqrt_one_minus_lambda"] == d["lambda_prime"]
 
     def test_case_d_rational_parameter(self):
         d = resolve_constants("D", Q, lam=Fraction(3, 4))
-        assert d.sqrt_one_minus_lambda == Fraction(-1, 2)
-        assert d.xi_plus == Fraction(1, 4)
-        assert d.xi_minus == Fraction(9, 4)
-        assert d.lambda_prime == 9
+        assert d["sqrt_one_minus_lambda"] == Fraction(-1, 2)
+        assert d["xi_plus"] == Fraction(1, 4)
+        assert d["xi_minus"] == Fraction(9, 4)
+        assert d["lambda_prime"] == 9
 
     @pytest.mark.parametrize("field,lam", [
         (F7, -1), (PrimeField(17), -1), (PrimeField(17), 2), (PrimeField(23), -1),
@@ -159,9 +159,9 @@ class TestConstants:
     def test_xi_identities(self, field, lam):
         d = resolve_constants("D", field, lam=lam)
         lam = field(lam)
-        assert d.xi_plus * d.xi_minus == lam * lam
-        assert d.xi_plus + d.xi_minus == 2 * (2 - lam)
-        assert d.lambda_prime not in (field.zero, field.one)
+        assert d["xi_plus"] * d["xi_minus"] == lam * lam
+        assert d["xi_plus"] + d["xi_minus"] == 2 * (2 - lam)
+        assert d["lambda_prime"] not in (field.zero, field.one)
 
     def test_unavailable_constants(self):
         with pytest.raises(ConstantUnavailable):
@@ -188,11 +188,11 @@ class TestConstants:
 
     def test_bindings_redo_defining_equations(self):
         b = resolve_constants("B", PrimeField(19))
-        assert b.epsilon ** 2 - b.epsilon + 1 == 0
-        assert b.delta ** 2 == 6 * b.epsilon - 3
+        assert b["epsilon"] ** 2 - b["epsilon"] + 1 == 0
+        assert b["delta"] ** 2 == 6 * b["epsilon"] - 3
         c = resolve_constants("C", PrimeField(17))
-        assert c.sqrt_minus_one ** 2 == -PrimeField(17).one
-        assert c.cbrt_minus_four ** 3 == PrimeField(17)(-4)
+        assert c["sqrt_minus_one"] ** 2 == -PrimeField(17).one
+        assert c["cbrt_minus_four"] ** 3 == PrimeField(17)(-4)
 
 
 def _trial_division(n):
@@ -353,20 +353,20 @@ class TestLargePrimeConstants:
         with pytest.raises(ConstantUnavailable):
             resolve_constants("C", F)
         d = resolve_constants("D", F, lam=-1)
-        assert d.sqrt_one_minus_lambda ** 2 == 2
-        assert d.sqrt_xi_plus ** 2 == d.xi_plus
-        assert d.xi_plus * d.xi_minus == 1
+        assert d["sqrt_one_minus_lambda"] ** 2 == 2
+        assert d["sqrt_xi_plus"] ** 2 == d["xi_plus"]
+        assert d["xi_plus"] * d["xi_minus"] == 1
 
     @pytest.mark.parametrize("pick", ["smallest", "largest"])
     def test_every_case_near_1e9(self, pick):
         F = PrimeField(self.Q_ALL)
         b = resolve_constants("B", F, root_pick=pick)
-        assert b.epsilon ** 2 - b.epsilon + 1 == 0 and b.delta ** 2 == 6 * b.epsilon - 3
+        assert b["epsilon"] ** 2 - b["epsilon"] + 1 == 0 and b["delta"] ** 2 == 6 * b["epsilon"] - 3
         c = resolve_constants("C", F, root_pick=pick)
-        assert c.sqrt_minus_one ** 2 == -1 and c.cbrt_minus_four ** 3 == -4
+        assert c["sqrt_minus_one"] ** 2 == -1 and c["cbrt_minus_four"] ** 3 == -4
         assert len(F.roots([4, 0, 0, 1])) == 3
         d = resolve_constants("D", F, lam=-1, root_pick=pick)
-        assert d.sqrt_xi_plus ** 2 == d.xi_plus
+        assert d["sqrt_xi_plus"] ** 2 == d["xi_plus"]
         first = 0 if pick == "smallest" else -1
-        assert b.epsilon == F.roots([1, -1, 1])[first]
-        assert c.cbrt_minus_four == F.roots([4, 0, 0, 1])[first]
+        assert b["epsilon"] == F.roots([1, -1, 1])[first]
+        assert c["cbrt_minus_four"] == F.roots([4, 0, 0, 1])[first]

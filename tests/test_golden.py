@@ -1,4 +1,4 @@
-"""Golden bytes of ``wpline verify``.
+"""Golden bytes of ``wpline verify`` and ``wpline group``.
 
 Each digest is the SHA-256 of the complete stdout of one call, pinned from
 the verifier's output before ranks moved to the binary-form kernel: the
@@ -8,9 +8,15 @@ B, C and D at primes near 10^5 and 10^6, with both root picks, were pinned
 while roots were still found by scanning every residue; they fix which of
 several roots each pick binds (at 100183 only the smaller epsilon works, so
 ``largest`` backtracks).
+
+The tamper controls on A and B, the ignored ``--lambda`` of case A,
+``--auto-prime``, the ``group`` answers of the built-in cases and the
+``--config`` pass reports of the documents below were pinned while each case
+was still written out by hand in ``cases.py`` and ``field.py``.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -67,11 +73,95 @@ GOLDEN = [
      "87f2d45bd6ecbca7dab4bf5c64c900eb0faed89129055577a83778ef298272e3"),
     ("verify --case D --field 1000033 --lambda -1 --root-pick largest --window 12", 0,
      "df7d8dc0ee719a0aa2cebf7b2986331d9bf69efa6d5a1deff6c6c6e1fc0970a0"),
+    ("verify --case A --field 5 --window 8 --tamper lambda=2", 1,
+     "5cff0a3c2514b4eaffe15a1e4713b75a49e2abd727828fe228121893306938d0"),
+    ("verify --case B --field 7 --window 8 --tamper lambda=2", 1,
+     "0e6b6563e0843f36b43eb0ae2aacc839e5cf4d67063c8d7cb0f44a26a3e5973f"),
+    ("verify --case A --field 5 --window 8 --tamper lambda=-1", 0,
+     "668ef430765ec18cf58230207b9eb1f703bcf783bd483544021bb2806b49d4ff"),
+    ("verify --case A --field 5 --lambda 3 --window 8", 0,
+     "7c46022ec499252665e30e99c41df5859a2c2bf38a1cf23d83904d62e0069c99"),
+    ("verify --case B --auto-prime --window 8", 0,
+     "cd81f6fa8bfc2d5e3068ccf7aedb3af05f8cd5adaf94e932fb051cd0a14ebf64"),
+    ("group kernel --case A", 0,
+     "3396a7e5eaf7d45dfcdf1c40dd857eef21bd8c9b32c423b89da5d090c3b1a09c"),
+    ("group fiber --case A --elem 1;0,0,0,0", 0,
+     "8000931f62eb26133e36cf0c90fdcc4ccc07262c166792cf4f2a06bf68fb572b"),
+    ("group admissible --case A --window 64", 0,
+     "f993ad717e5f57ace2c4d3a9afb63b3c903083226418ef76aa7d191c25b8b9a2"),
+    ("group kernel --case B", 0,
+     "b01dbd570a3a61d857b52fd95ae8d610f212eca81be9566887e12ba52b7a79a7"),
+    ("group fiber --case B --elem 2;0,0,0,0", 0,
+     "796197ba561a0e20a715020f6200d78df776258fa424fef8565b736cf2fa2a86"),
+    ("group admissible --case B --window 64", 0,
+     "1716911e691b05794f648a5df4dec5090cf8034448f25f7a3c63ac01b313985f"),
+    ("group kernel --case C", 0,
+     "b97f9cd7b186e7f91402273bcb9d65521caeb4c3252ec813340483e3642e45dd"),
+    ("group fiber --case C --elem 1;0,0,0", 0,
+     "414c742596aac8801940ff0d137d2c6b0c41460d4c0af47dafc9bfc7b1afcb25"),
+    ("group admissible --case C --window 64", 0,
+     "81b602678ad67a9216dd99931bec8961d952e598b28cc1568377ec0dcdac4857"),
+    ("group kernel --case D", 0,
+     "2c9a4b5e1f78e658ee86485256610eef3e718c1f3a47bf9bce8021f8b30c3998"),
+    ("group fiber --case D --elem 1;0,0,0,0", 0,
+     "24592e371aa0bc9ef2f7d049e865811e6482075c3239f3358bb1f9b87542ac0c"),
+    ("group admissible --case D --window 64", 0,
+     "3dcfebd81480d0ec4805383adea7e109985fec7d158ee95ae7e6b48f6a2cbfc7"),
+]
+
+#: the documents ``perfbench/workloads.py::case_config`` writes for cases A-D
+#: at window 8 (D with lambda = -1); A is also run over Q
+CONFIG_A = {"source": {"params": ["1"], "weights": [4, 4, 2]},
+            "target": {"params": ["1", "-1"], "weights": [2, 2, 2, 2]},
+            "constants": {},
+            "pi": ["0;1,0,0,0", "0;0,1,0,0", "0;0,0,1,1"],
+            "phi": [[["1", [1, 0, 0, 0]]], [["1", [0, 1, 0, 0]]], [["1", [0, 0, 1, 1]]]],
+            "window": 8}
+CONFIG_B = {"source": {"params": ["1"], "weights": [6, 3, 2]},
+            "target": {"params": ["1", "eps"], "weights": [2, 2, 2, 2]},
+            "constants": {"eps": ["1", "-1", "1"], "delta": ["3-6*eps", "0", "1"]},
+            "pi": ["0;0,0,0,1", "1;0,0,0,0", "0;1,1,1,0"],
+            "phi": [[["1", [0, 0, 0, 1]]], [["1", [0, 2, 0, 0]], ["eps-1", [2, 0, 0, 0]]],
+                    [["delta", [1, 1, 1, 0]]]],
+            "field": "7", "window": 8}
+CONFIG_C = {"source": {"params": ["1"], "weights": [6, 3, 2]},
+            "target": {"params": ["1"], "weights": [3, 3, 3]},
+            "constants": {"i": ["1", "0", "1"], "r": ["4", "0", "0", "1"]},
+            "pi": ["0;0,0,1", "0;1,1,0", "1;0,0,0"],
+            "phi": [[["1", [0, 0, 1]]], [["r", [1, 1, 0]]],
+                    [["i", [3, 0, 0]], ["i", [0, 3, 0]]]],
+            "field": "5", "window": 8}
+CONFIG_D = {"source": {"params": ["1", "(3-2*s)/(3+2*s)"], "weights": [2, 2, 2, 2]},
+            "target": {"params": ["1", "-1"], "weights": [2, 2, 2, 2]},
+            "constants": {"s": ["-2", "0", "1"], "u": ["-(3+2*s)", "0", "1"]},
+            "pi": ["0;1,0,1,0", "0;0,1,0,1", "1;0,0,0,0", "1;0,0,0,0"],
+            "phi": [[["u", [1, 0, 1, 0]]], [["1", [0, 1, 0, 1]]],
+                    [["1", [0, 2, 0, 0]], ["-(1+s)", [2, 0, 0, 0]]],
+                    [["1", [0, 2, 0, 0]], ["-(1-s)", [2, 0, 0, 0]]]],
+            "field": "7", "window": 8}
+
+CONFIG_GOLDEN = [
+    ("A/Q", dict(CONFIG_A, field="rationals"),
+     "a2fc999a5817878966958b3e755fef6926a5399a6511d028a000e369341170bc"),
+    ("A/5", dict(CONFIG_A, field="5"),
+     "57b66a384b502db519cdf43e2cd0be0d72cd8799d131acbe23438f30a209d735"),
+    ("B/7", CONFIG_B, "82052e19c854c4462bce8decbfc8181200413565e0d5d53d29d4d09e1cad7bfc"),
+    ("C/5", CONFIG_C, "6d528da325e002f390f4a1f4927d41f42d62eaf3f0d17f02fe7202d46d060b6c"),
+    ("D/7", CONFIG_D, "31d22806ac003625f01353033e7d1532014fc91e30725ff4457448b6878bd277"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_verify_stdout_bytes(argv, code, digest, capsys):
     assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,doc,digest", CONFIG_GOLDEN, ids=[g[0] for g in CONFIG_GOLDEN])
+def test_config_stdout_bytes(name, doc, digest, capsys, tmp_path):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

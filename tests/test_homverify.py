@@ -90,7 +90,7 @@ class TestApply:
         hom = spec.algebra_hom
         u2 = hom.source.gens[1]
         img = hom(u2)
-        eps = spec.constants.epsilon
+        eps = spec.constants["epsilon"]
         x1, x2, _, _ = hom.target.gens
         assert img == x2 ** 2 + (eps - 1) * x1 ** 2
         assert img.degree() == hom.target.weights.canonical()
@@ -200,7 +200,7 @@ class TestBuiltinCases:
     def test_case_d_rational_parameter(self):
         from fractions import Fraction
         spec = builtin_case("D", Q, lam=Fraction(3, 4))
-        assert spec.constants.lambda_prime == 9
+        assert spec.constants["lambda_prime"] == 9
         assert spec.algebra_hom.verify_window(6).passed
 
     def test_unknown_case_rejected(self):
@@ -216,7 +216,7 @@ class TestNegativeControls:
         spec = builtin_case("C", F17)
         tgt = spec.algebra_hom.target
         y1, y2, y3 = tgt.gens
-        i = spec.constants.sqrt_minus_one
+        i = spec.constants["sqrt_minus_one"]
         with pytest.raises(RelationError):
             AlgebraHom(spec.algebra_hom.source, tgt, spec.group_hom,
                        [y3, y1 * y2, i * (y1 ** 3 + y2 ** 3)])
@@ -224,10 +224,10 @@ class TestNegativeControls:
     def test_scalar_tamper_is_vacuous_where_the_scalar_is_one(self):
         # over F_5 the cube root of -4 is 1, so removing it changes nothing
         spec = builtin_case("C", F5)
-        assert spec.constants.cbrt_minus_four == F5(1)
+        assert spec.constants["cbrt_minus_four"] == F5(1)
         tgt = spec.algebra_hom.target
         y1, y2, y3 = tgt.gens
-        i = spec.constants.sqrt_minus_one
+        i = spec.constants["sqrt_minus_one"]
         hom = AlgebraHom(spec.algebra_hom.source, tgt, spec.group_hom,
                          [y3, y1 * y2, i * (y1 ** 3 + y2 ** 3)])
         assert hom.verify_window(5).passed
@@ -238,7 +238,7 @@ class TestNegativeControls:
         spec = builtin_case("C", F17)
         tgt = spec.algebra_hom.target
         y1, y2, y3 = tgt.gens
-        i = spec.constants.sqrt_minus_one
+        i = spec.constants["sqrt_minus_one"]
         broken = AlgebraHom.unchecked(spec.algebra_hom.source, tgt, spec.group_hom,
                                       [y3, y1 * y2, i * (y1 ** 3 + y2 ** 3)])
         result = broken.verify_window(5)
