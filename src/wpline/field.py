@@ -165,17 +165,6 @@ class Field:
         """
         raise NotImplementedError
 
-    def find_root(self, coeffs):
-        """Smallest root of the polynomial, or None."""
-        rs = self.roots(coeffs)
-        return rs[0] if rs else None
-
-    def sqrt(self, a):
-        return self.find_root([-self(a), self.zero, self.one])
-
-    def cbrt(self, a):
-        return self.find_root([-self(a), self.zero, self.zero, self.one])
-
     def _poly_coeffs(self, coeffs) -> list:
         """The coefficients in the field, without leading zeros; the degree
         must be 2 or 3."""
@@ -385,7 +374,7 @@ class PrimeField(Field):
         if isinstance(value, int):
             return Fp(value, self.q)
         if isinstance(value, str):
-            return Fp(int(value), self.q)
+            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.q == 0:
                 raise ZeroDivisionError("denominator vanishes in F_%d" % self.q)

@@ -13,10 +13,14 @@ k[U, V] with U = X_1^{p_1} and V = X_2^{p_2} (Geigle-Lenzing), so its
 component of degree l*c + sum(l_i x_i) is X_1^{l_1} ... X_t^{l_t} times the
 binary forms of degree l, and an element there is its torsion, l, and the
 coefficients of U^a V^(l-a).  A product adds torsions and multiplies forms;
-each torsion carry multiplies by U, by V, or by V - lam_i U.  Over F_q the
-coefficients are plain ints mod q.  Over Q the rank is taken modulo a large
-prime that divides no denominator; a full rank there is the rank over Q, and
-only a smaller one is redone with exact fractions.
+each torsion carry multiplies by U, by V, or by V - lam_i U.  The source is
+free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
+basis monomial is h_r f^a g^b: h_r the image of its torsion monomial, f and g
+the images of X_1^{q_1} and X_2^{q_2}.  Over F_q the coefficients are plain
+ints mod q, and when g carries no torsion a row is one big-integer product of
+cached packed forms.  Over Q the rank is taken modulo a large prime that
+divides no denominator; a full rank there is the rank over Q, and only a
+smaller one is redone with exact fractions.
 """
 
 from __future__ import annotations
@@ -43,7 +47,10 @@ def row_rank(rows: list[list], zero, modulus: int | None = None) -> int:
     """Rank of a list of coefficient rows by Gaussian elimination.
 
     Entries are exact field elements with the given ``zero``, or, with a
-    prime ``modulus``, plain ints standing for residues mod it.  Exact
+    prime ``modulus``, plain ints standing for residues mod it: any ints,
+    and rows (lists or arrays) whose entries lie in
+    [0, unreduced_bound(modulus, columns)) are used without reducing them
+    first.  Exact
     coefficients make pivot choice irrelevant, so the first nonzero entry is
     always taken, and elimination stops once the rank is min(rows, columns).
     """
@@ -65,15 +72,21 @@ def row_rank(rows: list[list], zero, modulus: int | None = None) -> int:
     return len(pivots)
 
 
+#: array typecodes of unsigned machine words by bit width (16, 32, 64)
+_WORDS = {8 * array(code).itemsize: code for code in "HIQ"}
+
+
 def _slot_bits(bound: int) -> int:
-    """Bits per packed slot for values below ``bound``: a multiple of 64."""
-    return -(-bound.bit_length() // 64) * 64
+    """Bits per packed slot for values below ``bound``: 16, 32 or a
+    multiple of 64."""
+    n = bound.bit_length()
+    return 16 if n <= 16 else 32 if n <= 32 else -(-n // 64) * 64
 
 
-def _pack(values: list[int], k: int) -> int:
+def _pack(values, k: int) -> int:
     """sum(v_i * 2^(k*i)) for nonnegative values below 2^k (Kronecker)."""
-    if k == 64:
-        words = array("Q", values)
+    if k in _WORDS:
+        words = array(_WORDS[k], values)
         if sys.byteorder == "big":
             words.byteswap()
         return int.from_bytes(words.tobytes(), "little")
@@ -81,43 +94,73 @@ def _pack(values: list[int], k: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
 
 
-def _unpack(n: int, k: int, m: int) -> list[int]:
-    """The lowest m slots of k bits of n, lowest first; inverse of _pack."""
+def _unpack(n: int, k: int, m: int):
+    """The lowest m slots of k bits of n, lowest first, as an array of
+    machine words when k is a word width and a list otherwise; inverse of
+    _pack."""
     raw = n.to_bytes(m * k // 8, "little")
-    if k == 64:
-        words = array("Q", raw)
+    if k in _WORDS:
+        words = array(_WORDS[k], raw)
         if sys.byteorder == "big":
             words.byteswap()
-        return words.tolist()
+        return words
     nb = k // 8
     return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
 
 
-def _rank_mod(rows: list[list[int]], q: int) -> int:
-    """Rank mod a prime q, each row packed into one integer so that a row
-    operation is one big-integer multiply-add.  Adding (q - c) times a pivot
-    row keeps every slot nonnegative; slots are reduced mod q only when a
-    row becomes a pivot, and its leading slot is its lowest nonzero one."""
+def unreduced_bound(q: int, cols: int) -> int:
+    """Rows mod q of ``cols`` entries in [0, bound) enter elimination as
+    they are; the bound is the least power of two above q^2 cols."""
+    return 1 << (q * q * cols).bit_length()
+
+
+def _rank_mod(rows: list, q: int) -> int:
+    """Rank mod a prime q by echelon form on rows packed into integers, so
+    that a row operation is one big-integer multiply-add.  A row is reduced
+    at its lowest slot that is nonzero mod q: by the pivot led there, which
+    makes the slot a multiple of q, or else it becomes that pivot.  Either
+    way the slot is then dropped with a shift.  Adding a multiple in
+    [0, q) of a pivot keeps every slot nonnegative; a pivot's slots are
+    reduced mod q when it is stored.  A row with an entry outside
+    [0, unreduced_bound) is reduced first."""
     if not rows:
         return 0
     cols = len(rows[0])
     full = min(len(rows), cols)
-    k = _slot_bits(q * q * (full + 1))  # above q + (pivots) * (q - 1)^2
+    bound = unreduced_bound(q, cols)
+    # each pivot adds less than (q - 1)^2 to an entry, so entries stay below
+    # bound + full (q - 1)^2 < 2 bound, which fits a slot of _slot_bits(bound)
+    k = _slot_bits(bound)
     mask = (1 << k) - 1
-    pivots: list[tuple[int, int, int]] = []  # (bit offset, inverse of the lead, row)
+    high = _pack([(1 << k) - bound] * cols, k)  # the slot bits at or above the bound
+    pivots: dict[int, tuple[int, int]] = {}  # lead slot -> (-1 / lead mod q, row from its lead)
     for row in rows:
         if len(pivots) == full:
             break
-        r = _pack([v % q for v in row], k)
-        for shift, inv, prow in pivots:
-            c = (r >> shift & mask) * inv % q
+        try:
+            r = _pack(row, k)
+        except OverflowError:  # a negative entry, or one wider than a slot
+            r = high
+        if r & high:
+            r = _pack([v % q for v in row], k)
+        slot = 0
+        while r:
+            c = r & mask
+            if not c:
+                low = ((r & -r).bit_length() - 1) // k
+                r >>= low * k
+                slot += low
+                c = r & mask
+            c %= q
             if c:
-                r += (q - c) * prow
-        r = _pack([v % q for v in _unpack(r, k, cols)], k)
-        if r:
-            shift = (r & -r).bit_length() - 1
-            shift -= shift % k
-            pivots.append((shift, pow(r >> shift & mask, -1, q), r))
+                pivot = pivots.get(slot)
+                if pivot is None:
+                    r = _pack([v % q for v in _unpack(r, k, cols - slot)], k)
+                    pivots[slot] = (q - pow(c, -1, q), r)
+                    break
+                r += c * pivot[0] % q * pivot[1]
+            r >>= k
+            slot += 1
     return len(pivots)
 
 
@@ -242,9 +285,10 @@ class AlgebraHom:
                 q = next(primes(q + 1, 2 * q))
             self.rank_modulus = q
         # binary-form caches per coefficient domain (rank_modulus, or None
-        # for exact rationals): generator powers and images without x_2
-        self._powers: dict[tuple, list] = {}
-        self._heads: dict[tuple, tuple | None] = {}
+        # for exact rationals): series of forms (generator powers, h_r f^a,
+        # g^b) and their packed ints per slot width
+        self._forms: dict[tuple, list] = {}
+        self._packs: dict[tuple, list[int]] = {}
         if validate:
             self._validate()
 
@@ -334,40 +378,78 @@ class AlgebraHom:
             tor.append(s)
         return tuple(tor), l, coeffs
 
+    def _series(self, key, n: int, q, first, step) -> list:
+        """[s, s t, ..., s t^n] for s = first() and t = step(), cached under
+        (q, key) and extended on demand; step() runs only to extend."""
+        forms = self._forms.get((q, key))
+        if forms is None:
+            forms = self._forms[(q, key)] = [first()]
+        if len(forms) <= n:
+            t = step()
+            while len(forms) <= n:
+                forms.append(self._mul(forms[-1], t, q))
+        return forms
+
+    def _one(self, q):
+        return (0,) * len(self.target.weights), 0, [1 if q else Fraction(1)]
+
     def _power(self, j: int, n: int, q):
-        powers = self._powers.get((q, j))
-        if powers is None:
-            one = 1 if q else Fraction(1)
-            powers = self._powers[(q, j)] = [((0,) * len(self.target.weights), 0, [one])]
-        if len(powers) <= n:
-            gen = self._gen_form(j, q)
-            while len(powers) <= n:
-                powers.append(self._mul(powers[-1], gen, q))
-        return powers[n]
+        return self._series(j, n, q, lambda: self._one(q), lambda: self._gen_form(j, q))[n]
 
-    def _image(self, exps: tuple, q):
-        """Form of the image of a source monomial: its cached part without
-        x_2 times the cached power of the image of x_2."""
-        key = (q, exps[0]) + exps[2:]
-        head = self._heads.get(key, False)
-        if head is False:
-            head = self._power(0, exps[0], q)
-            for j in range(2, len(exps)):
-                head = self._mul(head, self._power(j, exps[j], q), q)
-            self._heads[key] = head
-        return self._mul(head, self._power(1, exps[1], q), q)
+    def _head(self, r: tuple, q):
+        """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t}."""
+        h = self._power(0, r[0], q)
+        for j in range(1, len(r)):
+            h = self._mul(h, self._power(j, r[j], q), q)
+        return h
 
-    def _rows(self, x: GroupElement, monos: list, cols: int, q) -> list[list]:
-        rows = []
-        for y, mono in monos:
-            form = self._image(mono, q)
-            if form is None:
-                rows.append([0 if q else Fraction(0)] * cols)
-            elif form[0] != x.torsion or form[1] != x.l:
+    def _packed(self, key, forms: list, q: int, k: int) -> list[int]:
+        """The forms of a cached series packed at k bits per slot; zero is 0."""
+        packed = self._packs.setdefault((q, k, key), [])
+        for form in forms[len(packed):]:
+            packed.append(0 if form is None else _pack(form[2], k))
+        return packed
+
+    def _rows(self, x: GroupElement, fiber, cols: int, q) -> list:
+        """One row per source basis monomial over the fiber of x, fibers in
+        order.  The monomials of degree y with torsion r are
+        m_r X_1^{q_1 a} X_2^{q_2 b} with a + b = y.l, a ascending, and the
+        image of one is h_r f^a g^b with h_r = phi(m_r), f = phi(x_1)^{q_1}
+        and g = phi(x_2)^{q_2}; h_r f^a and g^b are cached series.  Over F_q,
+        when g carries no torsion, h_r f^a times g^b carries nothing, so a
+        row is one product of packed ints: its entries are unreduced, below
+        q^2 cols.  Otherwise, and over Q (q None), rows are exact forms."""
+        qs = self.source.weights.weights
+        f = lambda: self._power(0, qs[0], q)
+        g = lambda: self._power(1, qs[1], q)
+        k = _slot_bits(q * q * max(cols, 1)) if q else None
+        zero_row = [0 if q else Fraction(0)] * cols
+
+        def check(y, torsion, l):
+            if torsion != x.torsion or l != x.l:
                 raise GradednessError(
                     "image of a monomial of degree %s leaves the component of %s" % (y, x))
+
+        rows = []
+        for y in fiber:
+            n, r = y.l, y.torsion
+            if n < 0:
+                continue
+            lefts = self._series(r, n, q, lambda: self._head(r, q), f)
+            rights = self._series(None, n, q, lambda: self._one(q), g)
+            if q and (n == 0 or rights[1] is None or not any(rights[1][0])):
+                pl, pr = self._packed(r, lefts, q, k), self._packed(None, rights, q, k)
+                for a in range(n + 1):
+                    left, right = lefts[a], rights[n - a]
+                    if left and right:
+                        check(y, left[0], left[1] + right[1])
+                    rows.append(_unpack(pl[a] * pr[n - a], k, cols))
             else:
-                rows.append(form[2])
+                for a in range(n + 1):
+                    form = self._mul(lefts[a], rights[n - a], q)
+                    if form:
+                        check(y, form[0], form[1])
+                    rows.append(form[2] if form else zero_row)
         return rows
 
     # -- verification --------------------------------------------------------
@@ -379,12 +461,12 @@ class AlgebraHom:
         if fiber is None:
             fiber = tuple(sorted(self.group_hom.fiber(x), key=_sort_key))
         cols = len(self.target.component_basis(x))
-        monos = [(y, mono) for y in fiber for mono in self.source.component_basis(y)]
         q = self.rank_modulus
-        rank = row_rank(self._rows(x, monos, cols, q), 0, q)
-        if not isinstance(self.target.field, PrimeField) and rank < min(len(monos), cols):
-            rank = row_rank(self._rows(x, monos, cols, None), Fraction(0))
-        return DegreeRecord(degree=x, fiber=fiber, source_dim=len(monos),
+        rows = self._rows(x, fiber, cols, q)
+        rank = row_rank(rows, 0, q)
+        if not isinstance(self.target.field, PrimeField) and rank < min(len(rows), cols):
+            rank = row_rank(self._rows(x, fiber, cols, None), Fraction(0))
+        return DegreeRecord(degree=x, fiber=fiber, source_dim=len(rows),
                             target_dim=cols, image_rank=rank)
 
     def verify_window(self, window: int) -> VerificationResult:

@@ -186,6 +186,26 @@ class TestVerifyCommand:
                              "--lambda", "1/0")
         assert code == 2 and out == "" and err.startswith("error: division by zero")
 
+    def test_rational_lambda_over_a_prime_field(self, capsys):
+        # 1/3 is 13 in F_19, and the report is the one of the residue
+        code, out, err = run(capsys, "verify", "--case", "D", "--field", "19",
+                             "--lambda", "1/3", "--window", "6")
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert report["constants"]["lambda"] == "13"
+        assert run(capsys, "verify", "--case", "D", "--field", "19",
+                   "--lambda", "13", "--window", "6") == (code, out, "")
+        # in F_13, 1 - 1/3 = 5 is no square: a missing constant, not a parse error
+        code, out, err = run(capsys, "verify", "--case", "D", "--field", "13",
+                             "--lambda", "1/3", "--window", "6")
+        assert code == 2 and out == ""
+        assert err.startswith("error: no square root of -(lambda - 1) in 13")
+
+    def test_lambda_with_denominator_vanishing_mod_q_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "D", "--field", "13",
+                             "--lambda", "1/13")
+        assert code == 2 and out == "" and err.startswith("error: division by zero")
+
     def test_large_primes_answer(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "C", "--field", "1000033",
                            "--window", "4")

@@ -83,17 +83,17 @@ class TestArithmetic:
 class TestRootFinding:
     def test_sixth_root_of_unity_polynomial_mod_7(self):
         # x^2 - x + 1
-        assert F7.find_root([1, -1, 1]) == F7(3)
+        assert F7.roots([1, -1, 1])[0] == F7(3)
         assert F7.roots([1, -1, 1]) == [F7(3), F7(5)]
 
     def test_sqrt_two_mod_7(self):
-        assert F7.find_root([-2, 0, 1]) == F7(3)
+        assert F7.roots([-2, 0, 1])[0] == F7(3)
 
     def test_minus_one_not_square_mod_7(self):
-        assert F7.find_root([1, 0, 1]) is None
+        assert F7.roots([1, 0, 1]) == []
 
     def test_rational_roots(self):
-        assert Q.find_root([1, -1, 1]) is None
+        assert Q.roots([1, -1, 1]) == []
         assert Q.roots([Fraction(-9, 4), 0, 1]) == [Fraction(-3, 2), Fraction(3, 2)]
         # (x - 2)(x^2 + 1), ascending coefficients
         assert Q.roots([-2, 1, -2, 1]) == [Fraction(2)]
@@ -101,14 +101,14 @@ class TestRootFinding:
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            F7.find_root([1, 1])
+            F7.roots([1, 1])
         with pytest.raises(ValueError):
-            Q.find_root([1, 0, 0, 0, 1])
+            Q.roots([1, 0, 0, 0, 1])
 
     def test_sqrt_cbrt_helpers(self):
-        assert F5.sqrt(-1) == F5(2)
-        assert F5.cbrt(-4) == F5(1)
-        assert Q.sqrt(Fraction(9, 4)) == Fraction(-3, 2)  # smallest rational root
+        assert F5.roots([1, 0, 1])[0] == F5(2)
+        assert F5.roots([4, 0, 0, 1])[0] == F5(1)
+        assert Q.roots([Fraction(-9, 4), 0, 1])[0] == Fraction(-3, 2)  # smallest rational root
 
 
 class TestConstants:

@@ -13,6 +13,10 @@ The tamper controls on A and B, the ignored ``--lambda`` of case A,
 ``--auto-prime``, the ``group`` answers of the built-in cases and the
 ``--config`` pass reports of the documents below were pinned while each case
 was still written out by hand in ``cases.py`` and ``field.py``.
+
+The baseline cases at window 80 and the fields whose packed slots are wider
+than 64 bits at window 12 were pinned while each row was still assembled
+monomial by monomial, before rows became products h_r * f^a * g^b.
 """
 
 import hashlib
@@ -83,6 +87,20 @@ GOLDEN = [
      "7c46022ec499252665e30e99c41df5859a2c2bf38a1cf23d83904d62e0069c99"),
     ("verify --case B --auto-prime --window 8", 0,
      "cd81f6fa8bfc2d5e3068ccf7aedb3af05f8cd5adaf94e932fb051cd0a14ebf64"),
+    ("verify --case A --field rationals --window 80", 0,
+     "13648ee1f14c6d445b6b3c699c62d016b52844818c7e9564970101623b52e8b9"),
+    ("verify --case B --field 7 --window 80", 0,
+     "b3f693a691a81ed384897f2e5b366826e1f2e8a220c88a37c7eebb85f2811d12"),
+    ("verify --case C --field 5 --window 80", 0,
+     "d7578dee558871835a53172a446053caea2bb9142a3698b8f0647003eaac3a75"),
+    ("verify --case D --field 7 --lambda -1 --window 80", 0,
+     "6159019044e742a9b3dc93337ed1a9ba299b861dba68da3ca17135f08affe411"),
+    ("verify --case A --field 2305843009213693951 --window 12", 0,
+     "2535acdb08a424e12fcefd2394953f2687126cea885bdcd46145299472564423"),
+    ("verify --case B --field 1000001161 --window 12", 0,
+     "52e45f6180a8fece91c1d1d7c0c89568b1807474c4fc95386363a68d45b72534"),
+    ("verify --case C --field 1000001161 --window 12", 0,
+     "4f78d16f8f15f0ede43c9543daee7c2a3c45a813dbf8aac1c2c4404b7cf64b43"),
     ("group kernel --case A", 0,
      "3396a7e5eaf7d45dfcdf1c40dd857eef21bd8c9b32c423b89da5d090c3b1a09c"),
     ("group fiber --case A --elem 1;0,0,0,0", 0,

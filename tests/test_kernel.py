@@ -19,7 +19,7 @@ from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
 from wpline.field import ConstantUnavailable, InvalidLambda, is_prime, primes
-from wpline.homverify import _poly_mul
+from wpline.homverify import _poly_mul, _slot_bits, unreduced_bound
 
 Q = RationalField()
 P = AlgebraHom.RANK_PRIME
@@ -114,6 +114,23 @@ def test_random_homogeneous_maps_match_reference(data):
 
 @SLOW
 @given(st.data())
+def test_random_maps_over_wide_primes_match_reference(data):
+    """Over primes near 2^30 and 2^61 products of forms need slots wider
+    than 64 bits, or just fit in them."""
+    cid = data.draw(st.sampled_from("ABCD"), label="group map")
+    pi = builtin_group_hom(cid)
+    field = data.draw(st.sampled_from((PrimeField(1000001161), PrimeField(2 ** 61 - 1))),
+                      label="field")
+    source = CoordinateAlgebra(pi.source, field, _params(data, field, len(pi.source) - 2))
+    target = CoordinateAlgebra(pi.target, field, _params(data, field, len(pi.target) - 2))
+    images = [_random_element(data, target, d) for d in pi.gen_images]
+    hom = AlgebraHom.unchecked(source, target, pi, images)
+    window = data.draw(st.integers(1, 8), label="window")
+    assert outcome(records, hom, window) == outcome(reference_records, hom, window)
+
+
+@SLOW
+@given(st.data())
 def test_images_of_a_wrong_degree_match_reference(data):
     """A homogeneous image of another degree leaves its component in the
     same degree for both paths."""
@@ -128,6 +145,24 @@ def test_images_of_a_wrong_degree_match_reference(data):
     images = [_random_element(data, target, d) for d in degrees]
     hom = AlgebraHom.unchecked(source, target, pi, images)
     window = data.draw(st.integers(1, 6), label="window")
+    assert outcome(records, hom, window) == outcome(reference_records, hom, window)
+
+
+@SLOW
+@given(st.data())
+def test_maps_whose_row_factors_carry_match_reference(data):
+    """(2,2) -> (4,4,2) with pi(x_1) = pi(x_2) = x_1, so pi(c) = 2 x_1: the
+    factors f = phi(x_1)^2 and g = phi(x_2)^2 carry torsion, and products
+    h_r f^a g^b carry x_1^4 = U.  Images are random multiples of x_1,
+    sometimes zero."""
+    field = data.draw(st.sampled_from((Q, PrimeField(7))), label="field")
+    source = CoordinateAlgebra((2, 2), field)
+    target = CoordinateAlgebra((4, 4, 2), field, [1])
+    x1 = target.weights.gens[0]
+    pi = GroupHom(source.weights, target.weights, [x1, x1])
+    images = [_random_element(data, target, x1) for _ in range(2)]
+    hom = AlgebraHom.unchecked(source, target, pi, images)
+    window = data.draw(st.integers(1, 12), label="window")
     assert outcome(records, hom, window) == outcome(reference_records, hom, window)
 
 
@@ -163,6 +198,43 @@ def test_rank_mod_q_matches_sympy(q, rows):
     assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
 
 
+@pytest.mark.parametrize("q", [5, 10007, P, 2 ** 61 - 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_of_unreduced_rows_at_the_bound_matches_sympy(q, data):
+    """Nonnegative entries up to unreduced_bound - 1 enter elimination as
+    they are; entries at the bound and above are reduced first."""
+    m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    bound = unreduced_bound(q, n)
+    assert bound > q * q * n
+    top = st.sampled_from([bound - 1, bound - 1 - q, bound - 1 - (bound - 1) % q])
+    entry = st.one_of(top, st.integers(0, bound - 1),
+                      st.sampled_from([bound, 2 * bound - 1, 0]))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
+
+
+def _wider(q):
+    """The least column count whose slots are wider than for one column
+    less; with one column less, entries and their growth fill the slot."""
+    width = lambda n: _slot_bits(unreduced_bound(q, n))
+    return next(n for n in range(2, 2 ** 12) if width(n) > width(n - 1))
+
+
+@pytest.mark.parametrize("q,n", [(5, 1), (5, 4), (5, 40), (10007, 3), (10007, _wider(10007) - 1),
+                                 (10007, _wider(10007)), (P, 1), (P, 40), (P, _wider(P) - 1),
+                                 (P, _wider(P)), (2 ** 61 - 1, 3), (2 ** 61 - 1, _wider(2 ** 61 - 1) - 1),
+                                 (2 ** 61 - 1, _wider(2 ** 61 - 1))])
+def test_rank_of_rows_at_the_bound_minus_one(q, n):
+    bound = unreduced_bound(q, n)
+    assert q * q * n < bound <= 2 * q * q * n
+    top = bound - 1
+    rows = [[top] * n, [top - i for i in range(n)], [top if i % 2 else 0 for i in range(n)],
+            [(top - top % q) if i == 0 else top for i in range(n)]]
+    rows += [[top - i * j % q for i in range(n)] for j in range(n)]
+    assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_matrices(st.fractions(min_value=-20, max_value=20, max_denominator=12)))
 def test_exact_rank_matches_sympy(rows):
@@ -191,6 +263,14 @@ def test_form_product_mod_q_matches_sympy(q, f, g):
 def test_form_product_at_the_coefficient_bound(q, n):
     """Every coefficient q - 1: the largest sums the packed slots must hold."""
     f, g = [q - 1] * n, [q - 1] * (n + 3)
+    assert _poly_mul(f, g, q) == [int(c) % q for c in _sympy_product(f, g, GF(q))]
+
+
+@pytest.mark.parametrize("q,n,bits", [(5, 40, 16), (10007, 17, 32), (10007, 300, 64),
+                                      (2 ** 61 - 1, 5, 128)])
+def test_form_product_in_each_slot_width(q, n, bits):
+    assert _slot_bits(q * q * n) == bits
+    f, g = [q - 1] * n, [(q - 1 - i) % q for i in range(n + 3)]
     assert _poly_mul(f, g, q) == [int(c) % q for c in _sympy_product(f, g, GF(q))]
 
 
