@@ -25,11 +25,11 @@ class CoordinateAlgebra:
     leading 1 prepended.
     """
 
-    def __init__(self, weights, field: Field | None = None, params=None):
+    def __init__(self, weights, field: Field, params=None):
         if not isinstance(weights, WeightSequence):
             weights = WeightSequence(tuple(weights))
         self.weights = weights
-        self.field = field if field is not None else RationalField()
+        self.field = field
         t = len(weights)
         vals = list(params) if params is not None else []
         if len(vals) == t - 3:

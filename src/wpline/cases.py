@@ -61,6 +61,8 @@ CASES = {
           "kernel": ["0;0,0,0,0", "-1;0,0,1,1"]},
 }
 CASE_IDS = tuple(CASES)
+#: the primes scanned for admissible fields, as --auto-prime's help names them
+PRIME_SCAN = (5, 1000)
 
 
 def case_config(case_id: str) -> VerifyConfig:
@@ -135,12 +137,11 @@ def resolve_constants(case_id: str, field: Field, lam=None,
     return case_config(case_id).resolve(field, lam, root_pick)
 
 
-def find_admissible_primes(case, count: int = 3, lam=None,
-                           start: int = 5, stop: int = 1000) -> list[int]:
-    """Smallest primes (never 2 or 3) whose fields resolve the case constants."""
+def find_admissible_primes(case, count: int = 3, lam=None) -> list[int]:
+    """Smallest primes in PRIME_SCAN whose fields resolve the case constants."""
     cfg = case_config(case) if isinstance(case, str) else case
     found = []
-    for q in primes(start, stop):
+    for q in primes(*PRIME_SCAN):
         try:
             cfg.resolve(PrimeField(q), lam)
         except (ConstantUnavailable, InvalidLambda):
@@ -151,10 +152,10 @@ def find_admissible_primes(case, count: int = 3, lam=None,
     return found
 
 
-def auto_prime(case, lam=None, start: int = 5, stop: int = 1000) -> int:
+def auto_prime(case, lam=None) -> int:
     """The smallest admissible prime, for the command-line --auto-prime flag."""
-    found = find_admissible_primes(case, count=1, lam=lam, start=start, stop=stop)
+    found = find_admissible_primes(case, count=1, lam=lam)
     if not found:
         raise ConstantUnavailable("no prime in [%d, %d] resolves the constants of case %s"
-                                  % (start, stop, case if isinstance(case, str) else "custom"))
+                                  % (*PRIME_SCAN, case if isinstance(case, str) else "custom"))
     return found[0]

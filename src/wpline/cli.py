@@ -14,7 +14,7 @@ import json
 import sys
 
 from .algebra import CoordinateAlgebra
-from .cases import CASE_IDS, auto_prime, builtin_case, builtin_group_hom, case_config
+from .cases import CASE_IDS, PRIME_SCAN, auto_prime, builtin_case, builtin_group_hom, case_config
 from .config import VerifyConfig, parse_scalar
 from .field import (ConstantUnavailable, InvalidLambda, PrimeField,
                     field_from_spec)
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="level window (default 20, or the config's value)")
     verify.add_argument("--out", default=None)
     verify.add_argument("--auto-prime", action="store_true",
-                        help="scan primes 5..1000 for the smallest admissible one")
+                        help="scan primes %d..%d for the smallest admissible one" % PRIME_SCAN)
     verify.add_argument("--root-pick", choices=("smallest", "largest"),
                         default="smallest")
     verify.add_argument("--tamper", default=None,
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         print("error: %s (try another prime, or --auto-prime)" % exc, file=sys.stderr)
         return 2
     except (UsageError, InvalidLambda, InfiniteFiberError, WellDefinednessError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ZeroDivisionError as exc:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import CoordinateAlgebra
-from .field import ConstantUnavailable, Field, InvalidLambda
+from .field import ConstantUnavailable, Field, InvalidLambda, RationalField
 from .homverify import AlgebraHom
 from .stringgroup import GroupHom, WeightSequence
 
@@ -63,8 +63,11 @@ def parse_scalar(text: str, field: Field, env: dict | None = None):
         base = parse_atom()
         if peek() and peek()[0] == "^":
             take()
-            tok = take("int")
-            return base ** int(tok[1])
+            n = int(take("int")[1])
+            height = abs(base.numerator).bit_length() + base.denominator.bit_length()
+            if isinstance(field, RationalField) and n * height > 1 << 16:  # bits of the power
+                raise ValueError("power too large in expression %r" % text)
+            return base ** n
         return base
 
     def parse_atom():
@@ -120,20 +123,20 @@ class VerifyConfig:
     def from_dict(cls, data: dict) -> "VerifyConfig":
         try:
             return cls(
-                source_weights=tuple(int(p) for p in data["source"]["weights"]),
+                source_weights=tuple(_int(p, "weights") for p in data["source"]["weights"]),
                 source_params=tuple(str(v) for v in data["source"].get("params", [])),
-                target_weights=tuple(int(p) for p in data["target"]["weights"]),
+                target_weights=tuple(_int(p, "weights") for p in data["target"]["weights"]),
                 target_params=tuple(str(v) for v in data["target"].get("params", [])),
                 field_spec=str(data["field"]),
                 constants={str(k): v if isinstance(v, str) else [str(c) for c in v]
                            for k, v in data.get("constants", {}).items()},
                 pi=tuple(str(s) for s in data["pi"]),
-                phi=tuple(tuple((str(c), tuple(int(a) for a in e)) for c, e in gen)
-                          for gen in data["phi"]),
-                window=int(data.get("window", 20)),
+                phi=tuple(tuple(map(_term, gen)) for gen in data["phi"]),
+                window=_int(data.get("window", 20), "window"),
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed verification config: %s" % exc) from None
+        except (KeyError, TypeError, AttributeError) as exc:
+            why = "missing key %s" % exc if isinstance(exc, KeyError) else exc
+            raise ValueError("malformed verification config: %s" % why) from None
 
     def to_dict(self) -> dict:
         return {
@@ -208,6 +211,18 @@ class VerifyConfig:
         images = [target.element([(parse_scalar(c, field, env), e) for c, e in gen])
                   for gen in self.phi]
         return AlgebraHom(source, target, pi, images)
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise TypeError("%s: expected a JSON integer, got %r" % (what, value))
+    return value
+
+
+def _term(term) -> tuple[str, tuple[int, ...]]:
+    if not isinstance(term, (list, tuple)) or len(term) != 2:
+        raise TypeError("phi term %r is not a [coefficient, exponents] pair" % (term,))
+    return str(term[0]), tuple(_int(a, "phi exponents") for a in term[1])
 
 
 def _unavailable(name: str, coeffs: list, field: Field) -> ConstantUnavailable:

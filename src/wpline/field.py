@@ -25,6 +25,8 @@ class Fp:
     """A residue in a prime field, with exact arithmetic."""
 
     __slots__ = ("value", "q")
+    denominator = 1  # a residue reads as value / 1, as a Fraction does
+    numerator = property(lambda self: self.value)
 
     def __init__(self, value: int, q: int):
         self.value = value % q
@@ -183,11 +185,7 @@ class RationalField(Field):
     name = "rationals"
 
     def __call__(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (Fraction, int, str)):
             return Fraction(value)
         if isinstance(value, Fp):
             raise ValueError("cannot coerce a prime-field residue into the rationals")

@@ -18,20 +18,21 @@ free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
 basis monomial is h_r f^a g^b: h_r the image of its torsion monomial, f and g
 the images of X_1^{q_1} and X_2^{q_2}.  Over F_q the coefficients are plain
 ints mod q, and when g carries no torsion a row is one big-integer product of
-cached packed forms.  Over Q the rank is taken modulo a large prime that
-divides no denominator; a full rank there is the rank over Q, and only a
-smaller one is redone with exact fractions.
+cached packed forms.  Over Q a row is an integer multiple of its image (no
+denominators: a carry by lam_i = num/den is by den V - num U), so a full rank
+mod RANK_PRIME is the rank over Q, and only a smaller one is redone exactly.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, CoordinateAlgebra
-from .field import PrimeField, primes
+from .field import PrimeField
 from .stringgroup import AdmissibilityReport, GroupElement, GroupHom, _sort_key
 
 
@@ -43,16 +44,16 @@ class RelationError(ValueError):
     """The generator images do not satisfy a defining relation of the source."""
 
 
-def row_rank(rows: list[list], zero, modulus: int | None = None) -> int:
+def row_rank(rows: list[list], modulus: int | None = None) -> int:
     """Rank of a list of coefficient rows by Gaussian elimination.
 
-    Entries are exact field elements with the given ``zero``, or, with a
-    prime ``modulus``, plain ints standing for residues mod it: any ints,
-    and rows (lists or arrays) whose entries lie in
+    Without a modulus, entries are ints or Fractions and the rank is over Q.
+    With a prime ``modulus`` they are plain ints standing for residues mod
+    it: any ints, and rows (lists or arrays) whose entries lie in
     [0, unreduced_bound(modulus, columns)) are used without reducing them
-    first.  Exact
-    coefficients make pivot choice irrelevant, so the first nonzero entry is
-    always taken, and elimination stops once the rank is min(rows, columns).
+    first.  Exact coefficients make pivot choice irrelevant, so the first
+    nonzero entry is always taken, and elimination stops once the rank is
+    min(rows, columns).
     """
     if modulus is not None:
         return _rank_mod(rows, modulus)
@@ -63,11 +64,11 @@ def row_rank(rows: list[list], zero, modulus: int | None = None) -> int:
             break
         for col, prow in pivots:
             c = row[col]
-            if c != zero:
+            if c:
                 row = [a - c * b for a, b in zip(row, prow)]
-        col = next((i for i, v in enumerate(row) if v != zero), None)
+        col = next((i for i, v in enumerate(row) if v), None)
         if col is not None:
-            inv = 1 / row[col]
+            inv = Fraction(1, row[col])
             pivots.append((col, [a * inv for a in row]))
     return len(pivots)
 
@@ -166,9 +167,9 @@ def _rank_mod(rows: list, q: int) -> int:
 
 def _poly_mul(f: list, g: list, q: int | None) -> list:
     """Product of coefficient lists, mod q by one integer multiply after
-    Kronecker substitution, or exactly over Q when q is None."""
+    Kronecker substitution, or exactly when q is None."""
     if q is None:
-        out = [Fraction(0)] * (len(f) + len(g) - 1)
+        out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
             if a:
                 for j, b in enumerate(g):
@@ -179,13 +180,9 @@ def _poly_mul(f: list, g: list, q: int | None) -> list:
     return [c % q for c in _unpack(prod, k, len(f) + len(g) - 1)]
 
 
-def _scalar(c, q):
-    """A field element (``Fraction`` or ``Fp``) in the coefficient domain q."""
-    if q is None:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator * pow(c.denominator, -1, q) % q
-    return c.value
+def _reduce(values: list, q) -> list:
+    """Ints reduced mod q, or kept exact when q is None."""
+    return [v % q for v in values] if q else values
 
 
 @dataclass(frozen=True)
@@ -254,8 +251,7 @@ class AlgebraHom:
     letting the degree records expose a broken map instead.
     """
 
-    #: the first modulus of ranks over Q; the next prime is taken while it
-    #: divides a denominator of the target parameters or of the images
+    #: the modulus of ranks over Q, taken on integer rows
     RANK_PRIME = 268435399  # the largest prime below 2^28: 64-bit slots up to 255 columns
 
     def __init__(self, source: CoordinateAlgebra, target: CoordinateAlgebra,
@@ -275,17 +271,11 @@ class AlgebraHom:
         self.target = target
         self.group_hom = group_hom
         self.gen_images = images
-        if isinstance(target.field, PrimeField):
-            self.rank_modulus = target.field.q
-        else:
-            dens = {c.denominator for im in images for c in im.terms.values()}
-            dens.update(lam.denominator for lam in target.params)
-            q = self.RANK_PRIME
-            while any(d % q == 0 for d in dens):
-                q = next(primes(q + 1, 2 * q))
-            self.rank_modulus = q
+        self.rank_modulus = (target.field.q if isinstance(target.field, PrimeField)
+                             else self.RANK_PRIME)
+        self._one = (0,) * len(target.weights), 0, [1]  # the form of 1
         # binary-form caches per coefficient domain (rank_modulus, or None
-        # for exact rationals): series of forms (generator powers, h_r f^a,
+        # for exact integers): series of forms (generator powers, h_r f^a,
         # g^b) and their packed ints per slot width
         self._forms: dict[tuple, list] = {}
         self._packs: dict[tuple, list[int]] = {}
@@ -339,7 +329,7 @@ class AlgebraHom:
     #
     # A nonzero homogeneous element of the target is (torsion, l, coeffs) with
     # coeffs[a] the coefficient of U^a V^(l-a); zero is None.  Coefficients
-    # live in the domain q: ints mod q, or Fractions when q is None.
+    # are ints mod q, or with q None exact for an integer multiple of it.
 
     def _gen_form(self, j: int, q):
         im = self.gen_images[j]
@@ -349,32 +339,31 @@ class AlgebraHom:
         if d is None:
             raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
         p1 = self.target.weights.weights[0]
-        coeffs = [0 if q else Fraction(0)] * (d.l + 1)
+        den = math.lcm(*(c.denominator for c in im.terms.values()))
+        coeffs = [0] * (d.l + 1)
         for e, c in im.terms.items():
-            coeffs[e[0] // p1] = _scalar(c, q)
-        return d.torsion, d.l, coeffs
+            coeffs[e[0] // p1] = c.numerator * (den // c.denominator)
+        return d.torsion, d.l, _reduce(coeffs, q)
 
     def _mul(self, f, g, q):
         if f is None or g is None:
             return None
         coeffs = _poly_mul(f[2], g[2], q)
-        zero = 0 if q else Fraction(0)
         l = f[1] + g[1]
         tor = []
         for i, (a, b, p) in enumerate(zip(f[0], g[0], self.target.weights.weights)):
             s = a + b
-            if s >= p:  # carry X_i^{p_i}: U, V, or V - lam_i U
+            if s >= p:  # carry X_i^{p_i}: U, V, or den V - num U for lam_i = num/den
                 s -= p
                 l += 1
                 if i == 0:
-                    coeffs = [zero] + coeffs
+                    coeffs = [0] + coeffs
                 elif i == 1:
-                    coeffs = coeffs + [zero]
+                    coeffs = coeffs + [0]
                 else:
-                    lam = _scalar(self.target.params[i - 2], q)
-                    coeffs = [v - lam * u for v, u in zip(coeffs + [zero], [zero] + coeffs)]
-                    if q:
-                        coeffs = [v % q for v in coeffs]
+                    lam = self.target.params[i - 2]
+                    coeffs = _reduce([lam.denominator * v - lam.numerator * u
+                                      for v, u in zip(coeffs + [0], [0] + coeffs)], q)
             tor.append(s)
         return tuple(tor), l, coeffs
 
@@ -390,11 +379,8 @@ class AlgebraHom:
                 forms.append(self._mul(forms[-1], t, q))
         return forms
 
-    def _one(self, q):
-        return (0,) * len(self.target.weights), 0, [1 if q else Fraction(1)]
-
     def _power(self, j: int, n: int, q):
-        return self._series(j, n, q, lambda: self._one(q), lambda: self._gen_form(j, q))[n]
+        return self._series(j, n, q, lambda: self._one, lambda: self._gen_form(j, q))[n]
 
     def _head(self, r: tuple, q):
         """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t}."""
@@ -418,12 +404,11 @@ class AlgebraHom:
         and g = phi(x_2)^{q_2}; h_r f^a and g^b are cached series.  Over F_q,
         when g carries no torsion, h_r f^a times g^b carries nothing, so a
         row is one product of packed ints: its entries are unreduced, below
-        q^2 cols.  Otherwise, and over Q (q None), rows are exact forms."""
+        q^2 cols.  Otherwise, and for exact rows (q None), rows are forms."""
         qs = self.source.weights.weights
         f = lambda: self._power(0, qs[0], q)
         g = lambda: self._power(1, qs[1], q)
         k = _slot_bits(q * q * max(cols, 1)) if q else None
-        zero_row = [0 if q else Fraction(0)] * cols
 
         def check(y, torsion, l):
             if torsion != x.torsion or l != x.l:
@@ -436,7 +421,7 @@ class AlgebraHom:
             if n < 0:
                 continue
             lefts = self._series(r, n, q, lambda: self._head(r, q), f)
-            rights = self._series(None, n, q, lambda: self._one(q), g)
+            rights = self._series(None, n, q, lambda: self._one, g)
             if q and (n == 0 or rights[1] is None or not any(rights[1][0])):
                 pl, pr = self._packed(r, lefts, q, k), self._packed(None, rights, q, k)
                 for a in range(n + 1):
@@ -449,7 +434,7 @@ class AlgebraHom:
                     form = self._mul(lefts[a], rights[n - a], q)
                     if form:
                         check(y, form[0], form[1])
-                    rows.append(form[2] if form else zero_row)
+                    rows.append(form[2] if form else [0] * cols)
         return rows
 
     # -- verification --------------------------------------------------------
@@ -461,11 +446,10 @@ class AlgebraHom:
         if fiber is None:
             fiber = tuple(sorted(self.group_hom.fiber(x), key=_sort_key))
         cols = len(self.target.component_basis(x))
-        q = self.rank_modulus
-        rows = self._rows(x, fiber, cols, q)
-        rank = row_rank(rows, 0, q)
+        rows = self._rows(x, fiber, cols, self.rank_modulus)
+        rank = row_rank(rows, self.rank_modulus)
         if not isinstance(self.target.field, PrimeField) and rank < min(len(rows), cols):
-            rank = row_rank(self._rows(x, fiber, cols, None), Fraction(0))
+            rank = row_rank(self._rows(x, fiber, cols, None))
         return DegreeRecord(degree=x, fiber=fiber, source_dim=len(rows),
                             target_dim=cols, image_rank=rank)
 

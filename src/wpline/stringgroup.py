@@ -139,9 +139,9 @@ class GroupElement:
     def __str__(self) -> str:
         return "%d;%s" % (self.l, ",".join(str(v) for v in self.torsion))
 
-    def pretty(self, letter: str | None = None) -> str:
+    def pretty(self) -> str:
         """Readable form like "2z1+2z2-c"."""
-        letter = letter or generator_letter(self.weights.weights)
+        letter = generator_letter(self.weights.weights)
         parts = []
         for i, v in enumerate(self.torsion):
             if v:

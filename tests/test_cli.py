@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -272,6 +273,17 @@ class TestScalarExpressions:
         with pytest.raises(ZeroDivisionError):
             parse_scalar("1/0", self.F7)
 
+    def test_powers_are_bounded_over_q_only(self):
+        with pytest.raises(ValueError, match="power too large"):
+            parse_scalar("9^99999999", self.Q)
+        assert parse_scalar("9^99999999", self.F7) == self.F7(pow(9, 99999999, 7))
+        assert parse_scalar("2^1000", self.Q) == 2 ** 1000
+
+    @pytest.mark.parametrize("text", ["(" * 3000 + "1" + ")" * 3000, "-" * 5000 + "1"])
+    def test_deep_nesting_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "verify", "--case", "A", "--tamper", "lambda=" + text)
+        assert (code, out) == (2, "") and err.startswith("error: maximum recursion depth")
+
 
 CASE_A_CONFIG = {
     "source": {"weights": [4, 4, 2], "params": ["1"]},
@@ -427,8 +439,40 @@ class TestConfig:
         code, _, err = run(capsys, "verify", "--config", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_deeply_nested_config_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: maximum recursion depth")
+
     def test_malformed_config_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": {"weights": [4, 4, 2]}}))
         code, _, err = run(capsys, "verify", "--config", str(path))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["source"].update(weights=[4.9, 4, 2]),
+         "weights: expected a JSON integer, got 4.9"),
+        (lambda d: d["target"].update(weights=[2, 2, "2", 2]),
+         "weights: expected a JSON integer, got '2'"),
+        (lambda d: d["phi"][0][0].__setitem__(1, [1.5, 0, 0, 0]),
+         "phi exponents: expected a JSON integer, got 1.5"),
+        (lambda d: d.update(window=True), "window: expected a JSON integer, got True"),
+        (lambda d: d.update(window=6.0), "window: expected a JSON integer, got 6.0"),
+        (lambda d: d.pop("field"), "missing key 'field'"),
+        (lambda d: d["source"].pop("weights"), "missing key 'weights'"),
+        (lambda d: d["phi"][2].append("1"),
+         "phi term '1' is not a [coefficient, exponents] pair"),
+        (lambda d: d["phi"][2].append(["1", [0, 0, 1, 1], "x"]),
+         "phi term ['1', [0, 0, 1, 1], 'x'] is not a [coefficient, exponents] pair"),
+    ], ids=["float-weight", "string-weight", "float-exponent", "bool-window", "float-window",
+            "missing-field", "missing-weights", "bare-term", "long-term"])
+    def test_config_shape_errors_exit_2(self, capsys, tmp_path, mutate, message):
+        cfg = copy.deepcopy(CASE_A_CONFIG)
+        mutate(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed verification config: %s\n" % message

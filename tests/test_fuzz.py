@@ -1,0 +1,115 @@
+"""Malformed inputs end in a verdict or a clean exit 2, never a traceback.
+
+Mutated A-D documents go through ``verify --config``; random strings over
+the expression alphabet, plus junk, go to ``parse_scalar`` directly and as a
+``--tamper`` value.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wpline import PrimeField, RationalField, VerifyConfig, parse_scalar
+from wpline.cases import CASES, case_config
+from wpline.cli import main
+
+#: a field on which each built-in case resolves, and the flags it needs
+FLAGS = {"A": [], "B": ["--field", "7"], "C": ["--field", "5"],
+         "D": ["--field", "7", "--lambda", "-1"]}
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def run(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert json.loads(out)["summary"] == ("pass" if code == 0 else "fail")
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path into a JSON document, parents first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+JUNK = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+                 st.text(max_size=8), st.lists(st.integers(-3, 9), max_size=4))
+
+
+@st.composite
+def mutated_cases(draw):
+    """(case id, document) with one key dropped or one value replaced by
+    None, a float, a bool, a string or a list."""
+    cid = draw(st.sampled_from(sorted(CASES)))
+    doc = case_config(cid).to_dict()
+    doc["window"] = 4
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JUNK)
+    return cid, doc
+
+
+@FUZZ
+@given(mutated_cases())
+def test_mutated_case_documents_exit_cleanly(tmp_path, case):
+    cid, doc = case
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    assert_clean_exit(*run("verify", "--config", str(path), *FLAGS[cid]))
+    try:
+        cfg = VerifyConfig.from_dict(copy.deepcopy(doc))
+    except ValueError as exc:
+        assert str(exc).startswith("malformed verification config: ")
+    else:
+        assert VerifyConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("cid", sorted(CASES))
+def test_case_documents_round_trip(cid):
+    cfg = case_config(cid)
+    assert VerifyConfig.from_dict(cfg.to_dict()) == cfg
+
+
+#: the tokens of coefficient expressions, two bound names, and junk
+EXPRESSIONS = st.lists(st.sampled_from(list("0123456789+-*/^() ab") + ["lambda", "99", "@", ".",
+                                                                        ";", "\t", "é", "[", "'"]),
+                       max_size=30).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([RationalField(), PrimeField(7), PrimeField(2 ** 61 - 1)]), EXPRESSIONS)
+def test_parse_scalar_returns_or_raises_value_errors(field, text):
+    env = {"a": field(2), "b": field(-3)}
+    try:
+        value = parse_scalar(text, field, env)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert field(value) == value
+
+
+@FUZZ
+@given(EXPRESSIONS)
+def test_tampered_parameters_exit_cleanly(text):
+    assert_clean_exit(*run("verify", "--case", "A", "--window", "3", "--tamper", "lambda=" + text))

@@ -18,7 +18,7 @@ from reference import reference_records
 from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
-from wpline.field import ConstantUnavailable, InvalidLambda, is_prime, primes
+from wpline.field import ConstantUnavailable, InvalidLambda
 from wpline.homverify import _poly_mul, _slot_bits, unreduced_bound
 
 Q = RationalField()
@@ -195,7 +195,7 @@ RANK_MODULI = (5, 7, 13, P, 1000000007, 2 ** 61 - 1)
 @given(st.sampled_from(RANK_MODULI), _matrices(st.integers(-10 ** 20, 10 ** 20)))
 def test_rank_mod_q_matches_sympy(q, rows):
     """Entries are any ints, negative or far above q, standing for residues."""
-    assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
+    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
 
 
 @pytest.mark.parametrize("q", [5, 10007, P, 2 ** 61 - 1])
@@ -211,7 +211,7 @@ def test_rank_of_unreduced_rows_at_the_bound_matches_sympy(q, data):
     entry = st.one_of(top, st.integers(0, bound - 1),
                       st.sampled_from([bound, 2 * bound - 1, 0]))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
+    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
 
 
 def _wider(q):
@@ -232,13 +232,13 @@ def test_rank_of_rows_at_the_bound_minus_one(q, n):
     rows = [[top] * n, [top - i for i in range(n)], [top if i % 2 else 0 for i in range(n)],
             [(top - top % q) if i == 0 else top for i in range(n)]]
     rows += [[top - i * j % q for i in range(n)] for j in range(n)]
-    assert row_rank(rows, 0, q) == _sympy_rank(rows, GF(q))
+    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices(st.fractions(min_value=-20, max_value=20, max_denominator=12)))
 def test_exact_rank_matches_sympy(rows):
-    assert row_rank(rows, Fraction(0)) == _sympy_rank(
+    assert row_rank(rows) == _sympy_rank(
         rows, QQ, lambda v: QQ(v.numerator, v.denominator))
 
 
@@ -295,42 +295,85 @@ def _case_a(field, third):
                                 [x1, x2, third(x3 * x4)])
 
 
+def _rank_calls(monkeypatch) -> list:
+    """Record (modulus, rows, rank) of every row_rank call of the kernel."""
+    calls = []
+    plain = homverify.row_rank
+
+    def spy(rows, modulus=None):
+        rank = plain(rows, modulus)
+        calls.append((modulus, rows, rank))
+        return rank
+
+    monkeypatch.setattr(homverify, "row_rank", spy)
+    return calls
+
+
 def test_image_scaled_by_the_rank_prime_falls_back_to_the_exact_rank(monkeypatch):
     base = records(builtin_case("A", Q).algebra_hom, 8)
     hom = _case_a(Q, lambda m: P * m)
     assert hom.rank_modulus == P
-    calls = []
-    plain = homverify.row_rank
-
-    def spy(rows, zero, modulus=None):
-        rank = plain(rows, zero, modulus)
-        calls.append((modulus, rank))
-        return rank
-
-    monkeypatch.setattr(homverify, "row_rank", spy)
+    calls = _rank_calls(monkeypatch)
     got = records(hom, 8)
     # the scaled image vanishes mod P, so some degrees lose rank there and
     # are redone exactly; over Q every vector is only rescaled
-    redone = [(before, after) for (m0, before), (m1, after) in zip(calls, calls[1:])
+    redone = [(before, after) for (m0, _, before), (m1, _, after) in zip(calls, calls[1:])
               if m0 == P and m1 is None]
     assert redone and all(after > before for before, after in redone)
     assert got == base == reference_records(hom, 8)
     assert all(r["pass"] for r in got)
 
 
-def test_denominator_divisible_by_the_rank_prime_takes_the_next_prime():
-    nxt = next(primes(P + 1, 2 * P))
-    assert is_prime(nxt)
+def test_denominator_divisible_by_the_rank_prime_keeps_exact_records():
     S = CoordinateAlgebra((2, 2, 2, 2), Q, [1, Fraction(3, P)])
     L = S.weights
     ident = AlgebraHom(S, S, GroupHom(L, L, L.gens), S.gens)
-    assert ident.rank_modulus == nxt
     result = ident.verify_window(6)
     assert result.passed
     assert [r.as_dict() for r in result.records] == reference_records(ident, 6)
     hom = _case_a(Q, lambda m: Fraction(1, P) * m)
-    assert hom.rank_modulus == nxt
     assert records(hom, 6) == records(builtin_case("A", Q).algebra_hom, 6)
+
+
+def _zero_images_on_lambda_over_p(cid):
+    """A deficient map over Q onto (2,2,2,2; 1, 3/P): case A's zero-image
+    map, whose rows never carry by lam, or case D's group map with
+    phi(x_1) = x_1 x_3, phi(x_2) = x_2 x_4 and phi(x_3) = phi(x_4) = 0,
+    whose g = phi(x_2)^2 = V (V - 3/P U) is read as V (P V - 3 U)."""
+    pi = builtin_group_hom(cid)
+    target = CoordinateAlgebra(pi.target, Q, [1, Fraction(3, P)])
+    x1, x2, x3, x4 = target.gens
+    source = CoordinateAlgebra(pi.source, Q, [1] if cid == "A" else [1, 2])
+    images = [x1, x2, target.zero] if cid == "A" else [x1 * x3, x2 * x4, target.zero, target.zero]
+    return AlgebraHom.unchecked(source, target, pi, images)
+
+
+@pytest.mark.parametrize("cid", ["A", "D"])
+def test_exact_fallback_runs_on_integer_rows(monkeypatch, cid):
+    hom = _zero_images_on_lambda_over_p(cid)
+    calls = _rank_calls(monkeypatch)
+    got = records(hom, 8)
+    assert got == reference_records(hom, 8)
+    assert not all(r["pass"] for r in got)
+    exact = [rows for modulus, rows, _ in calls if modulus is None]
+    assert exact and all(type(v) is int for rows in exact for row in rows for v in row)
+    if cid == "D":  # carries by x_4^2 = V - 3/P U multiply by P V - 3 U
+        assert any(v and v % P == 0 for rows in exact for row in rows for v in row)
+
+
+def test_proportional_images_with_unlike_denominators_stay_dependent():
+    """phi(x_3) = V/2 - U/3 and phi(x_4) = 6 phi(x_3) = 3V - 2U are both read
+    as the integer form 3V - 2U, so they stay proportional and the degrees
+    they reach keep their deficit; carries by lam = 5/7 multiply by 7V - 5U."""
+    pi = builtin_group_hom("D")
+    target = CoordinateAlgebra(pi.target, Q, [1, Fraction(5, 7)])
+    source = CoordinateAlgebra(pi.source, Q, [1, 2])
+    x1, x2, x3, x4 = target.gens
+    third = Fraction(1, 2) * x2 ** 2 - Fraction(1, 3) * x1 ** 2
+    hom = AlgebraHom.unchecked(source, target, pi, [x1 * x3, x2 * x4, third, 6 * third])
+    got = records(hom, 6)
+    assert got == reference_records(hom, 6)
+    assert any(r["image_rank"] < r["target_dim"] for r in got)
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])

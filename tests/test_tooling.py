@@ -1,16 +1,47 @@
-"""The benchmark tracer wraps entry points by name; each must still exist."""
+"""The benchmark tracer wraps entry points by name; each must still exist,
+and a traced run must still reach them and count what they do."""
 
 import importlib.util
+import io
+import json
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from wpline.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_traced_entry_points_exist():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    points = tracing.entry_points()
+    return tracing
+
+
+def test_traced_entry_points_exist():
+    points = load_tracing().entry_points()
     assert points
     for name, owner, attr, _ in points:
         assert attr in owner.__dict__, "%s: %r has no %s" % (name, owner, attr)
+
+
+def test_traced_runs_reach_every_entry_point_and_count_rows():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    runs = [["verify", "--case", "B", "--field", "7", "--window", "6"],
+            ["verify", "--case", "D", "--field", "rationals", "--lambda", "-3", "--window", "4"]]
+    reports = []
+    tracer.install()
+    try:
+        for argv in runs:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == 0
+            reports.append(json.loads(out.getvalue()))
+    finally:
+        tracer.remove()
+    reached = tracer.totals()
+    assert {name for name, *_ in tracing.entry_points()} <= set(reached)
+    assert tracer.counts["homverify.rows"] == sum(
+        r["source_dim"] for report in reports for r in report["records"])
