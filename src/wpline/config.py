@@ -124,11 +124,12 @@ class VerifyConfig:
         try:
             return cls(
                 source_weights=tuple(_int(p, "weights") for p in data["source"]["weights"]),
-                source_params=tuple(str(v) for v in data["source"].get("params", [])),
+                source_params=tuple(_expr(v, "params") for v in data["source"].get("params", [])),
                 target_weights=tuple(_int(p, "weights") for p in data["target"]["weights"]),
-                target_params=tuple(str(v) for v in data["target"].get("params", [])),
+                target_params=tuple(_expr(v, "params") for v in data["target"].get("params", [])),
                 field_spec=str(data["field"]),
-                constants={str(k): v if isinstance(v, str) else [str(c) for c in v]
+                constants={str(k): ([_expr(c, "constants") for c in v] if isinstance(v, list)
+                                    else _expr(v, "constants"))
                            for k, v in data.get("constants", {}).items()},
                 pi=tuple(str(s) for s in data["pi"]),
                 phi=tuple(tuple(map(_term, gen)) for gen in data["phi"]),
@@ -219,10 +220,17 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _expr(value, what: str) -> str:
+    """An expression as its text: a JSON string, or a JSON integer."""
+    if not isinstance(value, str) and type(value) is not int:
+        raise TypeError("%s: expected a string or a JSON integer, got %r" % (what, value))
+    return str(value)
+
+
 def _term(term) -> tuple[str, tuple[int, ...]]:
     if not isinstance(term, (list, tuple)) or len(term) != 2:
         raise TypeError("phi term %r is not a [coefficient, exponents] pair" % (term,))
-    return str(term[0]), tuple(_int(a, "phi exponents") for a in term[1])
+    return _expr(term[0], "phi coefficients"), tuple(_int(a, "phi exponents") for a in term[1])
 
 
 def _unavailable(name: str, coeffs: list, field: Field) -> ConstantUnavailable:

@@ -21,6 +21,15 @@ ints mod q, and when g carries no torsion a row is one big-integer product of
 cached packed forms.  Over Q a row is an integer multiple of its image (no
 denominators: a carry by lam_i = num/den is by den V - num U), so a full rank
 mod RANK_PRIME is the rank over Q, and only a smaller one is redone exactly.
+
+Most records need no rows at all.  When pi(c_S) = m c carries no torsion and
+every nonzero generator image sits at its group degree, f and g are binary
+forms of degree m, and the image of degree x contains f Im(x - m c) +
+g Im(x - m c).  If f and g are coprime they form a regular sequence, so
+(f, g) holds every form of degree l >= 2m - 1 (Eisenbud, Commutative
+Algebra, ch. 17): surjectivity at x - m c gives it at x.  Components below
+level 0 are zero.  So verify_window eliminates only the base levels
+0 <= l <= 2m - 2 and records whose record m levels below is deficient.
 """
 
 from __future__ import annotations
@@ -178,6 +187,16 @@ def _poly_mul(f: list, g: list, q: int | None) -> list:
     k = _slot_bits(q * q * min(len(f), len(g)))
     prod = _pack(f, k) * _pack(g, k)
     return [c % q for c in _unpack(prod, k, len(f) + len(g) - 1)]
+
+
+def sylvester_rank(f: list, g: list, modulus: int | None = None) -> int:
+    """Rank of the 2m Sylvester rows U^i V^(m-1-i) f and U^i V^(m-1-i) g,
+    i < m, of two binary forms of degree m given as coefficient lists of
+    U^a V^(m-a): 2m exactly when f and g are coprime (over Q, integer forms
+    of full rank mod a prime are coprime; a smaller rank proves nothing)."""
+    m = len(f) - 1
+    return row_rank([[0] * i + h + [0] * (m - 1 - i) for h in (f, g) for i in range(m)],
+                    modulus)
 
 
 def _reduce(values: list, q) -> list:
@@ -453,12 +472,44 @@ class AlgebraHom:
         return DegreeRecord(degree=x, fiber=fiber, source_dim=len(rows),
                             target_dim=cols, image_rank=rank)
 
+    def _induction_level(self) -> int | None:
+        """The level m of pi(c_S) = m c when records follow by level
+        induction (see the module docstring), else None.  Every nonzero
+        generator image must sit at its group degree, which puts f and g at
+        m c and keeps a map that leaves its components raising
+        GradednessError where full elimination raises it."""
+        c, q = self.group_hom.c_image, self.rank_modulus
+        if c.l < 1 or any(c.torsion):
+            return None
+        for im, d in zip(self.gen_images, self.group_hom.gen_images):
+            if not im.is_zero() and im.degree() != d:
+                return None
+        qs = self.source.weights.weights
+        f, g = self._power(0, qs[0], q), self._power(1, qs[1], q)
+        if f is None or g is None or sylvester_rank(f[2], g[2], q) < 2 * c.l:
+            return None
+        return c.l
+
     def verify_window(self, window: int) -> VerificationResult:
         """Admissibility plus a degree record for every image degree with
-        |l| <= window, in deterministic order."""
+        |l| <= window, in deterministic order.  Records are visited by
+        level, and with an induction level m a record below level 0, or at
+        l >= 2m - 1 above a surjective one, is (sum of fiber mults, mult(x),
+        mult(x)) without rows."""
         buckets = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window, buckets)
-        records = tuple(self.check_surjective_at(x, buckets[x])
-                        for x in sorted(buckets, key=_sort_key))
+        m = self._induction_level()
+        onto = set()  # (l, torsion) of the surjective records
+        records = []
+        for x in sorted(buckets, key=_sort_key):
+            fiber = buckets[x]
+            if m and (x.l < 0 or x.l >= 2 * m - 1 and (x.l - m, x.torsion) in onto):
+                rec = DegreeRecord(degree=x, fiber=fiber, source_dim=sum(y.mult() for y in fiber),
+                                   target_dim=x.mult(), image_rank=x.mult())
+            else:
+                rec = self.check_surjective_at(x, fiber)
+            if rec.image_rank == rec.target_dim:
+                onto.add((x.l, x.torsion))
+            records.append(rec)
         return VerificationResult(window=window, admissibility=admissibility,
-                                  records=records)
+                                  records=tuple(records))

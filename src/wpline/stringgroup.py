@@ -30,6 +30,10 @@ class InfiniteFiberError(ValueError):
 _LETTERS = {(2, 2, 2, 2): "x", (3, 3, 3): "y", (4, 4, 2): "z", (6, 3, 2): "u"}
 
 
+#: the most source torsion residues a group map solves its fibers over
+MAX_RESIDUES = 10 ** 5
+
+
 def generator_letter(weights: tuple[int, ...]) -> str:
     return _LETTERS.get(tuple(weights), "x")
 
@@ -298,7 +302,13 @@ class GroupHom:
 
     @cached_property
     def _residues(self) -> tuple:
-        """Per source torsion residue r: (r, image l, image torsion, image degree)."""
+        """Per source torsion residue r: (r, image l, image torsion, image degree).
+        More than MAX_RESIDUES residues raise ValueError before any is made."""
+        count = math.prod(self.source.weights)
+        if count > MAX_RESIDUES:
+            raise ValueError("source weights %s have %d torsion residues, more than the %d "
+                             "a group map can solve fibers over"
+                             % (self.source, count, MAX_RESIDUES))
         out = []
         for r in self.source.torsion_tuples():
             img = self(GroupElement(self.source, 0, r))

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,42 @@ class TestConfig:
         env = cfg.resolve(PrimeField(7), root_pick="largest")
         assert env == {"s": PrimeField(7)(4), "t": PrimeField(7)(3)}
 
+    def test_integer_expressions_verify(self, capsys, tmp_path):
+        """Params, constants and phi coefficients may be JSON integers, read
+        as the strings of their digits."""
+        cfg = copy.deepcopy(CASE_A_CONFIG)
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "verify", "--config", str(path))
+        assert code == 0
+        want = json.loads(out)
+        cfg["source"]["params"], cfg["target"]["params"] = [1], [1, -1]
+        cfg["phi"][2][0][0] = 1
+        cfg["constants"] = {"s": [-1, 0, 1], "t": -2}
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "verify", "--config", str(path))
+        assert code == 0
+        got = json.loads(out)
+        assert got.pop("constants") == {"s": "-1", "t": "-2"}
+        want.pop("constants")
+        assert got == want
+
+    def test_huge_source_weights_exit_2_before_enumerating_residues(self, capsys, tmp_path):
+        """(1000,1000,1000) has 10^9 torsion residues; the relation fails, and
+        the error report's admissibility check must refuse them, not list them."""
+        cfg = {"source": {"weights": [1000, 1000, 1000], "params": ["1"]},
+               "target": {"weights": [2, 2, 2, 2], "params": ["1", "-1"]},
+               "field": "7", "constants": {}, "pi": ["0;1,0,0,0"] * 3,
+               "phi": [[["1", [1, 0, 0, 0]]]] * 3, "window": 4}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: source weights (1000,1000,1000) have 1000000000 torsion "
+                       "residues, more than the 100000 a group map can solve fibers over\n")
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--config", str(tmp_path / "nope.json"))
         assert code == 2
@@ -466,8 +503,29 @@ class TestConfig:
          "phi term '1' is not a [coefficient, exponents] pair"),
         (lambda d: d["phi"][2].append(["1", [0, 0, 1, 1], "x"]),
          "phi term ['1', [0, 0, 1, 1], 'x'] is not a [coefficient, exponents] pair"),
+        (lambda d: d["target"].update(params=["1", None]),
+         "params: expected a string or a JSON integer, got None"),
+        (lambda d: d["source"].update(params=[True]),
+         "params: expected a string or a JSON integer, got True"),
+        (lambda d: d["target"].update(params=["1", 1.5]),
+         "params: expected a string or a JSON integer, got 1.5"),
+        (lambda d: d.update(constants={"s": ["-2", None, "1"]}),
+         "constants: expected a string or a JSON integer, got None"),
+        (lambda d: d.update(constants={"s": False}),
+         "constants: expected a string or a JSON integer, got False"),
+        (lambda d: d.update(constants={"s": ["-2", "0", 1.0]}),
+         "constants: expected a string or a JSON integer, got 1.0"),
+        (lambda d: d["phi"][0][0].__setitem__(0, None),
+         "phi coefficients: expected a string or a JSON integer, got None"),
+        (lambda d: d["phi"][1][0].__setitem__(0, True),
+         "phi coefficients: expected a string or a JSON integer, got True"),
+        (lambda d: d["phi"][2][0].__setitem__(0, 1.5),
+         "phi coefficients: expected a string or a JSON integer, got 1.5"),
     ], ids=["float-weight", "string-weight", "float-exponent", "bool-window", "float-window",
-            "missing-field", "missing-weights", "bare-term", "long-term"])
+            "missing-field", "missing-weights", "bare-term", "long-term", "null-param",
+            "bool-param", "float-param", "null-root-coefficient", "bool-constant",
+            "float-root-coefficient", "null-coefficient", "bool-coefficient",
+            "float-coefficient"])
     def test_config_shape_errors_exit_2(self, capsys, tmp_path, mutate, message):
         cfg = copy.deepcopy(CASE_A_CONFIG)
         mutate(cfg)

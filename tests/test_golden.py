@@ -17,6 +17,10 @@ was still written out by hand in ``cases.py`` and ``field.py``.
 The baseline cases at window 80 and the fields whose packed slots are wider
 than 64 bits at window 12 were pinned while each row was still assembled
 monomial by monomial, before rows became products h_r * f^a * g^b.
+
+The large windows (B over F_7 at 400, C over F_5 at 120, D over Q at 100)
+were pinned while every record was still eliminated, before records above
+the base levels were inferred by level induction.
 """
 
 import hashlib
@@ -101,6 +105,12 @@ GOLDEN = [
      "52e45f6180a8fece91c1d1d7c0c89568b1807474c4fc95386363a68d45b72534"),
     ("verify --case C --field 1000001161 --window 12", 0,
      "4f78d16f8f15f0ede43c9543daee7c2a3c45a813dbf8aac1c2c4404b7cf64b43"),
+    ("verify --case B --field 7 --window 400", 0,
+     "d1c1f2bc0cb7642f418e176f1011d179c2c1879bf0689ebb24ff6f60d92c6cf4"),
+    ("verify --case C --field 5 --window 120", 0,
+     "f9ecaaa90a3208fe73586ca979a8e7f175cf9dad70c1013e951ef45bda5a80b7"),
+    ("verify --case D --field rationals --lambda -3 --window 100", 0,
+     "61787d2fe5be1f33313abb08cda960fe7f7ec3d706d3f55adb3902e8e89b7bd6"),
     ("group kernel --case A", 0,
      "3396a7e5eaf7d45dfcdf1c40dd857eef21bd8c9b32c423b89da5d090c3b1a09c"),
     ("group fiber --case A --elem 1;0,0,0,0", 0,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, symbols
-from sympy.polys.domains import GF, QQ
+from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from reference import reference_records
@@ -19,7 +19,7 @@ from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
 from wpline.field import ConstantUnavailable, InvalidLambda
-from wpline.homverify import _poly_mul, _slot_bits, unreduced_bound
+from wpline.homverify import _poly_mul, _slot_bits, sylvester_rank, unreduced_bound
 
 Q = RationalField()
 P = AlgebraHom.RANK_PRIME
@@ -40,11 +40,12 @@ def records(hom, window):
 
 
 def outcome(fn, *args):
-    """The value of fn(*args), or the name of the error it raised."""
+    """The value of fn(*args), or the name and message of the error it
+    raised (the message names the first record that meets it)."""
     try:
         return fn(*args)
     except GradednessError as exc:
-        return type(exc).__name__
+        return type(exc).__name__, str(exc)
 
 
 # -- degree records against the reference path --------------------------------
@@ -85,31 +86,60 @@ def _params(data, field, count):
     return out
 
 
-def _random_element(data, algebra, degree):
-    """A random element of the component of ``degree``, possibly zero."""
+def _random_images(data, algebra, degrees):
+    """Random elements of the components of ``degrees``, possibly zero.  Each
+    has random coefficients, or random coefficients of which chosen ones are
+    zeroed, or is a scalar multiple of an earlier one of the same degree, so
+    that images are sparse or dependent and records are deficient at random
+    levels."""
     if isinstance(algebra.field, RationalField):
         coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
     else:
         coeff = st.integers(0, algebra.field.q - 1)
-    basis = algebra.component_basis(degree)
-    coeffs = data.draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)))
-    return algebra.element(zip(coeffs, basis))
+    images = []
+    for degree in degrees:
+        earlier = [im for im, d in zip(images, degrees) if d == degree]
+        kind = data.draw(st.sampled_from(["random", "sparse"] + ["multiple"] * bool(earlier)),
+                         label="image kind")
+        if kind == "multiple":
+            images.append(data.draw(coeff) * data.draw(st.sampled_from(earlier)))
+            continue
+        basis = algebra.component_basis(degree)
+        coeffs = data.draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)))
+        if kind == "sparse":
+            zeroed = data.draw(st.lists(st.booleans(), min_size=len(basis), max_size=len(basis)))
+            coeffs = [0 if z else c for c, z in zip(coeffs, zeroed)]
+        images.append(algebra.element(zip(coeffs, basis)))
+    return images
 
 
-@SLOW
-@given(st.data())
-def test_random_homogeneous_maps_match_reference(data):
+def test_random_homogeneous_maps_match_reference(monkeypatch):
     """Unchecked maps with random images of the degrees the group map demands
-    (sometimes zero, mostly of deficient rank) give the reference records."""
-    cid = data.draw(st.sampled_from("ABCD"), label="group map")
-    pi = builtin_group_hom(cid)
-    field = data.draw(st.sampled_from(RANDOM_FIELDS), label="field")
-    source = CoordinateAlgebra(pi.source, field, _params(data, field, len(pi.source) - 2))
-    target = CoordinateAlgebra(pi.target, field, _params(data, field, len(pi.target) - 2))
-    images = [_random_element(data, target, d) for d in pi.gen_images]
-    hom = AlgebraHom.unchecked(source, target, pi, images)
-    window = data.draw(st.integers(1, 8), label="window")
-    assert outcome(records, hom, window) == outcome(reference_records, hom, window)
+    (sometimes zero, sparse or proportional, mostly of deficient rank) give
+    the reference records, and some of them are inferred by level
+    induction: fewer rank calls than records."""
+    calls = _rank_calls(monkeypatch)
+    inferred = []
+
+    @SLOW
+    @given(st.data())
+    def check(data):
+        cid = data.draw(st.sampled_from("ABCD"), label="group map")
+        pi = builtin_group_hom(cid)
+        field = data.draw(st.sampled_from(RANDOM_FIELDS), label="field")
+        source = CoordinateAlgebra(pi.source, field, _params(data, field, len(pi.source) - 2))
+        target = CoordinateAlgebra(pi.target, field, _params(data, field, len(pi.target) - 2))
+        hom = AlgebraHom.unchecked(source, target, pi, _random_images(data, target, pi.gen_images))
+        # B's records are inferred from level 2m - 1 = 5 on, two steps by 12
+        window = data.draw(st.integers(1, 12 if cid == "B" else 8), label="window")
+        calls.clear()
+        got = outcome(records, hom, window)
+        assert got == outcome(reference_records, hom, window)
+        if isinstance(got, list):
+            inferred.append(len(calls) < len(got))
+
+    check()
+    assert any(inferred)
 
 
 @SLOW
@@ -123,8 +153,7 @@ def test_random_maps_over_wide_primes_match_reference(data):
                       label="field")
     source = CoordinateAlgebra(pi.source, field, _params(data, field, len(pi.source) - 2))
     target = CoordinateAlgebra(pi.target, field, _params(data, field, len(pi.target) - 2))
-    images = [_random_element(data, target, d) for d in pi.gen_images]
-    hom = AlgebraHom.unchecked(source, target, pi, images)
+    hom = AlgebraHom.unchecked(source, target, pi, _random_images(data, target, pi.gen_images))
     window = data.draw(st.integers(1, 8), label="window")
     assert outcome(records, hom, window) == outcome(reference_records, hom, window)
 
@@ -142,8 +171,7 @@ def test_images_of_a_wrong_degree_match_reference(data):
     degrees = list(pi.gen_images)
     j = data.draw(st.integers(0, len(degrees) - 1), label="generator")
     degrees[j] = degrees[j] + data.draw(st.sampled_from(target.weights.gens), label="shift")
-    images = [_random_element(data, target, d) for d in degrees]
-    hom = AlgebraHom.unchecked(source, target, pi, images)
+    hom = AlgebraHom.unchecked(source, target, pi, _random_images(data, target, degrees))
     window = data.draw(st.integers(1, 6), label="window")
     assert outcome(records, hom, window) == outcome(reference_records, hom, window)
 
@@ -151,17 +179,18 @@ def test_images_of_a_wrong_degree_match_reference(data):
 @SLOW
 @given(st.data())
 def test_maps_whose_row_factors_carry_match_reference(data):
-    """(2,2) -> (4,4,2) with pi(x_1) = pi(x_2) = x_1, so pi(c) = 2 x_1: the
-    factors f = phi(x_1)^2 and g = phi(x_2)^2 carry torsion, and products
-    h_r f^a g^b carry x_1^4 = U.  Images are random multiples of x_1,
-    sometimes zero."""
+    """(2,2) -> (4,4,2) with pi(x_1) = pi(x_2) = x_1, so pi(c) = 2 x_1, or
+    both c + x_1, so pi(c) = 2c + 2 x_1 at level 2: the factors
+    f = phi(x_1)^2 and g = phi(x_2)^2 carry torsion, and products h_r f^a g^b
+    carry x_1^4 = U.  Images are random elements of that degree, sometimes
+    zero, and records m levels apart are not related by f and g."""
     field = data.draw(st.sampled_from((Q, PrimeField(7))), label="field")
     source = CoordinateAlgebra((2, 2), field)
     target = CoordinateAlgebra((4, 4, 2), field, [1])
     x1 = target.weights.gens[0]
-    pi = GroupHom(source.weights, target.weights, [x1, x1])
-    images = [_random_element(data, target, x1) for _ in range(2)]
-    hom = AlgebraHom.unchecked(source, target, pi, images)
+    d = data.draw(st.sampled_from([x1, x1 + target.weights.canonical()]), label="degree")
+    pi = GroupHom(source.weights, target.weights, [d, d])
+    hom = AlgebraHom.unchecked(source, target, pi, _random_images(data, target, [d, d]))
     window = data.draw(st.integers(1, 12), label="window")
     assert outcome(records, hom, window) == outcome(reference_records, hom, window)
 
@@ -284,6 +313,33 @@ def test_exact_form_product_matches_sympy(f, g):
     assert _poly_mul(f, g, None) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sylvester_rank_is_full_exactly_for_coprime_forms(data):
+    """Binary forms f = h f1 and g = h g1 of degree m with a random common
+    factor h of degree d: the Sylvester rank is 2m exactly when sympy's gcd
+    is a nonzero constant, and below 2m whenever d > 0."""
+    q = data.draw(st.sampled_from((5, 7, 13, P, None)), label="modulus")
+    m = data.draw(st.integers(1, 4), label="m")
+    d = data.draw(st.integers(0, m), label="common degree")
+    entry = st.integers(-9, 9) if q is None else st.integers(0, q - 1)
+    u, v = symbols("u v")
+
+    def form(n):
+        cs = data.draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+        return Poly(sum(c * u ** a * v ** (n - a) for a, c in enumerate(cs)), u, v,
+                    domain=ZZ if q is None else GF(q))
+
+    h = form(d)
+    f, g = h * form(m - d), h * form(m - d)
+    coeffs = lambda p: [int(p.coeff_monomial(u ** a * v ** (m - a))) for a in range(m + 1)]
+    rank = sylvester_rank(coeffs(f), coeffs(g), q)
+    gcd = f.gcd(g)
+    assert (rank == 2 * m) == (not gcd.is_zero and gcd.total_degree() == 0)
+    if d:
+        assert rank < 2 * m
+
+
 # -- the rank over Q: modular first, exact when deficient ------------------------
 
 def _case_a(field, third):
@@ -398,3 +454,76 @@ def test_inhomogeneous_image_raises(field):
         hom.verify_window(4)
     with pytest.raises(GradednessError):
         hom.check_surjective_at(hom.group_hom.gen_images[2])
+
+
+# -- level induction ---------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_deficit_just_above_a_surjective_base_level(monkeypatch, field):
+    """Case D's group map with phi(x_3) = phi(x_4) = 0: f = U(V - U) and
+    g = V(V + U) are coprime, so records are inferred, but at 2c (level
+    2m - 2 = 2) the image misses x_3 x_4 while the record at 0 below it is
+    surjective, and at 3c both the record and the one at c are deficient."""
+    pi = builtin_group_hom("D")
+    target = CoordinateAlgebra(pi.target, field, [1, -1])
+    source = CoordinateAlgebra(pi.source, field, [1, 2])
+    x1, x2, x3, x4 = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [x1 * x3, x2 * x4, target.zero, target.zero])
+    calls = _rank_calls(monkeypatch)
+    got = records(hom, 8)
+    assert got == reference_records(hom, 8)
+    assert sum(1 for modulus, _, _ in calls if modulus) < len(got)  # exact redos aside
+    rank = {r["degree"]: (r["image_rank"], r["target_dim"]) for r in got}
+    assert rank["0;0,0,0,0"] == (1, 1) and rank["2;0,0,0,0"] == (2, 3)
+    assert rank["1;0,0,0,0"] == (0, 2) and rank["3;0,0,0,0"] == (0, 4)
+
+
+def test_images_sharing_a_factor_are_all_eliminated(monkeypatch):
+    """Case B's group map with phi(x_2) = x_4^2, so f = g = (V - 3U)^3:
+    the Sylvester rank is below 6 and every record is eliminated."""
+    pi = builtin_group_hom("B")
+    field = PrimeField(7)
+    target = CoordinateAlgebra(pi.target, field, [1, 3])
+    source = CoordinateAlgebra(pi.source, field, [1])
+    x1, x2, x3, x4 = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [x4, x4 ** 2, x1 * x2 * x3])
+    calls = _rank_calls(monkeypatch)
+    got = records(hom, 12)
+    assert got == reference_records(hom, 12)
+    assert not all(r["pass"] for r in got)
+    assert calls[0][2] < 6 and len(calls) == len(got) + 1
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_image_of_the_wrong_degree_below_level_zero_raises_where_the_reference_does(field):
+    """(2,2) -> (2,2,2,2) with pi(x_1) = x_1 + x_2 + x_3 + x_4 - c at level -1
+    and pi(x_2) = c, so pi(c_S) = 2c.  phi(x_1) = U sits at c instead: f = U^2
+    and g = V^2 are coprime, yet the record of pi(x_1) must still meet the
+    image and raise there."""
+    target = CoordinateAlgebra((2, 2, 2, 2), field, [1, -1])
+    source = CoordinateAlgebra((2, 2), field)
+    L = target.weights
+    pi = GroupHom(source.weights, L, [L.parse("-1;1,1,1,1"), L.canonical()])
+    x1, x2, x3, x4 = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [x1 ** 2, x2 ** 2])
+    got = outcome(records, hom, 4)
+    assert got == outcome(reference_records, hom, 4)
+    assert got == ("GradednessError", "image of a monomial of degree 0;1,0 leaves the "
+                   "component of -1;1,1,1,1")
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_canonical_image_with_torsion_is_never_inferred(field):
+    """(2,4) -> (3,3,3) with pi(x_1) = c + x_3 and pi(x_2) = 2 x_3, so
+    pi(c_S) = 2c + 2 x_3 carries torsion: f = U^2 y_3^2 and g = y_3^8
+    multiply the image at x - 2c - 2 x_3 into the image at x, and the record
+    at x - 2c, in the torsion class of x, says nothing about it."""
+    target = CoordinateAlgebra((3, 3, 3), field, [1])
+    source = CoordinateAlgebra((2, 4), field)
+    L = target.weights
+    pi = GroupHom(source.weights, L, [L.parse("1;0,0,1"), L.parse("0;0,0,2")])
+    y1, y2, y3 = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [y1 ** 3 * y3, y3 ** 2])
+    got = records(hom, 8)
+    assert got == reference_records(hom, 8)
+    assert not all(r["pass"] for r in got)

@@ -29,19 +29,26 @@ def test_traced_entry_points_exist():
 def test_traced_runs_reach_every_entry_point_and_count_rows():
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    runs = [["verify", "--case", "B", "--field", "7", "--window", "6"],
-            ["verify", "--case", "D", "--field", "rationals", "--lambda", "-3", "--window", "4"]]
-    reports = []
+    # (argv, m with pi(c_S) = m c): B's f and g are cubes, D's quadrics
+    runs = [(["verify", "--case", "B", "--field", "7", "--window", "6"], 3),
+            (["verify", "--case", "D", "--field", "rationals", "--lambda", "-3",
+              "--window", "4"], 2)]
+    eliminated = every = 0
     tracer.install()
     try:
-        for argv in runs:
+        for argv, m in runs:
             out = io.StringIO()
             with redirect_stdout(out):
                 assert main(argv) == 0
-            reports.append(json.loads(out.getvalue()))
+            records = json.loads(out.getvalue())["records"]
+            # rows are built at the base levels 0 <= l <= 2m - 2 only (every
+            # record passes, so none above is redone), plus the 2m Sylvester
+            # rows of the coprimality check
+            eliminated += 2 * m + sum(r["source_dim"] for r in records
+                                      if 0 <= int(r["degree"].split(";")[0]) <= 2 * m - 2)
+            every += sum(r["source_dim"] for r in records)
     finally:
         tracer.remove()
     reached = tracer.totals()
     assert {name for name, *_ in tracing.entry_points()} <= set(reached)
-    assert tracer.counts["homverify.rows"] == sum(
-        r["source_dim"] for report in reports for r in report["records"])
+    assert tracer.counts["homverify.rows"] == eliminated < every
