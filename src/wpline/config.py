@@ -122,17 +122,22 @@ class VerifyConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "VerifyConfig":
         try:
+            data = _json(data, dict, "document")
+            source = _json(data["source"], dict, "source")
+            target = _json(data["target"], dict, "target")
+            constants = _json(data.get("constants", {}), dict, "constants")
             return cls(
-                source_weights=tuple(_int(p, "weights") for p in data["source"]["weights"]),
-                source_params=tuple(_expr(v, "params") for v in data["source"].get("params", [])),
-                target_weights=tuple(_int(p, "weights") for p in data["target"]["weights"]),
-                target_params=tuple(_expr(v, "params") for v in data["target"].get("params", [])),
-                field_spec=str(data["field"]),
+                source_weights=_each(source["weights"], "weights", _int),
+                source_params=_each(source.get("params", []), "params", _expr),
+                target_weights=_each(target["weights"], "weights", _int),
+                target_params=_each(target.get("params", []), "params", _expr),
+                field_spec=_expr(data["field"], "field"),
                 constants={str(k): ([_expr(c, "constants") for c in v] if isinstance(v, list)
                                     else _expr(v, "constants"))
-                           for k, v in data.get("constants", {}).items()},
-                pi=tuple(str(s) for s in data["pi"]),
-                phi=tuple(tuple(map(_term, gen)) for gen in data["phi"]),
+                           for k, v in constants.items()},
+                pi=tuple(_json(s, str, "pi") for s in _json(data["pi"], list, "pi")),
+                phi=tuple(tuple(map(_term, _json(gen, list, "phi")))
+                          for gen in _json(data["phi"], list, "phi")),
                 window=_int(data.get("window", 20), "window"),
             )
         except (KeyError, TypeError, AttributeError) as exc:
@@ -220,6 +225,21 @@ def _int(value, what: str) -> int:
     return value
 
 
+#: the JSON names of the types a document's lists, objects and strings load as
+_JSON = {list: "list", dict: "object", str: "string"}
+
+
+def _json(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise TypeError("%s: expected a JSON %s, got %r" % (what, _JSON[kind], value))
+    return value
+
+
+def _each(value, what: str, item) -> tuple:
+    """The items of a JSON list, each read by ``item(v, what)``."""
+    return tuple(item(v, what) for v in _json(value, list, what))
+
+
 def _expr(value, what: str) -> str:
     """An expression as its text: a JSON string, or a JSON integer."""
     if not isinstance(value, str) and type(value) is not int:
@@ -228,9 +248,9 @@ def _expr(value, what: str) -> str:
 
 
 def _term(term) -> tuple[str, tuple[int, ...]]:
-    if not isinstance(term, (list, tuple)) or len(term) != 2:
+    if not isinstance(term, list) or len(term) != 2:
         raise TypeError("phi term %r is not a [coefficient, exponents] pair" % (term,))
-    return _expr(term[0], "phi coefficients"), tuple(_int(a, "phi exponents") for a in term[1])
+    return _expr(term[0], "phi coefficients"), _each(term[1], "phi exponents", _int)
 
 
 def _unavailable(name: str, coeffs: list, field: Field) -> ConstantUnavailable:

@@ -499,17 +499,20 @@ class AlgebraHom:
         buckets = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window, buckets)
         m = self._induction_level()
+        src, tgt = self.group_hom.source, self.group_hom.target
         onto = set()  # (l, torsion) of the surjective records
         records = []
-        for x in sorted(buckets, key=_sort_key):
-            fiber = buckets[x]
-            if m and (x.l < 0 or x.l >= 2 * m - 1 and (x.l - m, x.torsion) in onto):
-                rec = DegreeRecord(degree=x, fiber=fiber, source_dim=sum(y.mult() for y in fiber),
-                                   target_dim=x.mult(), image_rank=x.mult())
+        for (l, tor), pairs in buckets.items():
+            x = GroupElement(tgt, l, tor)
+            fiber = tuple(GroupElement(src, yl, r) for yl, r in pairs)
+            if m and (l < 0 or l >= 2 * m - 1 and (l - m, tor) in onto):
+                mult = max(l + 1, 0)
+                rec = DegreeRecord(degree=x, fiber=fiber, target_dim=mult, image_rank=mult,
+                                   source_dim=sum(max(yl + 1, 0) for yl, _ in pairs))
             else:
                 rec = self.check_surjective_at(x, fiber)
             if rec.image_rank == rec.target_dim:
-                onto.add((x.l, x.torsion))
+                onto.add((l, tor))
             records.append(rec)
         return VerificationResult(window=window, admissibility=admissibility,
                                   records=tuple(records))

@@ -6,13 +6,15 @@ canonical element c.  Every element has a unique normal form
 l*c + sum(l_i * x_i) with 0 <= l_i < p_i, which is the representation used
 throughout.  The module also provides the degree and mult maps, the dualizing
 element, and group homomorphisms with effectiveness, fiber, kernel and
-admissibility checks.
+admissibility checks.  Those run on plain (l, torsion) int tuples and build
+``GroupElement`` values only for what they return.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -40,6 +42,18 @@ def generator_letter(weights: tuple[int, ...]) -> str:
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
+
+
+def _normal(weights: tuple[int, ...], l: int, raw: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """(l, torsion) of the normal form of l*c + sum(raw_i * x_i): each raw
+    coordinate is reduced modulo its weight and the quotient is carried into
+    the coefficient of the canonical element."""
+    tor = []
+    for r, p in zip(raw, weights):
+        q, m = divmod(r, p)
+        l += q
+        tor.append(m)
+    return l, tuple(tor)
 
 
 @dataclass(frozen=True)
@@ -84,13 +98,7 @@ class WeightSequence:
             raise ValueError(
                 "expected %d torsion coordinates, got %d" % (len(self.weights), len(raw))
             )
-        carry = int(l)
-        tor = []
-        for r, p in zip(raw, self.weights):
-            q, m = divmod(int(r), p)
-            carry += q
-            tor.append(m)
-        return GroupElement(self, carry, tuple(tor))
+        return GroupElement(self, *_normal(self.weights, int(l), map(int, raw)))
 
     def parse(self, text: str) -> "GroupElement":
         """Parse the "l;l1,l2,...,lt" element notation (entries may be any ints)."""
@@ -302,78 +310,115 @@ class GroupHom:
 
     @cached_property
     def _residues(self) -> tuple:
-        """Per source torsion residue r: (r, image l, image torsion, image degree).
-        More than MAX_RESIDUES residues raise ValueError before any is made."""
+        """Per source torsion residue r: (r, image l, image torsion, image
+        degree), the image in normal form.  More than MAX_RESIDUES residues
+        raise ValueError before any is made."""
         count = math.prod(self.source.weights)
         if count > MAX_RESIDUES:
             raise ValueError("source weights %s have %d torsion residues, more than the %d "
                              "a group map can solve fibers over"
                              % (self.source, count, MAX_RESIDUES))
+        tw, dw, lcm = self.target.weights, self.target.degree_weights, self.target.lcm
         out = []
         for r in self.source.torsion_tuples():
-            img = self(GroupElement(self.source, 0, r))
-            out.append((r, img.l, img.torsion, img.degree()))
+            hl, ht = _normal(tw, sum(a * im.l for a, im in zip(r, self.gen_images)),
+                             [sum(a * im.torsion[i] for a, im in zip(r, self.gen_images))
+                              for i in range(len(tw))])
+            out.append((r, hl, ht, hl * lcm + sum(v * d for v, d in zip(ht, dw))))
         return tuple(out)
 
-    def fiber(self, x: GroupElement) -> set[GroupElement]:
-        """The complete preimage of x; empty when x is outside the image.
-
-        Scans the source torsion residues and solves for the unique integer
-        multiple of the canonical element matching the degree of x.
-        """
-        if x.weights != self.target:
-            raise ValueError("element does not belong to the target group")
+    def _canonical_degree(self) -> int:
+        """The degree of pi(c_S); fibers are finite only when it is nonzero."""
         d_c = self.c_image.degree()
         if d_c == 0:
             raise InfiniteFiberError("canonical element maps to degree 0; fibers may be infinite")
+        return d_c
+
+    @cached_property
+    def _period(self) -> tuple[int, int]:
+        """(n, m): the least n >= 1 with n*pi(c_S) torsion-free, and
+        n*pi(c_S) = m*c."""
+        tw, ct = self.target.weights, self.c_image.torsion
+        n = math.lcm(*(p // math.gcd(p, v) for p, v in zip(tw, ct)))
+        return n, n * self.c_image.l + sum(n * v // p for p, v in zip(tw, ct))
+
+    def _fiber(self, xl: int, xt: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """The preimage of the target element (xl, xt) as source pairs (l, r).
+
+        Scans the source torsion residues and solves for the unique integer
+        multiple of the canonical element matching the degree of (xl, xt).
+        """
+        d_c = self._canonical_degree()
+        tgt = self.target
         cl, ct = self.c_image.l, self.c_image.torsion
-        dx = x.degree()
-        out = set()
+        dx = xl * tgt.lcm + sum(v * d for v, d in zip(xt, tgt.degree_weights))
+        out = []
         for r, hl, ht, hd in self._residues:
-            num = dx - hd
-            if num % d_c:
-                continue
-            l = num // d_c
-            cand = self.target.normalize(l * cl + hl, tuple(l * a + b for a, b in zip(ct, ht)))
-            if cand == x:
-                out.add(GroupElement(self.source, l, r))
+            l, rem = divmod(dx - hd, d_c)
+            if not rem and _normal(tgt.weights, l * cl + hl,
+                                   [l * a + b for a, b in zip(ct, ht)]) == (xl, xt):
+                out.append((l, r))
         return out
+
+    def fiber(self, x: GroupElement) -> set[GroupElement]:
+        """The complete preimage of x; empty when x is outside the image."""
+        if x.weights != self.target:
+            raise ValueError("element does not belong to the target group")
+        return {GroupElement(self.source, l, r) for l, r in self._fiber(x.l, x.torsion)}
 
     @cached_property
     def _kernel(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.fiber(self.target.zero()), key=_kernel_sort_key))
+        zero = (0, (0,) * len(self.source.weights))
+        pairs = sorted(self._fiber(0, (0,) * len(self.target.weights)),
+                       key=lambda y: (y != zero, y))
+        return tuple(GroupElement(self.source, l, r) for l, r in pairs)
 
     def kernel(self) -> set[GroupElement]:
         return set(self._kernel)
 
-    def window_fibers(self, window: int) -> dict[GroupElement, tuple[GroupElement, ...]]:
-        """All nonempty fibers over elements with |l| <= window, keyed by degree.
+    def window_fibers(self, window: int) -> dict[tuple, tuple[tuple, ...]]:
+        """All nonempty fibers over elements with |l| <= window, as a dict
+        sorted by key: target (l, torsion) -> sorted source pairs (l, r).
 
-        Enumerates source elements directly instead of solving per target
-        element; both give the same fibers, and property tests cross-check
-        them against :meth:`fiber`.
+        Solves per class of source elements instead of per target element;
+        both give the same fibers, and property tests cross-check them
+        against :meth:`fiber`.  With (n, m) = ``_period``, the image of
+        (j + k n) c_S + r is that of j c_S + r moved up k m levels.  So one
+        normal form (xl, xt) per residue r and class of j mod n puts the
+        pair (j + k n, r) over (xl + k m, xt) for every k: over each target
+        (L, xt) with L = xl (mod m) sits the pair
+        (j - (xl // m) n + (L // m) n, r), and the pairs of a fiber keep one
+        order as L moves.
         """
         if window < 1:
             raise ValueError("window must be at least 1")
-        d_c = self.c_image.degree()
-        if d_c == 0:
-            raise InfiniteFiberError("canonical element maps to degree 0; fibers may be infinite")
+        d_c = self._canonical_degree()
         tgt = self.target
-        lcm = tgt.lcm
-        max_tor = sum((p - 1) * d for p, d in zip(tgt.weights, tgt.degree_weights))
+        tw, lcm = tgt.weights, tgt.lcm
+        max_tor = sum((p - 1) * d for p, d in zip(tw, tgt.degree_weights))
         lo, hi = -window * lcm, window * lcm + max_tor
         cl, ct = self.c_image.l, self.c_image.torsion
-        buckets: dict[GroupElement, list[GroupElement]] = {}
+        n, m = self._period
+        groups: dict[tuple, list] = defaultdict(list)  # (xl mod m, xt) -> (offset, r)
         for r, hl, ht, hd in self._residues:
+            # the source levels whose images have a degree the window reaches:
+            # every class of them that meets the window, once
             if d_c > 0:
                 lmin, lmax = _ceil_div(lo - hd, d_c), (hi - hd) // d_c
             else:
                 lmin, lmax = _ceil_div(hi - hd, d_c), (lo - hd) // d_c
-            for l in range(lmin, lmax + 1):
-                img = tgt.normalize(l * cl + hl, tuple(l * a + b for a, b in zip(ct, ht)))
-                if -window <= img.l <= window:
-                    buckets.setdefault(img, []).append(GroupElement(self.source, l, r))
-        return {x: tuple(sorted(ys, key=_sort_key)) for x, ys in buckets.items()}
+            for j in range(lmin, min(lmax + 1, lmin + n)):
+                xl, xt = _normal(tw, j * cl + hl, [j * a + b for a, b in zip(ct, ht)])
+                groups[(xl % m, xt)].append((j - xl // m * n, r))
+        by_class = defaultdict(list)  # L mod m -> (xt, sorted pairs at offset), by xt
+        for (c, xt), pairs in sorted(groups.items()):
+            by_class[c].append((xt, sorted(pairs)))
+        out = {}
+        for L in range(-window, window + 1):
+            shift = L // m * n
+            for xt, pairs in by_class.get(L % m, ()):
+                out[(L, xt)] = tuple([(off + shift, r) for off, r in pairs])
+        return out
 
     def is_admissible(self, window: int = 64, fibers: dict | None = None) -> AdmissibilityReport:
         """Effectiveness plus the fiber mult-sum condition on every image
@@ -382,14 +427,14 @@ class GroupHom:
         buckets = self.window_fibers(window) if fibers is None else fibers
         failures = []
         edge_ok = True
-        for x in sorted(buckets, key=_sort_key):
-            fib = buckets[x]
-            total = sum(y.mult() for y in fib)
-            if total != x.mult():
-                failures.append((x, total, x.mult()))
-            if x.l == window and any(y.l < 0 for y in fib):
+        for (l, tor), fib in buckets.items():
+            want = max(l + 1, 0)
+            total = sum([yl + 1 for yl, _ in fib if yl >= 0])
+            if total != want:
+                failures.append((GroupElement(self.target, l, tor), total, want))
+            if l == window and any(yl < 0 for yl, _ in fib):
                 edge_ok = False
-            if x.l == -window and (x.mult() != 0 or any(y.mult() != 0 for y in fib)):
+            if l == -window and (want or any(yl >= 0 for yl, _ in fib)):
                 edge_ok = False
         return AdmissibilityReport(
             effective=self.is_effective(),

@@ -5,6 +5,7 @@ violation raises AssertionError immediately."""
 
 import random
 
+from reference import as_elements
 from wpline import (CoordinateAlgebra, PrimeField, RationalField,
                     WeightSequence, builtin_case, builtin_group_hom)
 
@@ -41,7 +42,7 @@ def check_fiber_structure(n=200, seed=5531):
     pairwise disjoint; the windowed fiber table agrees with direct solves."""
     rng = random.Random(seed)
     homs = {cid: builtin_group_hom(cid) for cid in "ABCD"}
-    tables = {cid: h.window_fibers(6) for cid, h in homs.items()}
+    tables = {cid: as_elements(h, h.window_fibers(6)) for cid, h in homs.items()}
     for _ in range(n):
         cid = rng.choice("ABCD")
         h, table = homs[cid], tables[cid]

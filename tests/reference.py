@@ -1,5 +1,6 @@
 """Reference oracles: degree records independent of the binary-form kernel,
-roots by exhaustive search, and element orders by repeated addition.
+fibers and admissibility on ``GroupElement`` values, roots by exhaustive
+search, and element orders by repeated addition.
 
 Monomial images are products of powers of the generator images computed with
 ``AlgebraElement`` arithmetic (sparse terms and the rewriting system), the
@@ -15,7 +16,8 @@ from fractions import Fraction
 
 from wpline import Fp, GradednessError, PrimeField
 from wpline.homverify import DegreeRecord
-from wpline.stringgroup import _sort_key
+from wpline.stringgroup import (AdmissibilityReport, GroupElement, InfiniteFiberError,
+                                _ceil_div, _sort_key)
 
 
 def reference_rank(rows, zero):
@@ -46,9 +48,9 @@ def monomial_image(hom, exps, powers):
     return img
 
 
-def reference_record(hom, x, fiber=None, powers=None):
-    if fiber is None:
-        fiber = tuple(sorted(hom.group_hom.fiber(x), key=_sort_key))
+def reference_rows(hom, x, fiber, powers=None):
+    """One vector in the target component basis of x per source basis
+    monomial over the fiber, fibers in order."""
     powers = {} if powers is None else powers
     basis = hom.target.component_basis(x)
     index = {e: i for i, e in enumerate(basis)}
@@ -64,13 +66,96 @@ def reference_record(hom, x, fiber=None, powers=None):
                         % (y, x))
                 vec[index[e]] = c
             rows.append(vec)
+    return rows
+
+
+def reference_record(hom, x, fiber, powers=None):
+    rows = reference_rows(hom, x, fiber, powers)
     return DegreeRecord(degree=x, fiber=fiber, source_dim=sum(y.mult() for y in fiber),
-                        target_dim=len(basis), image_rank=reference_rank(rows, zero))
+                        target_dim=len(hom.target.component_basis(x)),
+                        image_rank=reference_rank(rows, hom.target.field.zero))
+
+
+def as_elements(group_hom, table):
+    """A ``window_fibers`` table on (l, torsion) tuples as the
+    ``reference_window_fibers`` table on ``GroupElement`` values."""
+    return {GroupElement(group_hom.target, *x): tuple(GroupElement(group_hom.source, *y)
+                                                      for y in ys)
+            for x, ys in table.items()}
+
+
+def reference_window_fibers(group_hom, window):
+    """All nonempty fibers over elements with |l| <= window, keyed by
+    degree, by normalizing the image of every candidate source element: for
+    each source torsion residue, every multiple of the canonical element
+    whose image has a degree the window reaches."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    d_c = group_hom.c_image.degree()
+    if d_c == 0:
+        raise InfiniteFiberError("canonical element maps to degree 0; fibers may be infinite")
+    tgt = group_hom.target
+    lcm = tgt.lcm
+    max_tor = sum((p - 1) * d for p, d in zip(tgt.weights, tgt.degree_weights))
+    lo, hi = -window * lcm, window * lcm + max_tor
+    cl, ct = group_hom.c_image.l, group_hom.c_image.torsion
+    buckets = {}
+    for r in group_hom.source.torsion_tuples():
+        img = group_hom(GroupElement(group_hom.source, 0, r))
+        hl, ht, hd = img.l, img.torsion, img.degree()
+        if d_c > 0:
+            lmin, lmax = _ceil_div(lo - hd, d_c), (hi - hd) // d_c
+        else:
+            lmin, lmax = _ceil_div(hi - hd, d_c), (lo - hd) // d_c
+        for l in range(lmin, lmax + 1):
+            img = tgt.normalize(l * cl + hl, tuple(l * a + b for a, b in zip(ct, ht)))
+            if -window <= img.l <= window:
+                buckets.setdefault(img, []).append(GroupElement(group_hom.source, l, r))
+    return {x: tuple(sorted(ys, key=_sort_key)) for x, ys in buckets.items()}
+
+
+def reference_fiber(group_hom, x):
+    """The preimage of x: per source torsion residue, the unique multiple of
+    the canonical element matching the degree of x, kept when its image is
+    x."""
+    d_c = group_hom.c_image.degree()
+    if d_c == 0:
+        raise InfiniteFiberError("canonical element maps to degree 0; fibers may be infinite")
+    out = set()
+    for r in group_hom.source.torsion_tuples():
+        num = x.degree() - group_hom(GroupElement(group_hom.source, 0, r)).degree()
+        if num % d_c == 0:
+            y = GroupElement(group_hom.source, num // d_c, r)
+            if group_hom(y) == x:
+                out.add(y)
+    return out
+
+
+def reference_admissibility(group_hom, window):
+    """Effectiveness plus the fiber mult-sum condition on every image
+    element in the window, on ``reference_window_fibers``."""
+    buckets = reference_window_fibers(group_hom, window)
+    failures = []
+    edge_ok = True
+    for x in sorted(buckets, key=_sort_key):
+        fib = buckets[x]
+        total = sum(y.mult() for y in fib)
+        if total != x.mult():
+            failures.append((x, total, x.mult()))
+        if x.l == window and any(y.l < 0 for y in fib):
+            edge_ok = False
+        if x.l == -window and (x.mult() != 0 or any(y.mult() != 0 for y in fib)):
+            edge_ok = False
+    kernel = tuple(sorted(reference_fiber(group_hom, group_hom.target.zero()),
+                          key=lambda e: (not e.is_zero(), e.l, e.torsion)))
+    return AdmissibilityReport(effective=group_hom.is_effective(), window=window,
+                               checked=len(buckets), failures=tuple(failures), kernel=kernel,
+                               edge_regime_ok=edge_ok)
 
 
 def reference_records(hom, window):
     """Degree records over the window, in the verifier's order."""
-    buckets = hom.group_hom.window_fibers(window)
+    buckets = reference_window_fibers(hom.group_hom, window)
     powers = {}
     return [reference_record(hom, x, buckets[x], powers).as_dict()
             for x in sorted(buckets, key=_sort_key)]

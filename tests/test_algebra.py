@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import as_elements
 from wpline import (CoordinateAlgebra, PrimeField, RationalField,
                     builtin_group_hom)
 
@@ -192,7 +193,7 @@ class TestComponents:
         # products of components with degrees in the image land in the
         # component of the sum, so the restriction subalgebra is closed
         h = builtin_group_hom("A")
-        degrees = [x for x in sorted(h.window_fibers(3),
+        degrees = [x for x in sorted(as_elements(h, h.window_fibers(3)),
                                      key=lambda e: (e.l, e.torsion)) if x.mult() > 0]
         for x in degrees[:6]:
             for y in degrees[:6]:

@@ -482,6 +482,22 @@ class TestConfig:
         code, out, err = run(capsys, "verify", "--config", str(path))
         assert (code, out) == (2, "") and err.startswith("error: maximum recursion depth")
 
+    def test_config_that_is_not_an_object_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([CASE_A_CONFIG]))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed verification config: document: expected a "
+                              "JSON object, got [")
+
+    def test_field_may_be_a_json_integer(self, capsys, tmp_path):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(dict(CASE_A_CONFIG, field="7")))
+        code, want, _ = run(capsys, "verify", "--config", str(path))
+        path.write_text(json.dumps(dict(CASE_A_CONFIG, field=7)))
+        assert (code, want) == run(capsys, "verify", "--config", str(path))[:2]
+        assert code == 0
+
     def test_malformed_config_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"source": {"weights": [4, 4, 2]}}))
@@ -521,11 +537,32 @@ class TestConfig:
          "phi coefficients: expected a string or a JSON integer, got True"),
         (lambda d: d["phi"][2][0].__setitem__(0, 1.5),
          "phi coefficients: expected a string or a JSON integer, got 1.5"),
+        (lambda d: d["target"].update(params="1-"), "params: expected a JSON list, got '1-'"),
+        (lambda d: d["source"].update(params="12"), "params: expected a JSON list, got '12'"),
+        (lambda d: d["source"].update(weights="442"),
+         "weights: expected a JSON list, got '442'"),
+        (lambda d: d.update(field=None), "field: expected a string or a JSON integer, got None"),
+        (lambda d: d.update(field=False),
+         "field: expected a string or a JSON integer, got False"),
+        (lambda d: d.update(field=["rationals"]),
+         "field: expected a string or a JSON integer, got ['rationals']"),
+        (lambda d: d["pi"].__setitem__(0, None), "pi: expected a JSON string, got None"),
+        (lambda d: d["pi"].__setitem__(1, 0), "pi: expected a JSON string, got 0"),
+        (lambda d: d.update(pi="0;1,0,0,0"), "pi: expected a JSON list, got '0;1,0,0,0'"),
+        (lambda d: d.update(phi="x1"), "phi: expected a JSON list, got 'x1'"),
+        (lambda d: d["phi"].__setitem__(0, "1"), "phi: expected a JSON list, got '1'"),
+        (lambda d: d["phi"][0][0].__setitem__(1, "1000"),
+         "phi exponents: expected a JSON list, got '1000'"),
+        (lambda d: d.update(constants=["1"]), "constants: expected a JSON object, got ['1']"),
+        (lambda d: d.update(source=[4, 4, 2]), "source: expected a JSON object, got [4, 4, 2]"),
     ], ids=["float-weight", "string-weight", "float-exponent", "bool-window", "float-window",
             "missing-field", "missing-weights", "bare-term", "long-term", "null-param",
             "bool-param", "float-param", "null-root-coefficient", "bool-constant",
             "float-root-coefficient", "null-coefficient", "bool-coefficient",
-            "float-coefficient"])
+            "float-coefficient", "string-params", "digit-string-params", "string-weights",
+            "null-field", "bool-field", "list-field", "null-pi", "int-pi", "string-pi",
+            "string-phi", "string-generator-image", "string-exponents", "list-constants",
+            "list-source"])
     def test_config_shape_errors_exit_2(self, capsys, tmp_path, mutate, message):
         cfg = copy.deepcopy(CASE_A_CONFIG)
         mutate(cfg)

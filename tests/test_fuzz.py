@@ -1,6 +1,7 @@
 """Malformed inputs end in a verdict or a clean exit 2, never a traceback.
 
-Mutated A-D documents go through ``verify --config``; random strings over
+Mutated A-D documents, and documents with a string where a list belongs,
+go through ``verify --config``; random strings over
 the expression alphabet, plus junk, go to ``parse_scalar`` directly and as a
 ``--tamper`` value.
 """
@@ -84,6 +85,40 @@ def test_mutated_case_documents_exit_cleanly(tmp_path, case):
         assert str(exc).startswith("malformed verification config: ")
     else:
         assert VerifyConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@st.composite
+def stringified_lists(draw):
+    """(case id, document, path) with one list replaced by a string: its
+    items joined, its JSON text, or any text.  A constant's root list is
+    left alone, since a string there is a derived constant."""
+    cid = draw(st.sampled_from(sorted(CASES)))
+    doc = case_config(cid).to_dict()
+    doc["window"] = 4
+    lists = []
+    for path in _paths(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if path[0] != "constants" and isinstance(parent[path[-1]], list):
+            lists.append((path, parent))
+    path, parent = draw(st.sampled_from(lists))
+    value = parent[path[-1]]
+    parent[path[-1]] = draw(st.sampled_from([",".join(map(str, value)), json.dumps(value)])
+                            | st.text(max_size=8))
+    return cid, doc, path
+
+
+@FUZZ
+@given(stringified_lists())
+def test_strings_for_lists_are_malformed_configs(tmp_path, case):
+    cid, doc, where = case
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run("verify", "--config", str(path), *FLAGS[cid])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed verification config: ")
+    assert [k for k in where if isinstance(k, str)][-1] in err
 
 
 @pytest.mark.parametrize("cid", sorted(CASES))

@@ -21,6 +21,11 @@ monomial by monomial, before rows became products h_r * f^a * g^b.
 The large windows (B over F_7 at 400, C over F_5 at 120, D over Q at 100)
 were pinned while every record was still eliminated, before records above
 the base levels were inferred by level induction.
+
+The ``group admissible`` answers at window 256 and the ``group fiber``
+answers at elements of negative level were pinned while fibers and
+admissibility were still computed on ``GroupElement`` values, before they
+moved onto (l, torsion) int tuples.
 """
 
 import hashlib
@@ -135,6 +140,22 @@ GOLDEN = [
      "24592e371aa0bc9ef2f7d049e865811e6482075c3239f3358bb1f9b87542ac0c"),
     ("group admissible --case D --window 64", 0,
      "3dcfebd81480d0ec4805383adea7e109985fec7d158ee95ae7e6b48f6a2cbfc7"),
+    ("group admissible --case A --window 256", 0,
+     "3bd3e9f2a8d8de974d1957bc5224991ae1b69e475a7cc62e1e76b6d009c12a0e"),
+    ("group admissible --case B --window 256", 0,
+     "7afda79160341c5edfbaa82f7200401c2936ad7a68f1b7bfca0daebe27e158d2"),
+    ("group admissible --case C --window 256", 0,
+     "7d5f528c3abb5aff4055fab4896cc2056bec6c26cd293cf49e78aad4decf7557"),
+    ("group admissible --case D --window 256", 0,
+     "436593bceab7d2884555e3993925759c827fddb1766c2114aa735e6f5c465224"),
+    ("group fiber --case A --elem -2;1,0,1,1", 0,
+     "7291c4bbee0907a42e1699803b3ec0c38b0c0a52e9e790f317ade96339df62a3"),
+    ("group fiber --case B --elem -1;0,0,0,0", 0,
+     "41259e1dff9b69af41a533f7a883e3ac2e786d3e021d18a5e44dc8b4da43fa4e"),
+    ("group fiber --case C --elem -2;1,1,0", 0,
+     "016c01bea792f5da32355a54ac48fd32966bd841af05018e5b17b0d2e182d8e0"),
+    ("group fiber --case D --elem -3;0,0,0,0", 0,
+     "d849157022467099e620122b10c81c854992a1aed20e937b8d183b4a9bc0f180"),
 ]
 
 #: the documents ``perfbench/workloads.py::case_config`` writes for cases A-D

@@ -14,7 +14,7 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from reference import reference_records
+from reference import reference_records, reference_rows
 from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
@@ -86,15 +86,16 @@ def _params(data, field, count):
     return out
 
 
-def _random_images(data, algebra, degrees):
+def _random_images(data, algebra, degrees, coeff=None):
     """Random elements of the components of ``degrees``, possibly zero.  Each
     has random coefficients, or random coefficients of which chosen ones are
     zeroed, or is a scalar multiple of an earlier one of the same degree, so
     that images are sparse or dependent and records are deficient at random
-    levels."""
-    if isinstance(algebra.field, RationalField):
+    levels.  ``coeff`` draws the coefficients, by default any element of a
+    prime field or small fractions."""
+    if coeff is None and isinstance(algebra.field, RationalField):
         coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-    else:
+    elif coeff is None:
         coeff = st.integers(0, algebra.field.q - 1)
     images = []
     for degree in degrees:
@@ -193,6 +194,76 @@ def test_maps_whose_row_factors_carry_match_reference(data):
     hom = AlgebraHom.unchecked(source, target, pi, _random_images(data, target, [d, d]))
     window = data.draw(st.integers(1, 12), label="window")
     assert outcome(records, hom, window) == outcome(reference_records, hom, window)
+
+
+# -- the same records over Q and mod good primes -----------------------------------
+
+#: primes at which case A resolves and its integer maps are read mod p
+GOOD_PRIMES = (5, 13, 10007)
+
+
+@pytest.mark.parametrize("p", GOOD_PRIMES)
+def test_case_a_over_q_equals_case_a_mod_good_primes(p):
+    want = builtin_case("A", Q).algebra_hom.verify_window(16)
+    got = builtin_case("A", PrimeField(p)).algebra_hom.verify_window(16)
+    assert got.passed and want.passed
+    assert [r.as_dict() for r in got.records] == [r.as_dict() for r in want.records]
+    assert got.admissibility == want.admissibility
+
+
+def _certified_rank_mod(rows, p) -> bool:
+    """True when the rank of integer rows mod p is certainly their rank over
+    Q: p divides no nonzero maximal minor the elimination over Q picks."""
+    if not rows or not any(map(any, rows)):
+        return True
+    m = DomainMatrix([[ZZ(int(v)) for v in row] for row in rows], (len(rows), len(rows[0])), ZZ)
+    cols = m.convert_to(QQ).rref()[1]
+    picked = m.transpose().convert_to(QQ).rref()[1]
+    return m.extract(list(picked), list(cols)).det() % p != 0
+
+
+def test_random_integer_maps_over_q_equal_them_mod_good_primes():
+    """Unchecked maps whose images have integer coefficients (and integer
+    parameters): mod p each record keeps its degree, fiber and dimensions,
+    its rank is at most the rank over Q, and it is the rank over Q when a
+    maximal minor over Q is nonzero mod p; such certified primes occur."""
+    certified = []
+
+    @SLOW
+    @given(st.data())
+    def check(data):
+        cid = data.draw(st.sampled_from("ABCD"), label="group map")
+        pi = builtin_group_hom(cid)
+        lams = data.draw(st.lists(st.sampled_from([-3, -2, -1, 2, 3]), min_size=2, max_size=2,
+                                  unique=True), label="lambdas")
+        params = {ws: [1, lams[0]] if len(ws) == 4 else [1] for ws in (pi.source, pi.target)}
+        source = CoordinateAlgebra(pi.source, Q, params[pi.source])
+        target = CoordinateAlgebra(pi.target, Q, params[pi.target])
+        images = _random_images(data, target, pi.gen_images, st.integers(-6, 6))
+        hom = AlgebraHom.unchecked(source, target, pi, images)
+        window = data.draw(st.integers(1, 6), label="window")
+        want = hom.verify_window(window)
+        for p in GOOD_PRIMES:
+            field = PrimeField(p)
+            tgt_p = CoordinateAlgebra(pi.target, field, params[pi.target])
+            hom_p = AlgebraHom.unchecked(
+                CoordinateAlgebra(pi.source, field, params[pi.source]), tgt_p, pi,
+                [tgt_p.element([(c.numerator, e) for e, c in im.terms.items()])
+                 for im in images])
+            got = hom_p.verify_window(window)
+            good = True
+            for rec, rec_p in zip(want.records, got.records, strict=True):
+                assert (rec.degree, rec.fiber, rec.source_dim, rec.target_dim) == (
+                    rec_p.degree, rec_p.fiber, rec_p.source_dim, rec_p.target_dim)
+                assert rec_p.image_rank <= rec.image_rank
+                good = good and _certified_rank_mod(
+                    reference_rows(hom, rec.degree, rec.fiber), p)
+            if good:
+                assert got.records == want.records and got.passed == want.passed
+            certified.append(good)
+
+    check()
+    assert any(certified)
 
 
 # -- ranks and products against sympy --------------------------------------------

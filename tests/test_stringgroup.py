@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_order
+from reference import (as_elements, reference_admissibility, reference_fiber,
+                       reference_order, reference_window_fibers)
 from wpline import (GroupHom, InfiniteFiberError, WeightSequence,
                     WellDefinednessError, builtin_group_hom, expected_kernel)
 
@@ -217,7 +218,7 @@ class TestFibers:
     def test_window_table_matches_direct_fibers(self):
         for cid in "ABCD":
             h = builtin_group_hom(cid)
-            table = h.window_fibers(4)
+            table = as_elements(h, h.window_fibers(4))
             assert table
             for x, fib in table.items():
                 assert set(fib) == h.fiber(x)
@@ -291,11 +292,83 @@ class TestAdmissibility:
         fib = h.fiber(c)
         assert fib == {-c}
         assert h.kernel() == {L442.zero()}
-        table = h.window_fibers(5)
+        table = as_elements(h, h.window_fibers(5))
         for x, ys in table.items():
             assert set(ys) == h.fiber(x)
         rep = h.is_admissible(5)
         assert not rep.admissible and rep.failures
+
+
+#: source and target weights of the random group maps: the tubular types and
+#: a few others, each with at most 36 source torsion residues
+MAP_SOURCES = [(2, 2), (2, 4), (5, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2), (2, 2, 2, 2)]
+MAP_TARGETS = [(2, 2, 2, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2), (2, 4), (5, 3)]
+
+
+def _torsion_elements(L):
+    """The elements of degree 0 of a string group."""
+    out = []
+    for tor in L.torsion_tuples():
+        deg = sum(v * d for v, d in zip(tor, L.degree_weights))
+        if deg % L.lcm == 0:
+            out.append(L.normalize(-deg // L.lcm, tor))
+    return out
+
+
+@st.composite
+def group_maps(draw):
+    """A well-defined group map with pi(c_S) = Q z for Q the lcm of the
+    source weights and z random, of either sign of degree: the j-th
+    generator goes to (Q / q_j) z plus an element killed by q_j."""
+    src = WeightSequence(draw(st.sampled_from(MAP_SOURCES), label="source"))
+    tgt = WeightSequence(draw(st.sampled_from(MAP_TARGETS), label="target"))
+    z = tgt.normalize(draw(st.integers(-2, 2), label="z level"),
+                      tuple(draw(st.integers(0, p - 1), label="z torsion") for p in tgt.weights))
+    images = []
+    for q in src.weights:
+        killed = [t for t in _torsion_elements(tgt) if (q * t).is_zero()]
+        images.append((src.lcm // q) * z + draw(st.sampled_from(killed), label="torsion"))
+    return GroupHom(src, tgt, images)
+
+
+L24 = WeightSequence((2, 4))
+
+
+class TestAgainstReference:
+    """The group layer on (l, torsion) tuples against the ``GroupElement``
+    oracles of ``reference.py``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(group_maps(), st.integers(1, 24), st.data())
+    # pi(c_S) = 2c + 2y_3 carries torsion, as in test_kernel's
+    # test_canonical_image_with_torsion_is_never_inferred
+    @example(GroupHom(L24, L333, [L333.parse("1;0,0,1"), L333.parse("0;0,0,2")]), 24, None)
+    # pi(c_S) = -c has negative degree
+    @example(GroupHom(L442, L442, [-g for g in L442.gens]), 24, None)
+    def test_fibers_and_admissibility_match_reference(self, h, window, data):
+        if h.c_image.degree() == 0:
+            for call in (lambda: h.window_fibers(window), lambda: h.is_admissible(window),
+                         lambda: reference_window_fibers(h, window)):
+                with pytest.raises(InfiniteFiberError):
+                    call()
+            return
+        table = h.window_fibers(window)
+        assert list(table) == sorted(table)
+        assert all(list(ys) == sorted(ys) for ys in table.values())
+        want = reference_window_fibers(h, window)
+        assert as_elements(h, table) == want
+        assert h.is_admissible(window) == reference_admissibility(h, window)
+        if data is not None and want:
+            x = data.draw(st.sampled_from(sorted(want, key=lambda e: (e.l, e.torsion))))
+            assert h.fiber(x) == reference_fiber(h, x) == set(want[x])
+
+    @pytest.mark.parametrize("cid", ["A", "B", "C", "D", "identity"])
+    @pytest.mark.parametrize("window", [1, 7, 24])
+    def test_admissible_maps_match_reference(self, cid, window):
+        h = GroupHom(L632, L632, L632.gens) if cid == "identity" else builtin_group_hom(cid)
+        assert as_elements(h, h.window_fibers(window)) == reference_window_fibers(h, window)
+        rep = h.is_admissible(window)
+        assert rep.admissible and rep == reference_admissibility(h, window)
 
 
 class TestMultIdentities:

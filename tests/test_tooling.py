@@ -33,7 +33,7 @@ def test_traced_runs_reach_every_entry_point_and_count_rows():
     runs = [(["verify", "--case", "B", "--field", "7", "--window", "6"], 3),
             (["verify", "--case", "D", "--field", "rationals", "--lambda", "-3",
               "--window", "4"], 2)]
-    eliminated = every = 0
+    eliminated = every = degrees = 0
     tracer.install()
     try:
         for argv, m in runs:
@@ -47,8 +47,11 @@ def test_traced_runs_reach_every_entry_point_and_count_rows():
             eliminated += 2 * m + sum(r["source_dim"] for r in records
                                       if 0 <= int(r["degree"].split(";")[0]) <= 2 * m - 2)
             every += sum(r["source_dim"] for r in records)
+            degrees += len(records)
     finally:
         tracer.remove()
     reached = tracer.totals()
     assert {name for name, *_ in tracing.entry_points()} <= set(reached)
     assert tracer.counts["homverify.rows"] == eliminated < every
+    # one window_fibers call per verify run, whose length is its image degrees
+    assert tracer.counts["stringgroup.image_degrees"] == degrees
