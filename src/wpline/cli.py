@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = asub.add_parser(name)
         p.add_argument("--weights", required=True)
         p.add_argument("--params", default="",
-                       help="parameters beyond the normalized 1, comma separated")
+                       help="the t - 3 parameters after the normalized 1 for t >= 3 "
+                            "weights, comma separated")
         p.add_argument("--field", default="rationals")
         return p
 
@@ -170,12 +171,16 @@ def _algebra_from_args(args) -> CoordinateAlgebra:
     ws = _weights(args.weights)
     field = field_from_spec(args.field)
     extra = [parse_scalar(v, field) for v in args.params.split(",") if v.strip()]
-    if len(ws) >= 3:
-        params = [field.one] + extra
-    elif extra:
-        raise UsageError("weight sequences of length 2 take no parameters")
-    else:
+    if len(ws) == 2:
+        if extra:
+            raise UsageError("weight sequences of length 2 take no parameters")
         params = []
+    elif len(extra) != len(ws) - 3:
+        raise UsageError("--params takes %d value%s for %d weights (the first parameter "
+                         "is fixed at 1), got %d"
+                         % (len(ws) - 3, "" if len(ws) == 4 else "s", len(ws), len(extra)))
+    else:
+        params = [field.one] + extra
     try:
         return CoordinateAlgebra(ws, field, params)
     except ValueError as exc:
@@ -220,14 +225,6 @@ def _cmd_algebra(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _emit_report(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-
-
 def _cmd_verify(args) -> int:
     if bool(args.case) == bool(args.config):
         raise UsageError("verify needs exactly one of --case or --config")
@@ -257,12 +254,17 @@ def _cmd_verify(args) -> int:
         if not isinstance(exc, WellDefinednessError):  # the group map exists
             report["admissible"] = spec.group_hom.is_admissible(window).admissible
             report["kernel"] = [str(k) for k in spec.expected_kernel]
+        text, passed = json.dumps(report, sort_keys=True, indent=2), False
     else:
-        report = hom.verify_window(window).to_report(
-            case=spec.case_id, field_name=field.name,
-            constants=spec.report_constants(), extra=extra)
-    _emit_report(report, args.out)
-    return 0 if report["summary"] == "pass" else 1
+        result = hom.verify_window(window)
+        text = result.to_report(case=spec.case_id, field_name=field.name,
+                                constants=spec.report_constants(), extra=extra)
+        passed = result.passed
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0 if passed else 1
 
 
 #: flags whose values can begin with "-" (element literals, parameters, ...)

@@ -34,15 +34,18 @@ level 0 are zero.  So verify_window eliminates only the base levels
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraElement, CoordinateAlgebra
 from .field import PrimeField
-from .stringgroup import AdmissibilityReport, GroupElement, GroupHom, _sort_key
+from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
+                          _sort_key)
 
 
 class GradednessError(ValueError):
@@ -229,23 +232,63 @@ class DegreeRecord:
         }
 
 
+#: one record of the report at its indent in json.dumps(report, sort_keys=True,
+#: indent=2): degree level and torsion, fiber items, rank, pass, dimensions
+_RECORD = ('    {\n      "degree": "%d;%s",\n      "fiber": [\n        "%s"\n      ],\n'
+           '      "image_rank": %d,\n      "pass": %s,\n      "source_dim": %d,\n'
+           '      "target_dim": %d\n    }')
+#: between two fiber items of a record
+_FIBER_SEP = '",\n        "'
+
+
+class _Joined(dict):
+    """Torsion tuple -> its entries joined by commas, each joined once."""
+
+    def __missing__(self, torsion: tuple) -> str:
+        text = self[torsion] = ",".join(map(str, torsion))
+        return text
+
+
 @dataclass
 class VerificationResult:
-    """Admissibility of the group map plus all degree records on a window."""
+    """Admissibility of the group map plus one entry per image degree on a
+    window.  An entry is (l, torsion, pairs, source_dim, target_dim,
+    image_rank): the degree as its target pair, its fiber as the sorted
+    source pairs (l, r) of ``GroupHom.window_fibers`` (never empty), and the
+    counts of its :class:`DegreeRecord`.  ``records`` builds those records,
+    with their ``GroupElement``s, on first access."""
 
     window: int
     admissibility: AdmissibilityReport
-    records: tuple[DegreeRecord, ...]
+    source: WeightSequence
+    target: WeightSequence
+    entries: tuple[tuple, ...]
+
+    @cached_property
+    def records(self) -> tuple[DegreeRecord, ...]:
+        src, tgt = self.source, self.target
+        return tuple(DegreeRecord(degree=GroupElement(tgt, l, tor),
+                                  fiber=tuple(GroupElement(src, yl, r) for yl, r in pairs),
+                                  source_dim=s, target_dim=t, image_rank=rank)
+                     for l, tor, pairs, s, t, rank in self.entries)
 
     @property
     def passed(self) -> bool:
-        return self.admissibility.admissible and all(r.passed for r in self.records)
+        return self.admissibility.admissible and all(
+            s == t == rank for _, _, _, s, t, rank in self.entries)
 
     def failing_records(self) -> tuple[DegreeRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
 
     def to_report(self, case: str = "custom", field_name: str = "",
-                  constants: dict | None = None, extra: dict | None = None) -> dict:
+                  constants: dict | None = None, extra: dict | None = None) -> str:
+        """The report as JSON text: the bytes of json.dumps(report,
+        sort_keys=True, indent=2) on its dict form, whose records are the
+        ``as_dict`` of each record; ``extra`` adds top-level keys such as
+        ``tamper``.  Every key but the records goes through json.dumps.  Each
+        record is one format string, spliced in at the one top-level
+        ``"records": []`` of that dump: a JSON string holds no raw newline,
+        and nested keys sit deeper than two spaces."""
         report = {
             "case": case,
             "field": field_name,
@@ -253,12 +296,21 @@ class VerificationResult:
             "admissible": self.admissibility.admissible,
             "kernel": [str(k) for k in self.admissibility.kernel],
             "constants": dict(constants or {}),
-            "records": [r.as_dict() for r in self.records],
+            "records": [],
             "summary": "pass" if self.passed else "fail",
         }
         if extra:
             report.update(extra)
-        return report
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if not self.entries:
+            return text
+        tors = _Joined()
+        records = ",\n".join([
+            _RECORD % (l, tors[tor], _FIBER_SEP.join([f"{yl};{tors[r]}" for yl, r in pairs]),
+                       rank, "true" if s == t == rank else "false", s, t)
+            for l, tor, pairs, s, t, rank in self.entries])
+        head, _, tail = text.partition('\n  "records": []')
+        return "".join([head, '\n  "records": [\n', records, "\n  ]", tail])
 
 
 class AlgebraHom:
@@ -491,28 +543,28 @@ class AlgebraHom:
         return c.l
 
     def verify_window(self, window: int) -> VerificationResult:
-        """Admissibility plus a degree record for every image degree with
+        """Admissibility plus a degree entry for every image degree with
         |l| <= window, in deterministic order.  Records are visited by
         level, and with an induction level m a record below level 0, or at
         l >= 2m - 1 above a surjective one, is (sum of fiber mults, mult(x),
-        mult(x)) without rows."""
+        mult(x)) without rows.  Only the records that are eliminated get
+        ``GroupElement``s, for ``check_surjective_at``."""
         buckets = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window, buckets)
         m = self._induction_level()
         src, tgt = self.group_hom.source, self.group_hom.target
         onto = set()  # (l, torsion) of the surjective records
-        records = []
+        entries = []
         for (l, tor), pairs in buckets.items():
-            x = GroupElement(tgt, l, tor)
-            fiber = tuple(GroupElement(src, yl, r) for yl, r in pairs)
             if m and (l < 0 or l >= 2 * m - 1 and (l - m, tor) in onto):
-                mult = max(l + 1, 0)
-                rec = DegreeRecord(degree=x, fiber=fiber, target_dim=mult, image_rank=mult,
-                                   source_dim=sum(max(yl + 1, 0) for yl, _ in pairs))
+                source_dim = sum([yl + 1 for yl, _ in pairs if yl >= 0])
+                target_dim = rank = max(l + 1, 0)
             else:
-                rec = self.check_surjective_at(x, fiber)
-            if rec.image_rank == rec.target_dim:
+                rec = self.check_surjective_at(
+                    GroupElement(tgt, l, tor), tuple(GroupElement(src, yl, r) for yl, r in pairs))
+                source_dim, target_dim, rank = rec.source_dim, rec.target_dim, rec.image_rank
+            if rank == target_dim:
                 onto.add((l, tor))
-            records.append(rec)
+            entries.append((l, tor, pairs, source_dim, target_dim, rank))
         return VerificationResult(window=window, admissibility=admissibility,
-                                  records=tuple(records))
+                                  source=src, target=tgt, entries=tuple(entries))

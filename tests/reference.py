@@ -1,6 +1,7 @@
 """Reference oracles: degree records independent of the binary-form kernel,
-fibers and admissibility on ``GroupElement`` values, roots by exhaustive
-search, and element orders by repeated addition.
+fibers and admissibility on ``GroupElement`` values, the report text by
+``json.dumps`` on the whole report, roots by exhaustive search, and element
+orders by repeated addition.
 
 Monomial images are products of powers of the generator images computed with
 ``AlgebraElement`` arithmetic (sparse terms and the rewriting system), the
@@ -11,6 +12,7 @@ original path, kept here to cross-check the kernel in
 ``wpline.homverify``.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -159,6 +161,25 @@ def reference_records(hom, window):
     powers = {}
     return [reference_record(hom, x, buckets[x], powers).as_dict()
             for x in sorted(buckets, key=_sort_key)]
+
+
+def reference_report(result, case="custom", field_name="", constants=None, extra=None):
+    """The text ``VerificationResult.to_report`` must give: the report as
+    one dict, records by ``DegreeRecord.as_dict``, through
+    ``json.dumps(report, sort_keys=True, indent=2)``."""
+    report = {
+        "case": case,
+        "field": field_name,
+        "window": result.window,
+        "admissible": result.admissibility.admissible,
+        "kernel": [str(k) for k in result.admissibility.kernel],
+        "constants": dict(constants or {}),
+        "records": [r.as_dict() for r in result.records],
+        "summary": "pass" if result.passed else "fail",
+    }
+    if extra:
+        report.update(extra)
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _poly_eval(coeffs, x):

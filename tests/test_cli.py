@@ -126,6 +126,16 @@ class TestAlgebraCommands:
                            "--params", "1", "--degree", "1;0,0,0,0")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("weights,params,want", [
+        ("3,3,3", "5", "0 values for 3 weights (the first parameter is fixed at 1), got 1"),
+        ("2,2,2,2", "", "1 value for 4 weights (the first parameter is fixed at 1), got 0"),
+        ("2,2,2,2", "-1,3", "1 value for 4 weights (the first parameter is fixed at 1), got 2"),
+    ], ids=["3-weights", "4-weights-none", "4-weights-two"])
+    def test_param_count_exit_2(self, capsys, weights, params, want):
+        code, out, err = run(capsys, "algebra", "dim", "--weights", weights,
+                             "--params", params, "--degree", "1;0,0,0")
+        assert (code, out, err) == (2, "", "error: --params takes %s\n" % want)
+
     def test_param_with_vanishing_denominator_exit_2(self, capsys):
         code, out, err = run(capsys, "algebra", "dim", "--weights", "2,2,2,2",
                              "--params", "1/7", "--field", "7",
@@ -170,6 +180,16 @@ class TestVerifyCommand:
         assert report["summary"] == "fail"
         assert report["error"]["type"] == "RelationError"
         assert json.loads(out) == report
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "B", "--field", "7", "--window", "6"],
+        ["--case", "A", "--field", "5", "--window", "4", "--tamper", "lambda=2"],
+    ], ids=["pass", "error"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "verify", *argv, "--out", str(out_path))
+        assert code in (0, 1) and out.startswith("{")
+        assert out_path.read_bytes() == out.encode()
 
     def test_constant_unavailable_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "C", "--field", "7",

@@ -26,6 +26,12 @@ The ``group admissible`` answers at window 256 and the ``group fiber``
 answers at elements of negative level were pinned while fibers and
 admissibility were still computed on ``GroupElement`` values, before they
 moved onto (l, torsion) int tuples.
+
+Case A at window 2000, the ``--config`` report of a map that is neither
+admissible nor onto (``CONFIG_FAIL``) and a ``--tamper`` pass report on a
+config were pinned while the report was still the output of
+``json.dumps(report, sort_keys=True, indent=2)`` on its whole dict form,
+before records were written one format string each.
 """
 
 import hashlib
@@ -156,6 +162,8 @@ GOLDEN = [
      "016c01bea792f5da32355a54ac48fd32966bd841af05018e5b17b0d2e182d8e0"),
     ("group fiber --case D --elem -3;0,0,0,0", 0,
      "d849157022467099e620122b10c81c854992a1aed20e937b8d183b4a9bc0f180"),
+    ("verify --case A --window 2000", 0,
+     "2ec8d4e7e495e6fe78836a025eb7865c079754e6e360d6b4ff59edec1b029c8e"),
 ]
 
 #: the documents ``perfbench/workloads.py::case_config`` writes for cases A-D
@@ -188,15 +196,29 @@ CONFIG_D = {"source": {"params": ["1", "(3-2*s)/(3+2*s)"], "weights": [2, 2, 2, 
                     [["1", [0, 2, 0, 0]], ["-(1+s)", [2, 0, 0, 0]]],
                     [["1", [0, 2, 0, 0]], ["-(1-s)", [2, 0, 0, 0]]]],
             "field": "7", "window": 8}
+#: (2,2) -> (2,2) sending both generators to x_1: the group map is not
+#: effective and its fibers over x_1 and c are too large, and the image
+#: misses x_2, so records fail on both counts
+CONFIG_FAIL = {"source": {"params": [], "weights": [2, 2]},
+               "target": {"params": [], "weights": [2, 2]},
+               "constants": {},
+               "pi": ["0;1,0", "0;1,0"],
+               "phi": [[["1", [1, 0]]], [["1", [1, 0]]]],
+               "field": "rationals", "window": 6}
 
+#: (name, document, further arguments, exit code, digest)
 CONFIG_GOLDEN = [
-    ("A/Q", dict(CONFIG_A, field="rationals"),
+    ("A/Q", dict(CONFIG_A, field="rationals"), [], 0,
      "a2fc999a5817878966958b3e755fef6926a5399a6511d028a000e369341170bc"),
-    ("A/5", dict(CONFIG_A, field="5"),
+    ("A/5", dict(CONFIG_A, field="5"), [], 0,
      "57b66a384b502db519cdf43e2cd0be0d72cd8799d131acbe23438f30a209d735"),
-    ("B/7", CONFIG_B, "82052e19c854c4462bce8decbfc8181200413565e0d5d53d29d4d09e1cad7bfc"),
-    ("C/5", CONFIG_C, "6d528da325e002f390f4a1f4927d41f42d62eaf3f0d17f02fe7202d46d060b6c"),
-    ("D/7", CONFIG_D, "31d22806ac003625f01353033e7d1532014fc91e30725ff4457448b6878bd277"),
+    ("B/7", CONFIG_B, [], 0, "82052e19c854c4462bce8decbfc8181200413565e0d5d53d29d4d09e1cad7bfc"),
+    ("C/5", CONFIG_C, [], 0, "6d528da325e002f390f4a1f4927d41f42d62eaf3f0d17f02fe7202d46d060b6c"),
+    ("D/7", CONFIG_D, [], 0, "31d22806ac003625f01353033e7d1532014fc91e30725ff4457448b6878bd277"),
+    ("fail/Q", CONFIG_FAIL, [], 1,
+     "ff2ddd6e2553bc56b35acc44015e86dd53fda28c1e2bc569caf1605b02ac92a6"),
+    ("A/5 tamper", dict(CONFIG_A, field="5"), ["--tamper", "lambda=-1"], 0,
+     "ebfc1c893e4601dad157a46699973769634c075a3f9955b6659d28f45840110d"),
 ]
 
 
@@ -207,10 +229,11 @@ def test_verify_stdout_bytes(argv, code, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name,doc,digest", CONFIG_GOLDEN, ids=[g[0] for g in CONFIG_GOLDEN])
-def test_config_stdout_bytes(name, doc, digest, capsys, tmp_path):
+@pytest.mark.parametrize("name,doc,args,code,digest", CONFIG_GOLDEN,
+                         ids=[g[0] for g in CONFIG_GOLDEN])
+def test_config_stdout_bytes(name, doc, args, code, digest, capsys, tmp_path):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
-    assert main(["verify", "--config", str(path)]) == 0
+    assert main(["verify", "--config", str(path), *args]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,11 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import reference_report
 from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, PrimeField,
                     RationalField, RelationError, builtin_case,
                     builtin_group_hom, expected_kernel, find_admissible_primes,
-                    row_rank)
+                    homverify, row_rank)
+from wpline.homverify import VerificationResult
+from wpline.stringgroup import AdmissibilityReport, GroupElement, WeightSequence
 
 Q = RationalField()
 F5 = PrimeField(5)
@@ -158,20 +163,96 @@ class TestVerifyWindow:
 
     def test_report_shape_and_determinism(self, case_specs):
         result = case_specs["B"].algebra_hom.verify_window(5)
-        report = result.to_report(case="B", field_name="7",
-                                  constants=case_specs["B"].report_constants())
-        blob1 = json.dumps(report, sort_keys=True, indent=2)
+        blob1 = result.to_report(case="B", field_name="7",
+                                 constants=case_specs["B"].report_constants())
         result2 = builtin_case("B", F7).algebra_hom.verify_window(5)
-        report2 = result2.to_report(case="B", field_name="7",
-                                    constants=case_specs["B"].report_constants())
-        blob2 = json.dumps(report2, sort_keys=True, indent=2)
+        blob2 = result2.to_report(case="B", field_name="7",
+                                  constants=case_specs["B"].report_constants())
         assert blob1 == blob2
+        report = json.loads(blob1)
         assert set(report) == {"case", "field", "window", "admissible", "kernel",
                                "constants", "records", "summary"}
         record = report["records"][0]
         assert set(record) == {"degree", "fiber", "source_dim", "target_dim",
                                "image_rank", "pass"}
         assert report["summary"] == "pass"
+
+
+    def test_group_elements_only_for_eliminated_records(self, monkeypatch):
+        """verify_window builds a GroupElement for each record it sends to
+        check_surjective_at and each of its fiber elements, and for no other
+        record."""
+        hom = builtin_case("A", Q).algebra_hom
+        built, eliminated = [], []
+
+        class Counting(GroupElement):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        plain = AlgebraHom.check_surjective_at
+
+        def spy(self, x, fiber=None):
+            eliminated.append(1 + len(fiber))
+            return plain(self, x, fiber)
+
+        monkeypatch.setattr(homverify, "GroupElement", Counting)
+        monkeypatch.setattr(AlgebraHom, "check_surjective_at", spy)
+        result = hom.verify_window(40)
+        assert result.passed
+        assert len(built) <= sum(eliminated)
+        assert 4 * sum(eliminated) < len(result.entries)
+
+
+#: the keys of a report without its extras
+REPORT_KEYS = {"case", "field", "window", "admissible", "kernel", "constants", "records",
+               "summary"}
+
+
+def _pairs(weights):
+    """(l, torsion) pairs of a string group, negative levels included."""
+    return st.tuples(st.integers(-30, 30),
+                     st.tuples(*(st.integers(0, p - 1) for p in weights.weights)))
+
+
+@st.composite
+def verification_results(draw):
+    """Results with random degrees, fibers of 1 to 4 elements, passing and
+    failing counts, and admissibility reports that may be non-admissible."""
+    src, tgt = (draw(st.lists(st.integers(2, 6), min_size=2, max_size=4).map(WeightSequence),
+                     label=name) for name in ("source", "target"))
+    counts = st.one_of(st.integers(0, 5).map(lambda n: (n, n, n)),
+                       st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
+    entries = draw(st.lists(st.tuples(_pairs(tgt), st.lists(_pairs(src), min_size=1, max_size=4),
+                                      counts), max_size=8), label="entries")
+    kernel = draw(st.lists(_pairs(src), max_size=3), label="kernel")
+    failures = draw(st.lists(st.tuples(_pairs(tgt), st.integers(0, 5), st.integers(0, 5)),
+                             max_size=2), label="failures")
+    window = draw(st.integers(1, 30), label="window")
+    admissibility = AdmissibilityReport(
+        effective=draw(st.booleans(), label="effective"), window=window,
+        checked=len(entries),
+        failures=tuple((GroupElement(tgt, *x), a, b) for x, a, b in failures),
+        kernel=tuple(GroupElement(src, *y) for y in kernel), edge_regime_ok=True)
+    return VerificationResult(
+        window=window, admissibility=admissibility, source=src, target=tgt,
+        entries=tuple((l, tor, tuple(fiber), *dims) for (l, tor), fiber, dims in entries))
+
+
+_JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.text(),
+                            lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(), inner, max_size=3),
+                            max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(verification_results(), st.text(), st.text(),
+       st.dictionaries(st.text(), st.text(), max_size=3),
+       st.dictionaries(st.text().filter(lambda k: k not in REPORT_KEYS), _JSON_VALUES,
+                       max_size=3))
+def test_report_text_matches_the_encoder(result, case, field_name, constants, extra):
+    assert (result.to_report(case, field_name, constants, extra)
+            == reference_report(result, case, field_name, constants, extra))
 
 
 class TestBuiltinCases:

@@ -14,7 +14,7 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from reference import reference_records, reference_rows
+from reference import reference_records, reference_report, reference_rows
 from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
@@ -117,8 +117,8 @@ def _random_images(data, algebra, degrees, coeff=None):
 def test_random_homogeneous_maps_match_reference(monkeypatch):
     """Unchecked maps with random images of the degrees the group map demands
     (sometimes zero, sparse or proportional, mostly of deficient rank) give
-    the reference records, and some of them are inferred by level
-    induction: fewer rank calls than records."""
+    the reference records and report text, and some of them are inferred by
+    level induction: fewer rank calls than records."""
     calls = _rank_calls(monkeypatch)
     inferred = []
 
@@ -138,6 +138,8 @@ def test_random_homogeneous_maps_match_reference(monkeypatch):
         assert got == outcome(reference_records, hom, window)
         if isinstance(got, list):
             inferred.append(len(calls) < len(got))
+            result = hom.verify_window(window)
+            assert result.to_report(cid, field.name) == reference_report(result, cid, field.name)
 
     check()
     assert any(inferred)
