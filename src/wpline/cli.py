@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import CoordinateAlgebra
@@ -36,6 +37,23 @@ def _weights(text: str) -> WeightSequence:
 
 def _render(elem, pretty: bool) -> str:
     return elem.pretty() if pretty else str(elem)
+
+
+def _out(value):
+    """Print to stdout; once its reader has gone, stdout is os.devnull (the
+    "Note on SIGPIPE" of the Python signal module documentation), so the
+    command runs on and keeps its exit code, and nothing is reported at
+    exit."""
+    try:
+        print(value)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout():
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 @functools.cache
@@ -125,34 +143,34 @@ def _cmd_group(args) -> int:
     if sc in ("normal-form", "add", "order", "dualizing", "tubular"):
         ws = _weights(args.weights)
         if sc == "normal-form":
-            print(_render(ws.parse(args.elem[0]), pretty))
+            _out(_render(ws.parse(args.elem[0]), pretty))
         elif sc == "add":
             if len(args.elem) != 2:
                 raise UsageError("add needs exactly two --elem values")
             a, b = (ws.parse(e) for e in args.elem)
-            print(_render(a + b, pretty))
+            _out(_render(a + b, pretty))
         elif sc == "order":
             n = ws.parse(args.elem[0]).order()
-            print("infinity" if n == float("inf") else str(n))
+            _out("infinity" if n == float("inf") else str(n))
         elif sc == "dualizing":
-            print(_render(ws.dualizing_element(), pretty))
+            _out(_render(ws.dualizing_element(), pretty))
         elif sc == "tubular":
-            print("true" if ws.is_tubular() else "false")
+            _out("true" if ws.is_tubular() else "false")
         return 0
 
     hom = builtin_group_hom(args.case)
     if sc == "kernel":
         for k in sorted(hom.kernel(), key=_kernel_sort_key):
-            print(_render(k, pretty))
+            _out(_render(k, pretty))
         return 0
     if sc == "fiber":
         x = hom.target.parse(args.elem[0])
         for y in sorted(hom.fiber(x), key=_sort_key):
-            print(_render(y, pretty))
+            _out(_render(y, pretty))
         return 0
     if sc == "admissible":
         rep = hom.is_admissible(args.window)
-        print(json.dumps({
+        _out(json.dumps({
             "admissible": rep.admissible,
             "effective": rep.effective,
             "window": rep.window,
@@ -192,16 +210,16 @@ def _cmd_algebra(args) -> int:
     sc = args.subcommand
     if sc == "dim":
         x = alg.weights.parse(args.degree)
-        print(alg.dim(x))
+        _out(alg.dim(x))
         return 0
     if sc == "basis":
         x = alg.weights.parse(args.degree)
         basis = alg.component_basis(x)
         if args.as_json:
-            print(json.dumps([list(e) for e in basis]))
+            _out(json.dumps([list(e) for e in basis]))
         else:
             monos = [str(alg.reduce_monomial(e)) for e in basis]
-            print("[%s]" % ", ".join(monos))
+            _out("[%s]" % ", ".join(monos))
         return 0
     if sc == "reduce":
         try:
@@ -209,7 +227,7 @@ def _cmd_algebra(args) -> int:
         except ValueError:
             raise UsageError("bad --monomial value %r" % args.monomial) from None
         coeff = parse_scalar(args.coeff, alg.field)
-        print(alg.reduce_monomial(exps, coeff))
+        _out(alg.reduce_monomial(exps, coeff))
         return 0
     if sc == "hilbert":
         if args.torsion.strip():
@@ -218,7 +236,7 @@ def _cmd_algebra(args) -> int:
             tor = (0,) * len(alg.weights)
         for l in range(args.lmin, args.lmax + 1):
             x = alg.weights.normalize(l, tor)
-            print("%d %d" % (l, alg.dim(x)))
+            _out("%d %d" % (l, alg.dim(x)))
         return 0
     raise UsageError("unknown algebra subcommand %r" % sc)
 
@@ -263,7 +281,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    _out(text)
     return 0 if passed else 1
 
 
@@ -315,6 +333,11 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print("error: division by zero in an input value (%s)" % exc, file=sys.stderr)
         return 2
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 def entry():  # console-script hook

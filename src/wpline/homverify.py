@@ -232,37 +232,57 @@ class DegreeRecord:
         }
 
 
-#: one record of the report at its indent in json.dumps(report, sort_keys=True,
-#: indent=2): degree level and torsion, fiber items, rank, pass, dimensions
-_RECORD = ('    {\n      "degree": "%d;%s",\n      "fiber": [\n        "%s"\n      ],\n'
-           '      "image_rank": %d,\n      "pass": %s,\n      "source_dim": %d,\n'
-           '      "target_dim": %d\n    }')
+#: the records of one fiber class at their indent in json.dumps(report,
+#: sort_keys=True, indent=2), with the degree torsion and the fiber torsions
+#: (in the order of the class) still to be written in
+_RECORD = ('    {\n      "degree": "%%d;%s",\n      "fiber": [\n        "%s"\n      ],\n'
+           '      "image_rank": %%d,\n      "pass": %%s,\n      "source_dim": %%d,\n'
+           '      "target_dim": %%d\n    }')
 #: between two fiber items of a record
 _FIBER_SEP = '",\n        "'
 
 
-class _Joined(dict):
-    """Torsion tuple -> its entries joined by commas, each joined once."""
+def _record_format(torsion: tuple, pairs: tuple) -> tuple[str, tuple[int, ...]]:
+    """The format string of the records of a fiber class (torsion, pairs)
+    and the level offsets of its pairs: the record at level l, shift s is
+    fmt % (l, *(off + s for off in offsets), image_rank, pass, source_dim,
+    target_dim).  Torsions are digits and commas, so no "%" is written in."""
+    fiber = _FIBER_SEP.join(["%d;" + ",".join(map(str, r)) for _, r in pairs])
+    return (_RECORD % (",".join(map(str, torsion)), fiber),
+            tuple([off for off, _ in pairs]))
 
-    def __missing__(self, torsion: tuple) -> str:
-        text = self[torsion] = ",".join(map(str, torsion))
-        return text
 
-
-@dataclass
 class VerificationResult:
     """Admissibility of the group map plus one entry per image degree on a
     window.  An entry is (l, torsion, pairs, source_dim, target_dim,
     image_rank): the degree as its target pair, its fiber as the sorted
-    source pairs (l, r) of ``GroupHom.window_fibers`` (never empty), and the
-    counts of its :class:`DegreeRecord`.  ``records`` builds those records,
-    with their ``GroupElement``s, on first access."""
+    source pairs (l, r) of ``GroupHom.window_fibers`` (never empty), and
+    the counts of its :class:`DegreeRecord`.
 
-    window: int
-    admissibility: AdmissibilityReport
-    source: WeightSequence
-    target: WeightSequence
-    entries: tuple[tuple, ...]
+    A result keeps each entry in the compact form (fiber class, l, shift,
+    source_dim, target_dim, image_rank): the class is (torsion, pairs),
+    and the fiber is its pairs moved up ``shift`` levels.
+    ``verify_window`` passes ``compact`` entries whose classes are those of
+    the period table of ``GroupHom._classes``, each shared by every level
+    of its class; given ``entries``, each is its own class at shift 0.
+    ``entries`` and ``records`` (with their ``GroupElement``s) are built on
+    first access.
+    """
+
+    def __init__(self, window: int, admissibility: AdmissibilityReport, source: WeightSequence,
+                 target: WeightSequence, entries: tuple[tuple, ...] = (), *,
+                 compact: list[tuple] | None = None):
+        self.window = window
+        self.admissibility = admissibility
+        self.source = source
+        self.target = target
+        self.compact = compact if compact is not None else [
+            ((tor, pairs), l, 0, s, t, rank) for l, tor, pairs, s, t, rank in entries]
+
+    @cached_property
+    def entries(self) -> tuple[tuple, ...]:
+        return tuple((l, tor, tuple([(off + shift, r) for off, r in pairs]), s, t, rank)
+                     for (tor, pairs), l, shift, s, t, rank in self.compact)
 
     @cached_property
     def records(self) -> tuple[DegreeRecord, ...]:
@@ -275,7 +295,7 @@ class VerificationResult:
     @property
     def passed(self) -> bool:
         return self.admissibility.admissible and all(
-            s == t == rank for _, _, _, s, t, rank in self.entries)
+            s == t == rank for _, _, _, s, t, rank in self.compact)
 
     def failing_records(self) -> tuple[DegreeRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
@@ -285,10 +305,12 @@ class VerificationResult:
         """The report as JSON text: the bytes of json.dumps(report,
         sort_keys=True, indent=2) on its dict form, whose records are the
         ``as_dict`` of each record; ``extra`` adds top-level keys such as
-        ``tamper``.  Every key but the records goes through json.dumps.  Each
-        record is one format string, spliced in at the one top-level
-        ``"records": []`` of that dump: a JSON string holds no raw newline,
-        and nested keys sit deeper than two spaces."""
+        ``tamper``.  Every key but the records goes through json.dumps.  The
+        records of a fiber class share one format string (``_RECORD``),
+        made once per class (keyed by identity, as ``compact`` holds them),
+        and are spliced in at the one top-level ``"records": []`` of that
+        dump: a JSON string holds no raw newline, and nested keys sit
+        deeper than two spaces."""
         report = {
             "case": case,
             "field": field_name,
@@ -302,15 +324,18 @@ class VerificationResult:
         if extra:
             report.update(extra)
         text = json.dumps(report, sort_keys=True, indent=2)
-        if not self.entries:
+        if not self.compact:
             return text
-        tors = _Joined()
-        records = ",\n".join([
-            _RECORD % (l, tors[tor], _FIBER_SEP.join([f"{yl};{tors[r]}" for yl, r in pairs]),
-                       rank, "true" if s == t == rank else "false", s, t)
-            for l, tor, pairs, s, t, rank in self.entries])
+        formats = {}
+        records = []
+        for cls, l, shift, s, t, rank in self.compact:
+            fmt = formats.get(id(cls))
+            if fmt is None:
+                fmt = formats[id(cls)] = _record_format(*cls)
+            records.append(fmt[0] % (l, *[off + shift for off in fmt[1]], rank,
+                                     "true" if s == t == rank else "false", s, t))
         head, _, tail = text.partition('\n  "records": []')
-        return "".join([head, '\n  "records": [\n', records, "\n  ]", tail])
+        return "".join([head, '\n  "records": [\n', ",\n".join(records), "\n  ]", tail])
 
 
 class AlgebraHom:
@@ -544,27 +569,36 @@ class AlgebraHom:
 
     def verify_window(self, window: int) -> VerificationResult:
         """Admissibility plus a degree entry for every image degree with
-        |l| <= window, in deterministic order.  Records are visited by
-        level, and with an induction level m a record below level 0, or at
-        l >= 2m - 1 above a surjective one, is (sum of fiber mults, mult(x),
-        mult(x)) without rows.  Only the records that are eliminated get
+        |l| <= window, in deterministic order.  Records are visited level by
+        level on the fibers of ``GroupHom.window_fibers``, and with an
+        induction level m a record below level 0, or at l >= 2m - 1 above a
+        surjective one, is (sum of fiber mults, mult(x), mult(x)) without
+        rows; that sum is mult(x) unless admissibility lists x among its
+        failures.  Only the records that are eliminated get
         ``GroupElement``s, for ``check_surjective_at``."""
-        buckets = self.group_hom.window_fibers(window)
-        admissibility = self.group_hom.is_admissible(window, buckets)
+        fibers = self.group_hom.window_fibers(window)
+        admissibility = self.group_hom.is_admissible(window)
+        totals = {(x.l, x.torsion): got for x, got, _ in admissibility.failures}
         m = self._induction_level()
         src, tgt = self.group_hom.source, self.group_hom.target
-        onto = set()  # (l, torsion) of the surjective records
-        entries = []
-        for (l, tor), pairs in buckets.items():
-            if m and (l < 0 or l >= 2 * m - 1 and (l - m, tor) in onto):
-                source_dim = sum([yl + 1 for yl, _ in pairs if yl >= 0])
-                target_dim = rank = max(l + 1, 0)
-            else:
+        # (l, torsion) of the records that are not surjective.  The record m
+        # levels below one at l >= 2m - 1 is in the window and in the same
+        # class of the period table (n = 1 there, and m is its period), so
+        # it was visited first.
+        deficient = set()
+        compact = []
+        for l, shift, classes in fibers.levels():
+            mult = max(l + 1, 0)
+            above = m and l >= 2 * m - 1
+            for cls in classes:
+                tor, pairs = cls
+                if m and l < 0 or above and (l - m, tor) not in deficient:
+                    compact.append((cls, l, shift, totals.get((l, tor), mult), mult, mult))
+                    continue
                 rec = self.check_surjective_at(
-                    GroupElement(tgt, l, tor), tuple(GroupElement(src, yl, r) for yl, r in pairs))
-                source_dim, target_dim, rank = rec.source_dim, rec.target_dim, rec.image_rank
-            if rank == target_dim:
-                onto.add((l, tor))
-            entries.append((l, tor, pairs, source_dim, target_dim, rank))
-        return VerificationResult(window=window, admissibility=admissibility,
-                                  source=src, target=tgt, entries=tuple(entries))
+                    GroupElement(tgt, l, tor),
+                    tuple(GroupElement(src, off + shift, r) for off, r in pairs))
+                if rec.image_rank < rec.target_dim:
+                    deficient.add((l, tor))
+                compact.append((cls, l, shift, rec.source_dim, rec.target_dim, rec.image_rank))
+        return VerificationResult(window, admissibility, src, tgt, compact=compact)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -376,71 +377,146 @@ class GroupHom:
     def kernel(self) -> set[GroupElement]:
         return set(self._kernel)
 
-    def window_fibers(self, window: int) -> dict[tuple, tuple[tuple, ...]]:
-        """All nonempty fibers over elements with |l| <= window, as a dict
-        sorted by key: target (l, torsion) -> sorted source pairs (l, r).
+    @cached_property
+    def _classes(self) -> tuple[int, int, dict]:
+        """The period table (n, m, by_class), with (n, m) = ``_period``:
+        by_class maps each class c of target levels mod m to [(xt, pairs)],
+        sorted by xt, and the fiber of (L, xt) for L = c (mod m) is
+        [(off + (L // m) n, r) for off, r in pairs], sorted.
 
-        Solves per class of source elements instead of per target element;
-        both give the same fibers, and property tests cross-check them
-        against :meth:`fiber`.  With (n, m) = ``_period``, the image of
-        (j + k n) c_S + r is that of j c_S + r moved up k m levels.  So one
-        normal form (xl, xt) per residue r and class of j mod n puts the
-        pair (j + k n, r) over (xl + k m, xt) for every k: over each target
-        (L, xt) with L = xl (mod m) sits the pair
-        (j - (xl // m) n + (L // m) n, r), and the pairs of a fiber keep one
-        order as L moves.
+        The image of (j + k n) c_S + r is that of j c_S + r moved up k m
+        levels.  So one normal form (xl, xt) per residue r and class j of
+        source levels mod n puts the pair (j + k n, r) over (xl + k m, xt)
+        for every k, that is, the pair (j - (xl // m) n + (L // m) n, r)
+        over each (L, xt) with L = xl (mod m); the pairs of a fiber keep
+        one order as L moves.  Property tests cross-check the fibers
+        against :meth:`fiber`.  A table of more than MAX_RESIDUES entries
+        raises ValueError before any is made.
         """
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        d_c = self._canonical_degree()
-        tgt = self.target
-        tw, lcm = tgt.weights, tgt.lcm
-        max_tor = sum((p - 1) * d for p, d in zip(tw, tgt.degree_weights))
-        lo, hi = -window * lcm, window * lcm + max_tor
-        cl, ct = self.c_image.l, self.c_image.torsion
+        self._canonical_degree()
         n, m = self._period
+        if n * len(self._residues) > MAX_RESIDUES:
+            raise ValueError("a period table of %d residues and %d level classes is larger "
+                             "than the %d entries a group map solves fibers over"
+                             % (len(self._residues), n, MAX_RESIDUES))
+        tw = self.target.weights
+        cl, ct = self.c_image.l, self.c_image.torsion
         groups: dict[tuple, list] = defaultdict(list)  # (xl mod m, xt) -> (offset, r)
-        for r, hl, ht, hd in self._residues:
-            # the source levels whose images have a degree the window reaches:
-            # every class of them that meets the window, once
-            if d_c > 0:
-                lmin, lmax = _ceil_div(lo - hd, d_c), (hi - hd) // d_c
-            else:
-                lmin, lmax = _ceil_div(hi - hd, d_c), (lo - hd) // d_c
-            for j in range(lmin, min(lmax + 1, lmin + n)):
+        for r, hl, ht, _ in self._residues:
+            for j in range(n):
                 xl, xt = _normal(tw, j * cl + hl, [j * a + b for a, b in zip(ct, ht)])
                 groups[(xl % m, xt)].append((j - xl // m * n, r))
-        by_class = defaultdict(list)  # L mod m -> (xt, sorted pairs at offset), by xt
+        by_class = defaultdict(list)
         for (c, xt), pairs in sorted(groups.items()):
-            by_class[c].append((xt, sorted(pairs)))
-        out = {}
-        for L in range(-window, window + 1):
-            shift = L // m * n
-            for xt, pairs in by_class.get(L % m, ()):
-                out[(L, xt)] = tuple([(off + shift, r) for off, r in pairs])
-        return out
+            by_class[c].append((xt, tuple(sorted(pairs))))
+        return n, m, dict(by_class)
 
-    def is_admissible(self, window: int = 64, fibers: dict | None = None) -> AdmissibilityReport:
+    def window_fibers(self, window: int) -> "WindowFibers":
+        """All nonempty fibers over elements with |l| <= window, as a
+        read-only mapping sorted by key: target (l, torsion) -> sorted
+        source pairs (l, r).  It is a view on the period table
+        ``_classes``, so it costs nothing per key until read."""
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        return WindowFibers(self._classes, window)
+
+    def is_admissible(self, window: int = 64) -> AdmissibilityReport:
         """Effectiveness plus the fiber mult-sum condition on every image
-        element in the window; ``fibers`` is ``window_fibers(window)`` when
-        already at hand."""
-        buckets = self.window_fibers(window) if fibers is None else fibers
+        element in the window, in closed form per entry (xt, pairs) of a
+        class c of the period table.  At L = c + k m the fiber total
+        sum(off + k n + 1 for off + k n >= 0) and mult(L) = max(L + 1, 0)
+        are affine in k between the points where a pair level or L + 1
+        crosses 0.  On each such piece their difference is zero everywhere
+        or at one k at most, so failures are listed where they occur and
+        the cost does not grow with the window."""
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        n, m, by_class = self._classes
         failures = []
-        edge_ok = True
-        for (l, tor), fib in buckets.items():
-            want = max(l + 1, 0)
-            total = sum([yl + 1 for yl, _ in fib if yl >= 0])
-            if total != want:
-                failures.append((GroupElement(self.target, l, tor), total, want))
-            if l == window and any(yl < 0 for yl, _ in fib):
-                edge_ok = False
-            if l == -window and (want or any(yl >= 0 for yl, _ in fib)):
-                edge_ok = False
+        checked = 0
+        for c, classes in by_class.items():
+            ks = _levels_of_class(c, m, window)
+            checked += len(classes) * len(ks)
+            if not ks:
+                continue
+            # mult(L) is L + 1 from this k on (m > 0), or before it (m < 0)
+            mult_cut = _ceil_div(-c - 1, m) if m > 0 else (-c - 1) // m + 1
+            for xt, pairs in classes:
+                cuts = {mult_cut, *(_ceil_div(-off, n) for off, _ in pairs)}
+                starts = sorted({ks.start, *(k for k in cuts if ks.start < k < ks.stop)})
+                for a, b in zip(starts, starts[1:] + [ks.stop]):
+                    live = [off + 1 for off, _ in pairs if off + a * n >= 0]
+                    t0, t1 = sum(live), len(live) * n  # total = t0 + t1 k
+                    w0, w1 = (c + 1, m) if c + a * m + 1 >= 0 else (0, 0)  # mult = w0 + w1 k
+                    d0, d1 = t0 - w0, t1 - w1
+                    if d0 or d1:
+                        root = -d0 // d1 if d1 and not d0 % d1 else None
+                        failures.extend((c + k * m, xt, t0 + t1 * k, w0 + w1 * k)
+                                        for k in range(a, b) if k != root)
+        failures.sort()
+        # at the top edge every fiber level is nonnegative, and at the bottom
+        # (where mult is 0, as window >= 1) every fiber level is negative
+        top, bottom = window, -window
+        edge_ok = (all(pairs[0][0] + top // m * n >= 0 for _, pairs in by_class.get(top % m, ()))
+                   and all(pairs[-1][0] + bottom // m * n < 0
+                           for _, pairs in by_class.get(bottom % m, ())))
         return AdmissibilityReport(
             effective=self.is_effective(),
             window=window,
-            checked=len(buckets),
-            failures=tuple(failures),
+            checked=checked,
+            failures=tuple((GroupElement(self.target, l, tor), total, want)
+                           for l, tor, total, want in failures),
             kernel=self._kernel,
             edge_regime_ok=edge_ok,
         )
+
+
+def _levels_of_class(c: int, m: int, window: int) -> range:
+    """The k with -window <= c + k m <= window."""
+    if m > 0:
+        return range(_ceil_div(-window - c, m), (window - c) // m + 1)
+    return range(_ceil_div(window - c, m), (-window - c) // m + 1)
+
+
+class WindowFibers(Mapping):
+    """The fibers of ``GroupHom.window_fibers``: a read-only mapping from
+    target (l, torsion) with |l| <= window to the sorted source pairs
+    (l, r) over it, iterated in key order, on the period table (n, m,
+    by_class) of ``GroupHom._classes``.  Its length is counted per class,
+    an item is made by arithmetic when read, and keys outside the window
+    raise KeyError."""
+
+    def __init__(self, table: tuple[int, int, dict], window: int):
+        self._n, self._m, self._by_class = table
+        self.window = window
+
+    def levels(self) -> Iterator[tuple[int, int, list]]:
+        """(L, shift, classes) for every level L of the window with a
+        nonempty fiber, ascending: the fibers at L are, for each (xt, pairs)
+        of classes in order, [(off + shift, r) for off, r in pairs]."""
+        n, m, by_class = self._n, self._m, self._by_class
+        for L in range(-self.window, self.window + 1):
+            classes = by_class.get(L % m)
+            if classes:
+                yield L, L // m * n, classes
+
+    def __len__(self) -> int:
+        return sum(len(classes) * len(_levels_of_class(c, self._m, self.window))
+                   for c, classes in self._by_class.items())
+
+    def __iter__(self) -> Iterator[tuple]:
+        for L, _, classes in self.levels():
+            for xt, _ in classes:
+                yield L, xt
+
+    def __getitem__(self, key: tuple) -> tuple[tuple, ...]:
+        try:
+            L, xt = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if -self.window <= L <= self.window:
+            for t, pairs in self._by_class.get(L % self._m, ()):
+                if t == xt:
+                    shift = L // self._m * self._n
+                    return tuple([(off + shift, r) for off, r in pairs])
+        raise KeyError(key)

@@ -1,12 +1,18 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wpline import PrimeField, RationalField, VerifyConfig, parse_scalar
+from wpline import PrimeField, RationalField, VerifyConfig, builtin_group_hom, parse_scalar
 from wpline.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -81,6 +87,23 @@ class TestGroupCommands:
     def test_bad_weights_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "dualizing", "--weights", "4,x")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("case,checked", [("A", 16000000008), ("B", 8000000004),
+                                              ("C", 18000000009), ("D", 8000000004)])
+    def test_admissible_at_any_window(self, case, checked):
+        """Admissibility is in closed form per class of the period table, so
+        a window of 10^9 answers as fast as a small one."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "wpline", "group", "admissible", "--case",
+                               case, "--window", "1000000000"], env=env, capture_output=True,
+                              text=True, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["checked"] == checked
+        assert data["admissible"] and data["edge_regime_ok"] and data["failures"] == []
+        h = builtin_group_hom(case)
+        for w in (1, 7, 1000):
+            assert h.is_admissible(w).checked == len(h.window_fibers(w))
 
 
 class TestAlgebraCommands:
@@ -591,3 +614,34 @@ class TestConfig:
         code, out, err = run(capsys, "verify", "--config", str(path))
         assert (code, out) == (2, "")
         assert err == "error: malformed verification config: %s\n" % message
+
+
+#: (2,2) -> (2,2) sending both generators to x_1: neither admissible nor onto
+CONFIG_FAIL = {"source": {"params": [], "weights": [2, 2]},
+               "target": {"params": [], "weights": [2, 2]},
+               "constants": {}, "pi": ["0;1,0", "0;1,0"],
+               "phi": [[["1", [1, 0]]], [["1", [1, 0]]]], "field": "5"}
+
+
+@pytest.mark.parametrize("args,code", [
+    (["--case", "B", "--field", "7"], 0),
+    (["--config", "fail.json"], 1),
+], ids=["pass", "fail"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, args, code):
+    """A reader that stops after one line of a report of well over a pipe's
+    buffer: verify still exits with its own code, and prints nothing on
+    stderr (no error, no "Exception ignored" at exit)."""
+    (tmp_path / "fail.json").write_text(json.dumps(CONFIG_FAIL))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "wpline", "verify", *args, "--window", "200"],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""

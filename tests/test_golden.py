@@ -32,6 +32,11 @@ admissible nor onto (``CONFIG_FAIL``) and a ``--tamper`` pass report on a
 config were pinned while the report was still the output of
 ``json.dumps(report, sort_keys=True, indent=2)`` on its whole dict form,
 before records were written one format string each.
+
+The ``group admissible`` answers at windows 1 and 1000 and case B over F_7 at
+window 1, whose base levels the window cuts, were pinned while fibers were
+still a dict built level by level and admissibility walked every image
+degree of the window, before both came from the period table.
 """
 
 import hashlib
@@ -164,6 +169,24 @@ GOLDEN = [
      "d849157022467099e620122b10c81c854992a1aed20e937b8d183b4a9bc0f180"),
     ("verify --case A --window 2000", 0,
      "2ec8d4e7e495e6fe78836a025eb7865c079754e6e360d6b4ff59edec1b029c8e"),
+    ("group admissible --case A --window 1", 0,
+     "a3cd9684d5b17611d90579a923485586db860031687e37850f53f8e52066abc4"),
+    ("group admissible --case B --window 1", 0,
+     "14a1d65d66afdca7d8f0563132f9d6486b1fd2ab53f9238f65a83236942acda5"),
+    ("group admissible --case C --window 1", 0,
+     "c9337efcaecd18a34d6d79dc761823bd95d970579265d9d89893e940d9c56a40"),
+    ("group admissible --case D --window 1", 0,
+     "a2de95bedae6be340a4720630c96c7f25aeabe94b99cd2024adc4bdfce61fcc5"),
+    ("group admissible --case A --window 1000", 0,
+     "40c323da46256e8c0ef4dfa279217a98bc7560155211d4b0e74122b0ebf8eef6"),
+    ("group admissible --case B --window 1000", 0,
+     "f287f0866d10a711207eb1b082b70e1d25a1642e926fbff4f4853434e57b6e84"),
+    ("group admissible --case C --window 1000", 0,
+     "c8a58e63c69c613a52e124e2147c9b8283b88760a516808ffbbb0795dbc399d7"),
+    ("group admissible --case D --window 1000", 0,
+     "4fc84d42201364b1a53b5105bd3355f042090491e0c2bc205fe12ba86a885412"),
+    ("verify --case B --field 7 --window 1", 0,
+     "e7938703adb261ed7bdd8ec231a903ab1bf816b12056db1068168ed3abd1f2a2"),
 ]
 
 #: the documents ``perfbench/workloads.py::case_config`` writes for cases A-D

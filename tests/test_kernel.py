@@ -551,6 +551,25 @@ def test_deficit_just_above_a_surjective_base_level(monkeypatch, field):
     assert rank["1;0,0,0,0"] == (0, 2) and rank["3;0,0,0,0"] == (0, 4)
 
 
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_inferred_records_of_a_non_admissible_map_count_their_whole_fiber(field):
+    """(2,2,2) -> (2,2) sending x_1 and x_3 to x_1: the fibers over the
+    degrees with torsion x_1 hold two elements of one level, so their mult
+    sum is twice the mult and admissibility fails there, while f = U and
+    g = V are coprime and the records above level 0 are inferred."""
+    source = CoordinateAlgebra((2, 2, 2), field, [1])
+    target = CoordinateAlgebra((2, 2), field, [])
+    y1, y2 = target.weights.gens
+    x1, x2 = target.gens
+    hom = AlgebraHom.unchecked(source, target, GroupHom(source.weights, target.weights,
+                                                        [y1, y2, y1]), [x1, x2, x1])
+    assert hom._induction_level() == 1
+    got = records(hom, 6)
+    assert got == reference_records(hom, 6)
+    assert not hom.verify_window(6).admissibility.admissible
+    assert any(r["source_dim"] == 2 * r["target_dim"] > 2 for r in got)
+
+
 def test_images_sharing_a_factor_are_all_eliminated(monkeypatch):
     """Case B's group map with phi(x_2) = x_4^2, so f = g = (V - 3U)^3:
     the Sylvester rank is below 6 and every record is eliminated."""

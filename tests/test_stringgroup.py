@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import (as_elements, reference_admissibility, reference_fiber,
@@ -282,6 +282,15 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             builtin_group_hom("A").is_admissible(0)
 
+    def test_period_table_size_is_capped(self):
+        # pi(c_S) = 2 x_2 is torsion-free only at n = 50001 times
+        T = WeightSequence((2, 50001))
+        x2 = T.gens[1]
+        h = GroupHom(WeightSequence((2, 2)), T, [x2, x2])
+        for call in (h.window_fibers, h.is_admissible):
+            with pytest.raises(ValueError, match="period table"):
+                call(1)
+
     def test_negation_automorphism(self):
         # canonical element maps to negative degree; fibers are singletons
         # and the mult-sum condition fails because mult is not symmetric
@@ -333,6 +342,19 @@ def group_maps(draw):
 
 L24 = WeightSequence((2, 4))
 
+#: non-admissible maps where fiber total minus mult changes sign inside one
+#: affine piece of a class: the level between passes, its neighbours in the
+#: class fail with opposite signs.  pi(c_S) = 2c in the first (n = 1, root
+#: at l = 1) and c + u_2 in the second (n = 3 with 3 pi(c_S) = 4c, root at
+#: l = 4)
+SIGN_CHANGE = [GroupHom(L24, L2222, [L2222.parse("0;0,1,1,0"), L2222.parse("-1;1,1,0,1")]),
+               GroupHom(L24, L632, [L632.parse("-1;3,2,1"), L632.parse("-1;3,1,1")])]
+
+
+def _tuples(table):
+    """A ``reference_window_fibers`` table on (l, torsion) tuples."""
+    return {(x.l, x.torsion): tuple((y.l, y.torsion) for y in ys) for x, ys in table.items()}
+
 
 class TestAgainstReference:
     """The group layer on (l, torsion) tuples against the ``GroupElement``
@@ -345,6 +367,9 @@ class TestAgainstReference:
     @example(GroupHom(L24, L333, [L333.parse("1;0,0,1"), L333.parse("0;0,0,2")]), 24, None)
     # pi(c_S) = -c has negative degree
     @example(GroupHom(L442, L442, [-g for g in L442.gens]), 24, None)
+    @example(SIGN_CHANGE[0], 24, None)
+    @example(SIGN_CHANGE[1], 24, None)
+    @example(SIGN_CHANGE[1], 1, None)
     def test_fibers_and_admissibility_match_reference(self, h, window, data):
         if h.c_image.degree() == 0:
             for call in (lambda: h.window_fibers(window), lambda: h.is_admissible(window),
@@ -361,6 +386,45 @@ class TestAgainstReference:
         if data is not None and want:
             x = data.draw(st.sampled_from(sorted(want, key=lambda e: (e.l, e.torsion))))
             assert h.fiber(x) == reference_fiber(h, x) == set(want[x])
+
+    @settings(max_examples=30, deadline=None)
+    @given(group_maps(), st.integers(25, 64))
+    def test_admissibility_matches_reference_on_wide_windows(self, h, window):
+        assume(h.c_image.degree() != 0)
+        assert h.is_admissible(window) == reference_admissibility(h, window)
+
+    @pytest.mark.parametrize("h", SIGN_CHANGE)
+    def test_sign_change_inside_a_piece(self, h):
+        _, m = h._period
+        rep = h.is_admissible(24)
+        assert rep == reference_admissibility(h, 24)
+        diff = {(x.l, x.torsion): got - want for x, got, want in rep.failures}
+        assert [(l, t) for l, t in h.window_fibers(24) if (l, t) not in diff
+                and diff.get((l - m, t), 0) * diff.get((l + m, t), 0) < 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(group_maps(), st.integers(1, 24), st.data())
+    @example(SIGN_CHANGE[1], 1, None)
+    def test_window_fibers_view(self, h, window, data):
+        assume(h.c_image.degree() != 0)
+        table = h.window_fibers(window)
+        items = list(table.items())
+        assert len(table) == len(items)
+        assert list(table) == [key for key, _ in items] == sorted(table)
+        want = _tuples(reference_window_fibers(h, window))
+        assert dict(table) == dict(items) == want
+        assert table == want
+        if data is not None and want:
+            key = data.draw(st.sampled_from(sorted(want)))
+            assert key in table and table[key] == want[key]
+        for _, classes in h._classes[2].items():
+            for xt, _ in classes:
+                for key in ((window + 1, xt), (-window - 1, xt)):
+                    assert key not in table
+                    with pytest.raises(KeyError):
+                        table[key]
+        with pytest.raises(KeyError):
+            table["0;0"]
 
     @pytest.mark.parametrize("cid", ["A", "B", "C", "D", "identity"])
     @pytest.mark.parametrize("window", [1, 7, 24])

@@ -4,12 +4,16 @@ and a traced run must still reach them and count what they do."""
 import importlib.util
 import io
 import json
+import shutil
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from wpline.cli import main
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -55,3 +59,23 @@ def test_traced_runs_reach_every_entry_point_and_count_rows():
     assert tracer.counts["homverify.rows"] == eliminated < every
     # one window_fibers call per verify run, whose length is its image degrees
     assert tracer.counts["stringgroup.image_degrees"] == degrees
+
+
+def test_short_traced_benchmark_runs_pass_their_gates(tmp_path):
+    """``perfbench/run.py --trace 1`` on every declared workload, in a copy
+    of the checkout that takes its traces: every job is correct and every
+    declared per-layer metric is reached."""
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    runs = {w: subprocess.Popen([sys.executable, "perfbench/run.py", "--workload", w,
+                                 "--seconds", "0.1", "--trace", "1"], cwd=tmp_path,
+                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            for w in workloads}
+    for w, proc in runs.items():
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, out
+        assert json.loads(out.splitlines()[-1])["correct"] is True, out
+        assert "was never reached" not in out
