@@ -48,7 +48,6 @@ class CoordinateAlgebra:
                 raise ValueError("parameters must be pairwise distinct")
         self.params = ps
         self.letter = generator_letter(weights.weights)
-        self._basis_cache: dict[GroupElement, tuple] = {}
 
     def __eq__(self, other):
         return (isinstance(other, CoordinateAlgebra)
@@ -162,27 +161,20 @@ class CoordinateAlgebra:
 
         For x = l*c + sum(l_i x_i) in normal form these are
         (a*p_1 + l_1, b*p_2 + l_2, l_3, ..., l_t) with a + b = l, so there
-        are max(l+1, 0) of them.  Memoized per algebra.
+        are max(l+1, 0) of them.
         """
         if x.weights != self.weights:
             raise ValueError("degree belongs to a different string group")
-        hit = self._basis_cache.get(x)
-        if hit is not None:
-            return hit
-        if x.l < 0:
-            basis: tuple = ()
-        else:
-            p1, p2 = self.weights.weights[0], self.weights.weights[1]
-            l1, l2 = x.torsion[0], x.torsion[1]
-            rest = x.torsion[2:]
-            basis = tuple(
-                (a * p1 + l1, (x.l - a) * p2 + l2) + rest for a in range(x.l + 1)
-            )
-        self._basis_cache[x] = basis
-        return basis
+        p1, p2 = self.weights.weights[0], self.weights.weights[1]
+        l1, l2 = x.torsion[0], x.torsion[1]
+        rest = x.torsion[2:]
+        return tuple((a * p1 + l1, (x.l - a) * p2 + l2) + rest for a in range(x.l + 1))
 
     def dim(self, x: GroupElement) -> int:
-        return len(self.component_basis(x))
+        """max(l + 1, 0), the number of monomials :meth:`component_basis` lists."""
+        if x.weights != self.weights:
+            raise ValueError("degree belongs to a different string group")
+        return max(x.l + 1, 0)
 
     def brute_force_dim(self, x: GroupElement) -> int:
         """Count canonical monomials of degree x by exhaustive enumeration.

@@ -15,7 +15,6 @@ relations exactly for that orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .config import VerifyConfig
@@ -84,16 +83,28 @@ def expected_kernel(case_id: str) -> tuple[GroupElement, ...]:
                         key=_kernel_sort_key))
 
 
-@dataclass
 class CaseSpec:
     """A case over a concrete field with its constants resolved.  The maps
     are built on first use, so that a map which breaks a relation still
     leaves the constants to report."""
 
-    case_id: str
-    config: VerifyConfig
-    field: Field
-    constants: dict
+    def __init__(self, case_id: str, config: VerifyConfig, field: Field, constants: dict):
+        self.case_id = case_id
+        self.config = config
+        self.field = field
+        self.constants = constants
+
+    def __repr__(self) -> str:
+        return ("CaseSpec(case_id=%r, config=%r, field=%r, constants=%r)"
+                % (self.case_id, self.config, self.field, self.constants))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.case_id, self.config, self.field, self.constants)
+                    == (other.case_id, other.config, other.field, other.constants))
+        return NotImplemented
+
+    __hash__ = None
 
     @cached_property
     def group_hom(self) -> GroupHom:
@@ -116,7 +127,8 @@ class CaseSpec:
         if len(params) < 2:
             raise ValueError("case %s target has no free parameter to tamper with"
                              % self.case_id)
-        return replace(self, config=replace(self.config, target_params=params[:-1] + (value,)))
+        return CaseSpec(self.case_id, self.config._replace(target_params=params[:-1] + (value,)),
+                        self.field, self.constants)
 
 
 def builtin_case(case, field: Field, lam=None, root_pick: str = "smallest") -> CaseSpec:

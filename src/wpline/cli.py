@@ -24,6 +24,10 @@ from .stringgroup import (InfiniteFiberError, WeightSequence,
                           WellDefinednessError, _kernel_sort_key, _sort_key)
 
 
+#: the most levels above --lmin that ``algebra hilbert`` lists
+MAX_LEVELS = 10 ** 6
+
+
 class UsageError(ValueError):
     pass
 
@@ -230,6 +234,9 @@ def _cmd_algebra(args) -> int:
         _out(alg.reduce_monomial(exps, coeff))
         return 0
     if sc == "hilbert":
+        if args.lmax - args.lmin > MAX_LEVELS:
+            raise UsageError("--lmax - --lmin is %d, more than the %d levels algebra hilbert "
+                             "lists" % (args.lmax - args.lmin, MAX_LEVELS))
         if args.torsion.strip():
             tor = tuple(int(v) for v in args.torsion.split(","))
         else:

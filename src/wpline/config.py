@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import CoordinateAlgebra
 from .field import ConstantUnavailable, Field, InvalidLambda, RationalField
@@ -100,8 +100,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return out
 
 
-@dataclass
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     """A verification job as loaded from JSON, with raw strings preserved.
 
     A constant is either a root, given by the ascending coefficient list of

@@ -38,9 +38,9 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, CoordinateAlgebra
 from .field import PrimeField
@@ -207,8 +207,7 @@ def _reduce(values: list, q) -> list:
     return [v % q for v in values] if q else values
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
+class DegreeRecord(NamedTuple):
     """Dimension and rank bookkeeping for one degree of the image."""
 
     degree: GroupElement

@@ -16,9 +16,8 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class WellDefinednessError(ValueError):
@@ -57,19 +56,27 @@ def _normal(weights: tuple[int, ...], l: int, raw: Iterable[int]) -> tuple[int, 
     return l, tuple(tor)
 
 
-@dataclass(frozen=True)
 class WeightSequence:
     """A tuple of weights p_i >= 2 of length at least two."""
 
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        ws = tuple(int(p) for p in self.weights)
-        object.__setattr__(self, "weights", ws)
+    def __init__(self, weights: Iterable[int]):
+        ws = tuple(int(p) for p in weights)
         if len(ws) < 2:
             raise ValueError("a weight sequence needs at least two weights")
         if any(p < 2 for p in ws):
             raise ValueError("every weight must be at least 2, got %r" % (ws,))
+        self.weights = ws
+
+    def __repr__(self) -> str:
+        return "WeightSequence(weights=%r)" % (self.weights,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weights == other.weights
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.weights,))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -141,13 +148,28 @@ class WeightSequence:
         return itertools.product(*(range(p) for p in self.weights))
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """An element in normal form: l*c + sum(l_i * x_i) with 0 <= l_i < p_i."""
 
-    weights: WeightSequence
-    l: int
-    torsion: tuple[int, ...]
+    __slots__ = ("weights", "l", "torsion")
+
+    def __init__(self, weights: WeightSequence, l: int, torsion: tuple[int, ...]):
+        self.weights = weights
+        self.l = l
+        self.torsion = torsion
+
+    def __repr__(self) -> str:
+        return "GroupElement(weights=%r, l=%r, torsion=%r)" % (self.weights, self.l,
+                                                               self.torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.weights, self.l, self.torsion) == (other.weights, other.l,
+                                                            other.torsion)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.weights, self.l, self.torsion))
 
     def __str__(self) -> str:
         return "%d;%s" % (self.l, ",".join(str(v) for v in self.torsion))
@@ -226,8 +248,7 @@ def _kernel_sort_key(e: GroupElement) -> tuple:
     return (not e.is_zero(), e.l, e.torsion)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Outcome of the effectiveness and fiber mult-sum checks on a window.
 
     ``failures`` lists (degree, fiber mult total, target mult) for every

@@ -138,6 +138,30 @@ class TestAlgebraCommands:
         assert code == 0
         assert out.splitlines() == ["-2 0", "-1 0", "0 1", "1 2", "2 3"]
 
+    def test_hilbert_range_is_capped(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "wpline", "algebra", "hilbert", "--weights",
+                               "2,3", "--lmin", "0", "--lmax", "1000000000"], env=env,
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "1000000 levels" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_hilbert_memory_is_constant(self):
+        """dim is read off the level, so listing 3001 levels keeps the
+        child's peak RSS small; a cache of every listed basis grows as
+        lmax^2 (76 MB at lmax 1000)."""
+        code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+                "from wpline.cli import main; "
+                "code = main(['algebra', 'hilbert', '--weights', '2,3', '--lmin', '0', "
+                "'--lmax', '3000']); "
+                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                              capture_output=True, text=True, timeout=60)
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3001 and lines[-1] == "3000 3001"
+        exit_code, maxrss_kb = map(int, proc.stderr.split())
+        assert exit_code == 0 and maxrss_kb < 100 * 1024
+
     def test_param_in_prime_field(self, capsys):
         code, out, _ = run(capsys, "algebra", "dim", "--weights", "2,2,2,2",
                            "--params", "3", "--field", "7",

@@ -1,4 +1,4 @@
-"""Golden bytes of ``wpline verify`` and ``wpline group``.
+"""Golden bytes of ``wpline verify``, ``wpline group`` and ``wpline algebra hilbert``.
 
 Each digest is the SHA-256 of the complete stdout of one call, pinned from
 the verifier's output before ranks moved to the binary-form kernel: the
@@ -37,6 +37,9 @@ The ``group admissible`` answers at windows 1 and 1000 and case B over F_7 at
 window 1, whose base levels the window cuts, were pinned while fibers were
 still a dict built level by level and admissibility walked every image
 degree of the window, before both came from the period table.
+
+The ``algebra hilbert`` answers were pinned while ``CoordinateAlgebra.dim``
+still listed (and kept) the component basis of every degree it counted.
 """
 
 import hashlib
@@ -187,6 +190,12 @@ GOLDEN = [
      "4fc84d42201364b1a53b5105bd3355f042090491e0c2bc205fe12ba86a885412"),
     ("verify --case B --field 7 --window 1", 0,
      "e7938703adb261ed7bdd8ec231a903ab1bf816b12056db1068168ed3abd1f2a2"),
+    ("algebra hilbert --weights 2,3 --lmin -5 --lmax 40", 0,
+     "e595be0a16a71bc25cfd1c0e1e9c23ea2d1ceb77804dd1bc516b18d378d2894f"),
+    ("algebra hilbert --weights 6,3,2 --lmin -3 --lmax 60 --torsion 1,2,1", 0,
+     "03077021450c3ff5a61d63f4823c2972af0ceeb40e205f9b9dfe44379cde8c2d"),
+    ("algebra hilbert --weights 2,3 --lmin 0 --lmax 2000", 0,
+     "e0f1f6860066393cdbc61c3b461080aaf48f987e20bc1ef3d9d4e3c4a8369b81"),
 ]
 
 #: the documents ``perfbench/workloads.py::case_config`` writes for cases A-D

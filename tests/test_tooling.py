@@ -79,3 +79,16 @@ def test_short_traced_benchmark_runs_pass_their_gates(tmp_path):
         assert proc.returncode == 0, out
         assert json.loads(out.splitlines()[-1])["correct"] is True, out
         assert "was never reached" not in out
+
+
+def test_import_leaves_out_the_dataclasses_machinery():
+    """``import wpline, wpline.cli`` loads none of the modules that
+    ``dataclasses`` pulls in; every CLI call pays for what the import loads.
+    ``-S`` keeps site hooks from loading them first."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wpline, wpline.cli; "
+            "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))")
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src"), *heavy],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
