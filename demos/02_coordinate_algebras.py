@@ -1,5 +1,5 @@
-"""Graded coordinate algebras: rewriting, homogeneous components, and the
-dimension formula dim S_x = mult(x) checked against brute-force enumeration.
+"""Graded coordinate algebras: products of binary forms, homogeneous components,
+and the dimension formula dim S_x = mult(x) checked against brute-force enumeration.
 
 Run:  python demos/02_coordinate_algebras.py
 """
@@ -11,15 +11,6 @@ S = CoordinateAlgebra((4, 4, 2), RationalField(), [1])
 z1, z2, z3 = S.gens
 print("in S(4,4,2):  z3^2 =", z3 ** 2)
 print("              z3^5 =", z3 ** 5)
-
-# The rewriting system is confluent: any redex order reaches the same
-# canonical form.
-raw = (1, 2, 7)
-first = S.reduce_monomial(raw, redex="first")
-last = S.reduce_monomial(raw, redex="last")
-print("\nreduce z1*z2^2*z3^7 first-redex:", first)
-print("reduce z1*z2^2*z3^7 last-redex: ", last)
-print("agree:", first == last)
 
 # Homogeneous components have the monomial basis
 # {x1^(a p1) x2^(b p2) x1^l1 ... xt^lt : a+b = l}, so dim = max(l+1, 0).

@@ -1,20 +1,66 @@
 """Graded homogeneous coordinate algebras of weighted projective lines.
 
 For a weight sequence (p_1, ..., p_t) and normalized parameters
-(inf, 0, 1, lam_4, ...), the algebra is k[X_1, ..., X_t] modulo the relations
-X_i^{p_i} = X_2^{p_2} - lam_i * X_1^{p_1} for i >= 3, graded by the string
-group via deg x_i = x_i.  The relations form a terminating, confluent
-rewriting system because each rule consumes its own variable and produces
-only x_1 and x_2, so canonical forms (exponents of x_i below p_i for i >= 3)
-are computed by plain rewriting, no Groebner machinery.
+(inf, 0, 1, lam_4, ...), the algebra S(p, lam) is k[X_1, ..., X_t] modulo the
+relations X_i^{p_i} = X_2^{p_2} - lam_i X_1^{p_1} for i >= 3, graded by the
+string group via deg X_i = x_i.  It is free over k[U, V], U = X_1^{p_1} and
+V = X_2^{p_2}, on the monomials X_1^{l_1} ... X_t^{l_t} with 0 <= l_i < p_i
+(Geigle-Lenzing, LNM 1273, 1987).  So the component of degree
+l c + sum(l_i x_i) in normal form is that monomial times the binary forms of
+degree l, with basis X_1^{a p_1 + l_1} X_2^{(l-a) p_2 + l_2} X_3^{l_3} ...
+for 0 <= a <= l, and an element is a sum of forms, one per degree: its
+torsion (l_1, ..., l_t), its level l and the coefficients of U^a V^(l-a).
+A product adds torsions and multiplies forms; where a torsion coordinate
+reaches p_i, :func:`carry` takes X_i^{p_i} out as U, V or V - lam_i U.  It is
+the one place where the relations are used.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from .field import Field, RationalField
+from .field import Field, RationalField, schoolbook
 from .stringgroup import GroupElement, WeightSequence, generator_letter
+
+#: the most levels and carries by V - lam U (the k-th costs about k operations)
+#: of an element built from exponent vectors, over all its terms; over Q a carry
+#: counts once per CARRY_BITS bits of lam's numerator and denominator.  Bases
+#: are listed up to MAX_LEVEL.
+MAX_LEVEL, MAX_CARRIES, CARRY_BITS = 10 ** 5, 1000, 16
+
+
+def carry(raw, l: int, coeffs: list, weights: tuple, pairs: list, q: int | None = None):
+    """(torsion, level, coeffs) of X^raw times the form ``coeffs`` of level l:
+    each X_i^{p_i} in X^raw is taken out as U (i = 1), V (i = 2), or
+    a V - b U for (a, b) = pairs[i - 3]: (1, lam_i) is the relation, and
+    (den, num) for lam_i = num/den its multiple by den, which keeps integer
+    forms integer.  With a modulus q, ints are reduced after such a carry."""
+    tor = list(raw)
+    for i in reversed(range(len(tor))):  # pairs first, on the shortest forms
+        p = weights[i]
+        if tor[i] >= p:
+            k, tor[i] = divmod(tor[i], p)
+            l += k
+            if i > 1:
+                a, b = pairs[i - 2]
+                for _ in range(k):
+                    coeffs = [a * v - b * u for v, u in zip(coeffs + [0], [0] + coeffs)]
+                    if q:
+                        coeffs = [c % q for c in coeffs]
+            elif i:
+                coeffs = coeffs + [0] * k
+            else:
+                coeffs = [0] * k + coeffs
+    return tuple(tor), l, coeffs
+
+
+def _add_form(forms: dict, key: tuple, coeffs: list):
+    """forms[key] += coeffs, dropping a form that cancels to zero."""
+    if key in forms:
+        coeffs = [a + b for a, b in zip(forms.pop(key), coeffs)]
+    if any(coeffs):
+        forms[key] = coeffs
 
 
 class CoordinateAlgebra:
@@ -47,6 +93,8 @@ class CoordinateAlgebra:
             if len(set(ps)) != len(ps):
                 raise ValueError("parameters must be pairwise distinct")
         self.params = ps
+        # carry pairs that keep integer forms integer: den V - num U for lam_i = num/den
+        self.int_pairs = [(lam.denominator, lam.numerator) for lam in ps]
         self.letter = generator_letter(weights.weights)
 
     def __eq__(self, other):
@@ -73,98 +121,65 @@ class CoordinateAlgebra:
 
     @property
     def one(self) -> "AlgebraElement":
-        t = len(self.weights)
-        return AlgebraElement(self, {(0,) * t: self.field.one})
+        return AlgebraElement(self, {((0,) * len(self.weights), 0): [self.field.one]})
 
     @property
     def gens(self) -> tuple["AlgebraElement", ...]:
         t = len(self.weights)
-        out = []
-        for i in range(t):
-            e = [0] * t
-            e[i] = 1
-            out.append(AlgebraElement(self, {tuple(e): self.field.one}))
-        return tuple(out)
+        return tuple(self.reduce_monomial([int(i == j) for j in range(t)]) for i in range(t))
 
     def element(self, terms) -> "AlgebraElement":
         """Canonical form of a sum of (coeff, exponent-vector) pairs."""
-        raw: dict = {}
+        monos = []
         for coeff, exps in terms:
             e = tuple(int(a) for a in exps)
             if len(e) != len(self.weights) or any(a < 0 for a in e):
                 raise ValueError("bad exponent vector %r" % (e,))
-            c = self.field(coeff)
-            raw[e] = raw.get(e, self.field.zero) + c
-        return AlgebraElement(self, self._reduce_terms(raw))
+            monos.append((self.field(coeff), e))
+        return self._build(monos)
 
-    # -- rewriting -----------------------------------------------------------
-
-    def reduce_monomial(self, exps, coeff=1, redex: str = "first") -> "AlgebraElement":
-        """Rewrite x_i^{p_i} -> x_2^{p_2} - lam_i x_1^{p_1} until canonical.
-
-        ``redex`` picks which reducible variable to rewrite next ("first",
-        "last", or a callable on the list of reducible indices); all choices
-        give the same canonical form, which the confluence tests exercise.
-        """
+    def reduce_monomial(self, exps, coeff=1) -> "AlgebraElement":
+        """The canonical form of coeff * X^exps."""
         e = tuple(int(a) for a in exps)
         if len(e) != len(self.weights):
             raise ValueError("exponent vector has wrong length")
         if any(a < 0 for a in e):
             raise ValueError("exponents must be nonnegative")
-        return AlgebraElement(self, self._reduce_terms({e: self.field(coeff)}, redex))
+        return self._build([(self.field(coeff), e)])
 
-    def _reduce_terms(self, raw: dict, redex: str = "first") -> dict:
-        ps = self.weights.weights
-        t = len(ps)
-        zero = self.field.zero
-        if redex == "first":
-            pick = lambda idxs: idxs[0]
-        elif redex == "last":
-            pick = lambda idxs: idxs[-1]
-        elif callable(redex):
-            pick = redex
-        else:
-            raise ValueError("redex must be 'first', 'last' or a callable")
-        pending = {e: c for e, c in raw.items() if c != zero}
-        done: dict = {}
-        while pending:
-            nxt: dict = {}
-            for e, c in pending.items():
-                hot = [i for i in range(2, t) if e[i] >= ps[i]]
-                if not hot:
-                    done[e] = done.get(e, zero) + c
-                    continue
-                i = pick(hot)
-                lam = self.params[i - 2]
-                base = list(e)
-                base[i] -= ps[i]
-                left = list(base)
-                left[1] += ps[1]
-                right = list(base)
-                right[0] += ps[0]
-                lk, rk = tuple(left), tuple(right)
-                nxt[lk] = nxt.get(lk, zero) + c
-                nxt[rk] = nxt.get(rk, zero) - lam * c
-            pending = {e: c for e, c in nxt.items() if c != zero}
-        return {e: c for e, c in done.items() if c != zero}
-
-    def is_canonical(self, exps) -> bool:
-        return all(a < p for a, p in zip(exps[2:], self.weights.weights[2:]))
+    def _build(self, monos: list) -> "AlgebraElement":
+        """The sum of c X^e over (c, e) in ``monos``, by ``carry`` on ints;
+        each carry by lam = num/den is by den V - num U, divided out at the end."""
+        ws, q = self.weights.weights, getattr(self.field, "q", None)
+        units = [1 if q else -(-(n.bit_length() + d.bit_length()) // CARRY_BITS)
+                 for d, n in self.int_pairs]
+        ks = [[a // p for a, p in zip(e, ws)] for _, e in monos]
+        level = sum(map(sum, ks))
+        carries = sum([k * u for row in ks for k, u in zip(row[2:], units)])
+        if level > MAX_LEVEL or carries > MAX_CARRIES:
+            raise ValueError("exponents reach level %d with %d carries by V - lam U, above the "
+                             "%d levels or %d carries an element is built with"
+                             % (level, carries, MAX_LEVEL, MAX_CARRIES))
+        forms: dict = {}
+        for (c, e), row in zip(monos, ks):
+            tor, l, ints = carry(e, 0, [1], ws, self.int_pairs, q)
+            scale = math.prod([d ** k for (d, _), k in zip(self.int_pairs, row[2:])])
+            _add_form(forms, (tor, l), [c * v / scale for v in ints])
+        return AlgebraElement(self, forms)
 
     # -- grading -------------------------------------------------------------
-
-    def monomial_degree(self, exps) -> GroupElement:
-        return self.weights.normalize(0, exps)
 
     def component_basis(self, x: GroupElement) -> tuple[tuple[int, ...], ...]:
         """Exponent vectors of the canonical monomials of degree x.
 
         For x = l*c + sum(l_i x_i) in normal form these are
         (a*p_1 + l_1, b*p_2 + l_2, l_3, ..., l_t) with a + b = l, so there
-        are max(l+1, 0) of them.
+        are max(l+1, 0) of them; a level above MAX_LEVEL is refused.
         """
         if x.weights != self.weights:
             raise ValueError("degree belongs to a different string group")
+        if x.l > MAX_LEVEL:
+            raise ValueError("bases are listed up to level %d, not %d" % (MAX_LEVEL, x.l))
         p1, p2 = self.weights.weights[0], self.weights.weights[1]
         l1, l2 = x.torsion[0], x.torsion[1]
         rest = x.torsion[2:]
@@ -206,22 +221,36 @@ class CoordinateAlgebra:
                     count += 1
         return count
 
+    def monomial_text(self, exps) -> str:
+        """X^exps written out, like "x1^2*x3"; the empty product is "1"."""
+        letter = self.letter
+        return "*".join("%s%d" % (letter, i + 1) + ("^%d" % a if a > 1 else "")
+                        for i, a in enumerate(exps) if a) or "1"
+
 
 class AlgebraElement:
-    """A finite combination of canonical monomials with exact coefficients.
+    """A finite sum of homogeneous elements with exact coefficients.
 
     Instances are created through the parent algebra and treated as
-    immutable; ``terms`` maps exponent tuples to nonzero coefficients.
+    immutable; ``forms`` maps (torsion, l) to the l + 1 coefficients of
+    U^a V^(l-a), none of them all zero (see the module docstring).
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "forms")
 
-    def __init__(self, algebra: CoordinateAlgebra, terms: dict):
+    def __init__(self, algebra: CoordinateAlgebra, forms: dict):
         self.algebra = algebra
-        self.terms = terms
+        self.forms = forms
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients by exponent vector of the canonical monomial."""
+        p1, p2 = self.algebra.weights.weights[:2]
+        return {(a * p1 + tor[0], (l - a) * p2 + tor[1]) + tor[2:]: c
+                for (tor, l), coeffs in self.forms.items() for a, c in enumerate(coeffs) if c}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.forms
 
     def _check_same(self, other: "AlgebraElement"):
         if self.algebra != other.algebra:
@@ -230,24 +259,19 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
+        return self.algebra == other.algebra and self.forms == other.forms
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        zero = self.algebra.field.zero
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, zero) + c
-            if v == zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
+        out = dict(self.forms)
+        for key, coeffs in other.forms.items():
+            _add_form(out, key, coeffs)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {e: -c for e, c in self.terms.items()})
+        return AlgebraElement(self.algebra, {k: [-c for c in cs] for k, cs in self.forms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -255,22 +279,24 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other):
+        alg = self.algebra
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            zero = self.algebra.field.zero
-            raw: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    raw[key] = raw.get(key, zero) + c1 * c2
-            return AlgebraElement(self.algebra, self.algebra._reduce_terms(raw))
+            ws, pairs = alg.weights.weights, [(1, lam) for lam in alg.params]
+            out: dict = {}
+            for (t1, l1), f in self.forms.items():
+                for (t2, l2), g in other.forms.items():
+                    tor, l, coeffs = carry([a + b for a, b in zip(t1, t2)], l1 + l2,
+                                           schoolbook(f, g), ws, pairs)
+                    _add_form(out, (tor, l), coeffs)
+            return AlgebraElement(alg, out)
         try:
-            c = self.algebra.field(other)
+            c = alg.field(other)
         except (TypeError, ValueError):
             return NotImplemented
-        if c == self.algebra.field.zero:
-            return self.algebra.zero
-        return AlgebraElement(self.algebra, {e: c * v for e, v in self.terms.items()})
+        if c == alg.field.zero:
+            return alg.zero
+        return AlgebraElement(alg, {k: [c * v for v in cs] for k, cs in self.forms.items()})
 
     __rmul__ = __mul__
 
@@ -288,29 +314,20 @@ class AlgebraElement:
 
     def degree(self) -> GroupElement | None:
         """Common degree of all terms, None if inhomogeneous; zero has none."""
-        if not self.terms:
+        if not self.forms:
             raise ValueError("the zero element has no degree")
-        it = iter(self.terms)
-        d0 = self.algebra.monomial_degree(next(it))
-        for e in it:
-            if self.algebra.monomial_degree(e) != d0:
-                return None
-        return d0
+        if len(self.forms) > 1:
+            return None
+        (tor, l), = self.forms
+        return GroupElement(self.algebra.weights, l, tor)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         field = self.algebra.field
-        letter = self.algebra.letter
         rational = isinstance(field, RationalField)
         parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = "*".join(
-                "%s%d" % (letter, i + 1) + ("^%d" % a if a > 1 else "")
-                for i, a in enumerate(e) if a
-            )
-            if not mono:
+        for e, c in sorted(self.terms.items()):
+            mono = self.algebra.monomial_text(e)
+            if mono == "1":
                 parts.append(str(c))
             elif c == field.one:
                 parts.append(mono)
@@ -318,6 +335,8 @@ class AlgebraElement:
                 parts.append("-" + mono)
             else:
                 parts.append("%s*%s" % (c, mono))
+        if not parts:
+            return "0"
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p

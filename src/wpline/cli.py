@@ -24,8 +24,10 @@ from .stringgroup import (InfiniteFiberError, WeightSequence,
                           WellDefinednessError, _kernel_sort_key, _sort_key)
 
 
-#: the most levels above --lmin that ``algebra hilbert`` lists
+#: the most levels above --lmin that ``algebra hilbert`` lists, and how many
+#: lines it writes at once
 MAX_LEVELS = 10 ** 6
+HILBERT_BLOCK = 4096
 
 
 class UsageError(ValueError):
@@ -222,8 +224,7 @@ def _cmd_algebra(args) -> int:
         if args.as_json:
             _out(json.dumps([list(e) for e in basis]))
         else:
-            monos = [str(alg.reduce_monomial(e)) for e in basis]
-            _out("[%s]" % ", ".join(monos))
+            _out("[%s]" % ", ".join(map(alg.monomial_text, basis)))
         return 0
     if sc == "reduce":
         try:
@@ -241,9 +242,11 @@ def _cmd_algebra(args) -> int:
             tor = tuple(int(v) for v in args.torsion.split(","))
         else:
             tor = (0,) * len(alg.weights)
-        for l in range(args.lmin, args.lmax + 1):
-            x = alg.weights.normalize(l, tor)
-            _out("%d %d" % (l, alg.dim(x)))
+        # level l has degree x + (l - lmin) c, of dim max(l + shift + 1, 0)
+        shift = alg.weights.normalize(args.lmin, tor).l - args.lmin
+        for start in range(args.lmin, args.lmax + 1, HILBERT_BLOCK):
+            stop = min(start + HILBERT_BLOCK, args.lmax + 1)
+            _out("\n".join(["%d %d" % (l, max(l + shift + 1, 0)) for l in range(start, stop)]))
         return 0
     raise UsageError("unknown algebra subcommand %r" % sc)
 

@@ -276,6 +276,16 @@ def _poly_eval(coeffs, x):
     return acc
 
 
+def schoolbook(f: list, g: list) -> list:
+    """Product of two coefficient lists, term by term."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
 # -- polynomials over F_q: ascending lists of ints in [0, q), no trailing zero
 
 def _pdivmod(a, b, q):
@@ -304,11 +314,7 @@ def _psub(a, b, q):
 
 
 def _pmulmod(a, b, f, q):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _pdivmod([c % q for c in prod], f, q)[1]
+    return _pdivmod([c % q for c in schoolbook(a, b)], f, q)[1]
 
 
 def _ppowmod(base, e: int, f, q):

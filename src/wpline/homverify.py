@@ -8,12 +8,11 @@ components have equal finite dimension in every image degree, so surjectivity
 (full rank of the pooled images, by exact Gaussian elimination) already gives
 bijectivity there.  Injectivity is never tested separately.
 
-The ranks run on binary forms.  The target S(p, lam) is free over
-k[U, V] with U = X_1^{p_1} and V = X_2^{p_2} (Geigle-Lenzing), so its
-component of degree l*c + sum(l_i x_i) is X_1^{l_1} ... X_t^{l_t} times the
-binary forms of degree l, and an element there is its torsion, l, and the
-coefficients of U^a V^(l-a).  A product adds torsions and multiplies forms;
-each torsion carry multiplies by U, by V, or by V - lam_i U.  The source is
+The ranks run on binary forms, the representation of ``wpline.algebra``
+(see its docstring): an element of the target S(p, lam) in one degree is its
+torsion, its level l and the coefficients of U^a V^(l-a), and a product adds
+torsions, multiplies forms and lets ``algebra.carry`` take out each
+X_i^{p_i} as U, V or a multiple of V - lam_i U.  The source is
 free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
 basis monomial is h_r f^a g^b: h_r the image of its torsion monomial, f and g
 the images of X_1^{q_1} and X_2^{q_2}.  Over F_q the coefficients are plain
@@ -42,8 +41,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, CoordinateAlgebra
-from .field import PrimeField
+from .algebra import AlgebraElement, CoordinateAlgebra, carry
+from .field import PrimeField, schoolbook
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
                           _sort_key)
 
@@ -181,12 +180,7 @@ def _poly_mul(f: list, g: list, q: int | None) -> list:
     """Product of coefficient lists, mod q by one integer multiply after
     Kronecker substitution, or exactly when q is None."""
     if q is None:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
-        return out
+        return schoolbook(f, g)
     k = _slot_bits(q * q * min(len(f), len(g)))
     prod = _pack(f, k) * _pack(g, k)
     return [c % q for c in _unpack(prod, k, len(f) + len(g) - 1)]
@@ -200,11 +194,6 @@ def sylvester_rank(f: list, g: list, modulus: int | None = None) -> int:
     m = len(f) - 1
     return row_rank([[0] * i + h + [0] * (m - 1 - i) for h in (f, g) for i in range(m)],
                     modulus)
-
-
-def _reduce(values: list, q) -> list:
-    """Ints reduced mod q, or kept exact when q is None."""
-    return [v % q for v in values] if q else values
 
 
 class DegreeRecord(NamedTuple):
@@ -427,40 +416,21 @@ class AlgebraHom:
     # are ints mod q, or with q None exact for an integer multiple of it.
 
     def _gen_form(self, j: int, q):
-        im = self.gen_images[j]
-        if im.is_zero():
+        forms = self.gen_images[j].forms
+        if not forms:
             return None
-        d = im.degree()
-        if d is None:
+        if len(forms) > 1:
             raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
-        p1 = self.target.weights.weights[0]
-        den = math.lcm(*(c.denominator for c in im.terms.values()))
-        coeffs = [0] * (d.l + 1)
-        for e, c in im.terms.items():
-            coeffs[e[0] // p1] = c.numerator * (den // c.denominator)
-        return d.torsion, d.l, _reduce(coeffs, q)
+        ((tor, l), coeffs), = forms.items()
+        den = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        return tor, l, [v % q for v in coeffs] if q else coeffs
 
     def _mul(self, f, g, q):
         if f is None or g is None:
             return None
-        coeffs = _poly_mul(f[2], g[2], q)
-        l = f[1] + g[1]
-        tor = []
-        for i, (a, b, p) in enumerate(zip(f[0], g[0], self.target.weights.weights)):
-            s = a + b
-            if s >= p:  # carry X_i^{p_i}: U, V, or den V - num U for lam_i = num/den
-                s -= p
-                l += 1
-                if i == 0:
-                    coeffs = [0] + coeffs
-                elif i == 1:
-                    coeffs = coeffs + [0]
-                else:
-                    lam = self.target.params[i - 2]
-                    coeffs = _reduce([lam.denominator * v - lam.numerator * u
-                                      for v, u in zip(coeffs + [0], [0] + coeffs)], q)
-            tor.append(s)
-        return tuple(tor), l, coeffs
+        return carry([a + b for a, b in zip(f[0], g[0])], f[1] + g[1], _poly_mul(f[2], g[2], q),
+                     self.target.weights.weights, self.target.int_pairs, q)
 
     def _series(self, key, n: int, q, first, step) -> list:
         """[s, s t, ..., s t^n] for s = first() and t = step(), cached under

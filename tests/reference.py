@@ -1,14 +1,19 @@
-"""Reference oracles: degree records independent of the binary-form kernel,
-fibers and admissibility on ``GroupElement`` values, the report text by
-``json.dumps`` on the whole report, roots by exhaustive search, and element
-orders by repeated addition.
+"""Reference oracles: the rewriting system of the coordinate algebras,
+degree records independent of the binary-form kernel, fibers and
+admissibility on ``GroupElement`` values, the report text by ``json.dumps``
+on the whole report, roots by exhaustive search, and element orders by
+repeated addition.
 
-Monomial images are products of powers of the generator images computed with
-``AlgebraElement`` arithmetic (sparse terms and the rewriting system), the
-vectors are read off the target component basis, and the rank comes from
-plain Gaussian elimination on the target field's own elements (``Fraction``
-or ``Fp``), never reduced modulo anything else.  This is the verifier's
-original path, kept here to cross-check the kernel in
+Elements here are sparse dicts {exponent vector: coefficient}.  Products
+multiply term by term, and ``reference_reduce`` rewrites
+x_i^{p_i} -> x_2^{p_2} - lam_i x_1^{p_1} (i >= 3) until every exponent of
+x_3, ..., x_t is below its weight; this was the algebra's own arithmetic
+before elements became binary forms.  Monomial images are products of powers
+of the generator images computed that way, never with ``AlgebraElement``
+arithmetic, the vectors are read off the target component basis, and the rank
+comes from plain Gaussian elimination on the target field's own elements
+(``Fraction`` or ``Fp``), never reduced modulo anything else.  This is the
+verifier's original path, kept here to cross-check the kernel in
 ``wpline.homverify``.
 """
 
@@ -38,15 +43,74 @@ def reference_rank(rows, zero):
     return len(pivots)
 
 
+def reference_reduce(alg, raw: dict, redex="first") -> dict:
+    """The canonical form of a sparse element by rewriting.  ``redex`` picks
+    which reducible variable to rewrite next: "first", "last", or a callable
+    on the list of reducible indices.  Every rule consumes its own variable
+    and produces only x_1 and x_2, so the system terminates, and every
+    choice gives the same canonical form."""
+    ps = alg.weights.weights
+    zero = alg.field.zero
+    if redex == "first":
+        pick = lambda idxs: idxs[0]
+    elif redex == "last":
+        pick = lambda idxs: idxs[-1]
+    else:
+        pick = redex
+    pending = {e: c for e, c in raw.items() if c != zero}
+    done = {}
+    while pending:
+        nxt = {}
+        for e, c in pending.items():
+            hot = [i for i in range(2, len(ps)) if e[i] >= ps[i]]
+            if not hot:
+                done[e] = done.get(e, zero) + c
+                continue
+            i = pick(hot)
+            base = list(e)
+            base[i] -= ps[i]
+            left, right = list(base), list(base)
+            left[1] += ps[1]
+            right[0] += ps[0]
+            lk, rk = tuple(left), tuple(right)
+            nxt[lk] = nxt.get(lk, zero) + c
+            nxt[rk] = nxt.get(rk, zero) - alg.params[i - 2] * c
+        pending = {e: c for e, c in nxt.items() if c != zero}
+    return {e: c for e, c in done.items() if c != zero}
+
+
+def reference_product(alg, a: dict, b: dict) -> dict:
+    """The canonical form of the product of two sparse elements."""
+    zero = alg.field.zero
+    raw = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            raw[key] = raw.get(key, zero) + c1 * c2
+    return reference_reduce(alg, raw)
+
+
+def reference_power(alg, a: dict, n: int) -> dict:
+    """a^n by square and multiply."""
+    result = {(0,) * len(alg.weights): alg.field.one}
+    while n:
+        if n & 1:
+            result = reference_product(alg, result, a)
+        n >>= 1
+        if n:
+            a = reference_product(alg, a, a)
+    return result
+
+
 def monomial_image(hom, exps, powers):
-    """The image of a source monomial as an element of the target algebra;
+    """The image of a source monomial as a sparse element of the target;
     ``powers`` caches the powers of the generator images."""
-    img = hom.target.one
+    img = {(0,) * len(hom.target.weights): hom.target.field.one}
     for j, a in enumerate(exps):
         if a:
             if (j, a) not in powers:
-                powers[(j, a)] = hom.gen_images[j] ** a
-            img = img * powers[(j, a)]
+                powers[(j, a)] = reference_power(hom.target, hom.gen_images[j].terms, a)
+            img = reference_product(hom.target, img, powers[(j, a)])
     return img
 
 
@@ -61,7 +125,7 @@ def reference_rows(hom, x, fiber, powers=None):
     for y in fiber:
         for mono in hom.source.component_basis(y):
             vec = [zero] * len(basis)
-            for e, c in monomial_image(hom, mono, powers).terms.items():
+            for e, c in monomial_image(hom, mono, powers).items():
                 if e not in index:
                     raise GradednessError(
                         "image of a monomial of degree %s leaves the component of %s"

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import as_elements
+from reference import as_elements, reference_power, reference_product, reference_reduce
 from wpline import (CoordinateAlgebra, PrimeField, RationalField,
                     builtin_group_hom)
 
@@ -78,12 +80,12 @@ class TestReduce:
 
     def test_redex_choice_is_irrelevant(self):
         alg = CoordinateAlgebra((2, 2, 2, 2), F7, [1, 2])
-        exps = (1, 2, 5, 7)
-        first = alg.reduce_monomial(exps, 3, redex="first")
-        last = alg.reduce_monomial(exps, 3, redex="last")
+        exps, c = (1, 2, 5, 7), F7(3)
+        first = reference_reduce(alg, {exps: c}, redex="first")
+        last = reference_reduce(alg, {exps: c}, redex="last")
         rng = random.Random(11)
-        shuffled = alg.reduce_monomial(exps, 3, redex=rng.choice)
-        assert first == last == shuffled
+        shuffled = reference_reduce(alg, {exps: c}, redex=rng.choice)
+        assert first == last == shuffled == alg.reduce_monomial(exps, 3).terms
 
 
 class TestMultiply:
@@ -229,3 +231,65 @@ class TestSerialization:
         assert str(s442.gens[0]) == "z1"
         s632 = CoordinateAlgebra((6, 3, 2), Q, [1])
         assert str(s632.gens[2]) == "u3"
+
+
+#: the four tubular types, (2,3) and five weights, over Q and F_7
+ORACLE_ALGEBRAS = [
+    CoordinateAlgebra((2, 2, 2, 2), Q, [1, Fraction(-3, 5)]),
+    CoordinateAlgebra((3, 3, 3), Q, [1]),
+    CoordinateAlgebra((4, 4, 2), Q, [1]),
+    CoordinateAlgebra((6, 3, 2), Q, [1]),
+    CoordinateAlgebra((2, 3), Q),
+    CoordinateAlgebra((2, 2, 2, 2, 2), Q, [1, -1, Fraction(1, 2)]),
+    CoordinateAlgebra((2, 2, 2, 2), F7, [1, 3]),
+    CoordinateAlgebra((3, 3, 3), F7, [1]),
+    CoordinateAlgebra((4, 4, 2), F7, [1]),
+    CoordinateAlgebra((6, 3, 2), F7, [1]),
+    CoordinateAlgebra((2, 3), F7),
+    CoordinateAlgebra((2, 2, 2, 2, 2), F7, [1, 2, 3]),
+]
+COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def _random_terms(data, alg):
+    """Up to four (coeff, exponent vector) pairs, exponents below 3 p_i, so
+    every generator can carry; denominators are invertible mod 7."""
+    exps = st.tuples(*[st.integers(0, 3 * p - 1) for p in alg.weights.weights])
+    return data.draw(st.lists(st.tuples(COEFFS, exps), max_size=4))
+
+
+def _oracle(alg, terms):
+    raw = {}
+    for c, e in terms:
+        raw[e] = raw.get(e, alg.field.zero) + alg.field(c)
+    return reference_reduce(alg, raw)
+
+
+def _combine(alg, a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, alg.field.zero) + sign * c
+    return {e: c for e, c in out.items() if c != alg.field.zero}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_rewriting_oracle(data):
+    """Elements on binary forms give the terms of the rewriting system on
+    random (mostly inhomogeneous) elements: construction, degree, sum,
+    difference, product, power and scalar multiple."""
+    alg = data.draw(st.sampled_from(ORACLE_ALGEBRAS), label="algebra")
+    ta, tb = _random_terms(data, alg), _random_terms(data, alg)
+    a, b = alg.element(ta), alg.element(tb)
+    ra, rb = _oracle(alg, ta), _oracle(alg, tb)
+    assert a.terms == ra and b.terms == rb
+    degrees = {alg.weights.normalize(0, e) for e in ra}
+    if ra:
+        assert a.degree() == (degrees.pop() if len(degrees) == 1 else None)
+    assert (a + b).terms == _combine(alg, ra, rb)
+    assert (a - b).terms == _combine(alg, ra, rb, -1)
+    assert (a * b).terms == reference_product(alg, ra, rb)
+    n = data.draw(st.integers(0, 3), label="power")
+    assert (a ** n).terms == reference_power(alg, ra, n)
+    c = alg.field(data.draw(COEFFS, label="scalar"))
+    assert (c * a).terms == (a * c).terms == {e: c * v for e, v in ra.items() if c * v != 0}

@@ -162,6 +162,66 @@ class TestAlgebraCommands:
         exit_code, maxrss_kb = map(int, proc.stderr.split())
         assert exit_code == 0 and maxrss_kb < 100 * 1024
 
+    def test_hilbert_normalizes_once(self, capsys, monkeypatch):
+        """Level l has the degree of --lmin moved up l - lmin levels, so
+        only the first level is normalized, and lines go out in blocks."""
+        from wpline import cli
+        from wpline.stringgroup import WeightSequence
+        calls = {"normalize": 0, "out": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(WeightSequence, "normalize",
+                            counted("normalize", WeightSequence.normalize))
+        monkeypatch.setattr(cli, "_out", counted("out", cli._out))
+        code, out, _ = run(capsys, "algebra", "hilbert", "--weights", "6,3,2", "--lmin", "-7",
+                           "--lmax", "20000", "--torsion", "7,-1,3")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 20008
+        assert lines[5:8] == ["-2 0", "-1 1", "0 2"] and lines[-1] == "20000 20002"
+        assert calls == {"normalize": 1, "out": -(-20008 // cli.HILBERT_BLOCK)}
+
+    @pytest.mark.parametrize("argv,limit", [
+        # one past MAX_LEVEL levels: U and V carries alone, and a basis
+        (["reduce", "--weights", "2,3", "--monomial", "200002,0"], "100000 levels"),
+        (["reduce", "--weights", "2,3", "--monomial", "1000000000,0"], "100000 levels"),
+        (["basis", "--weights", "2,2,2,2", "--params", "-1", "--degree", "100001;0,0,0,0"],
+         "100000"),
+        (["basis", "--weights", "2,2,2,2", "--params", "-1", "--degree", "3000000;0,0,0,0"],
+         "100000"),
+        # one past MAX_CARRIES carries by V - lam U: split over three
+        # generators, and a lambda of 40 bits, which counts three times
+        (["reduce", "--weights", "2,2,2,2,2", "--params", "-255/254,127/129",
+          "--monomial", "0,0,700,700,602"], "1000 carries"),
+        (["reduce", "--weights", "2,2,2,2", "--params", "-548587/974169",
+          "--monomial", "0,0,0,668"], "1000 carries"),
+        (["reduce", "--weights", "2,2,2,2", "--params", "-1", "--monomial", "0,0,0,4000"],
+         "1000 carries"),
+        (["reduce", "--weights", "2,2,2,2", "--params", "-1", "--monomial", "0,0,0,20000"],
+         "1000 carries"),
+    ])
+    def test_large_elements_and_bases_exit_2(self, argv, limit):
+        """Inputs one past a cap, and far past it, end in exit 2 well within
+        5 s; inputs at the caps answer in under 2 s on a 2-vCPU guest."""
+        proc = subprocess.run([sys.executable, "-m", "wpline", "algebra", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert limit in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_elements_at_the_caps_are_built(self, capsys):
+        # x1^198000 x2 x4^2001 = x1^198000 x2 x4 (V + U)^1000 at lambda = -1
+        code, out, _ = run(capsys, "algebra", "reduce", "--weights", "2,2,2,2", "--params", "-1",
+                           "--monomial", "198000,1,0,2001")
+        assert code == 0 and len(out.split(" + ")) == 1001 and " - " not in out
+        code, out, _ = run(capsys, "algebra", "basis", "--weights", "2,3",
+                           "--degree", "100000;0,0", "--json")
+        assert code == 0 and len(json.loads(out)) == 100001
+
     def test_param_in_prime_field(self, capsys):
         code, out, _ = run(capsys, "algebra", "dim", "--weights", "2,2,2,2",
                            "--params", "3", "--field", "7",
@@ -538,6 +598,20 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert err == ("error: source weights (1000,1000,1000) have 1000000000 torsion "
                        "residues, more than the 100000 a group map can solve fibers over\n")
+
+    @pytest.mark.parametrize("exps", [[10 ** 9, 0, 0, 0], [0, 0, 0, 10 ** 9], [0, 0, 1, 2003]])
+    def test_phi_exponent_past_the_caps_exit_2(self, tmp_path, exps):
+        """A generator image whose exponents pass MAX_LEVEL or MAX_CARRIES
+        is refused while the config is built, in a 5-s subprocess."""
+        cfg = copy.deepcopy(CASE_A_CONFIG)
+        cfg["phi"][0] = [["1", exps]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run([sys.executable, "-m", "wpline", "verify", "--config", str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "an element is built with" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--config", str(tmp_path / "nope.json"))

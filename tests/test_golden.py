@@ -1,4 +1,4 @@
-"""Golden bytes of ``wpline verify``, ``wpline group`` and ``wpline algebra hilbert``.
+"""Golden bytes of ``wpline verify``, ``wpline group``, ``wpline algebra`` and demo 02.
 
 Each digest is the SHA-256 of the complete stdout of one call, pinned from
 the verifier's output before ranks moved to the binary-form kernel: the
@@ -40,10 +40,20 @@ degree of the window, before both came from the period table.
 
 The ``algebra hilbert`` answers were pinned while ``CoordinateAlgebra.dim``
 still listed (and kept) the component basis of every degree it counted.
+
+The ``algebra dim``, ``basis`` and ``reduce`` answers (over Q and F_7, on 2 to
+5 weights, exponents at or above the weight on every generator, fractional
+coefficients) and the output of demo 02 were pinned while the algebra still
+rewrote exponent dicts, before its elements became binary forms over
+k[U, V]; the demo has since dropped its block on redex orders.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +206,56 @@ GOLDEN = [
      "03077021450c3ff5a61d63f4823c2972af0ceeb40e205f9b9dfe44379cde8c2d"),
     ("algebra hilbert --weights 2,3 --lmin 0 --lmax 2000", 0,
      "e0f1f6860066393cdbc61c3b461080aaf48f987e20bc1ef3d9d4e3c4a8369b81"),
+    ("algebra dim --weights 2,3 --degree 7;1,2", 0,
+     "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8"),
+    ("algebra dim --weights 2,2,2,2 --params -1 --degree 3;1,0,1,1", 0,
+     "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    ("algebra dim --weights 6,3,2 --field 7 --degree -1;5,2,1", 0,
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("algebra basis --weights 2,3 --degree 4;1,2", 0,
+     "a258d74fd583ba845ba010941182ae6ea285dfbaa0388a245cdf9c6cd8bcfffd"),
+    ("algebra basis --weights 3,3,3 --degree 3;2,1,2", 0,
+     "626bba3be688e710539428570cf728bc3749988bdb02205668789df89698bac0"),
+    ("algebra basis --weights 4,4,2 --field 7 --degree 5;3,1,1 --json", 0,
+     "ae94a451f80fffcae02a8e766d0fd528a2c6a0af4e92204eae6cd7eafa5425bf"),
+    ("algebra basis --weights 6,3,2 --degree 6;5,2,1", 0,
+     "180cb790ec9e533b661bcc7f18b5e54fc0272d9455500ec61c4ef7f067c56e64"),
+    ("algebra basis --weights 2,2,2,2 --params -1 --degree 4;1,1,1,1", 0,
+     "65f28eb095410c00ef74fa1b441f378375a9e3f8212f6272beeb465a9b40a99c"),
+    ("algebra basis --weights 2,2,2,2 --params -1 --degree -1;1,1,1,1", 0,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("algebra basis --weights 2,2,2,2,2 --params 2,3 --field 7 --degree 3;1,0,1,1,1", 0,
+     "d35270ce46fd3f718e95b6549cbe866e199ec32986d532a150799a5c9163fd02"),
+    ("algebra basis --weights 2,2,2,2,2 --params -1,1/2 --degree 2;1,1,1,1,1 --json", 0,
+     "85925410c5338d16d5417661320c9c0f046378d77dd62b23e0b35620942920fe"),
+    ("algebra reduce --weights 2,3 --monomial 5,7 --coeff 3/4", 0,
+     "0456bacd4f6c62d1e439cf2663514ab4c2bc13175fb1fcf70ef1e8bd0b3dc30e"),
+    ("algebra reduce --weights 2,3 --field 7 --monomial 9,4 --coeff 1/3", 0,
+     "a880384b9f7a09902183cf3cbf13e64072176d99daac3a8cfa37ff5316d06e7c"),
+    ("algebra reduce --weights 3,3,3 --monomial 4,5,7 --coeff -2/5", 0,
+     "b831eddf9729b16bf99d40b1d850c36fce7447e771193778d932a3fab3cf5d7f"),
+    ("algebra reduce --weights 3,3,3 --monomial 0,0,0", 0,
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("algebra reduce --weights 3,3,3 --field 7 --monomial 3,0,4 --coeff 14", 0,
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ("algebra reduce --weights 4,4,2 --field 7 --monomial 6,9,5 --coeff 2/3", 0,
+     "6ba155f46ddbcf88bfeec5ef3f3c8b8f29b4ba2b9831c7d9ec4e02ed2ecc91ca"),
+    ("algebra reduce --weights 6,3,2 --monomial 7,4,5 --coeff 5/3", 0,
+     "d1cf13c8f1e77d5c8661883e3e41c1c0af44404d9a6116fe10c587794645611c"),
+    ("algebra reduce --weights 6,3,2 --field 7 --monomial 13,8,9 --coeff 1/2", 0,
+     "bad890142063c50640f87707d2a1349327ee7b1b530a271a73c8b306c58318fe"),
+    ("algebra reduce --weights 2,2,2,2 --params -1 --monomial 3,4,5,6 --coeff 2/3", 0,
+     "5badfbfbbe111431a5c0966c2a3bfc4486cd40f75d1c2fd07b4d9c68074ab3be"),
+    ("algebra reduce --weights 2,2,2,2 --params 3 --field 7 --monomial 2,3,5,7 --coeff 1/5", 0,
+     "36ab7f19a73da5704bb90ea8058adb378f827811f72807a6cc44f9d7e454516f"),
+    ("algebra reduce --weights 2,2,2,2 --params -548587/974169 --monomial 2,2,3,5 "
+     "--coeff -1/7", 0,
+     "28f54ec6b3ff252329288243207b5c0c089a741ffe12471ae1f219d5fb6944d4"),
+    ("algebra reduce --weights 2,2,2,2,2 --params -1,1/2 --monomial 3,2,5,4,3 --coeff 7/2", 0,
+     "c1a4165bdce4d946631113da7bf928f5ad5fce206216e2a6f62385668aa4f42b"),
+    ("algebra reduce --weights 2,2,2,2,2 --params 2,3 --field 7 --monomial 2,3,4,5,6 "
+     "--coeff 1/6", 0,
+     "36fe612960e0f1039e92b6c47f7657f60ddb3fd049fb3d0c8fa42b00b4c7a959"),
 ]
 
 #: the documents ``perfbench/workloads.py::case_config`` writes for cases A-D
@@ -269,3 +329,16 @@ def test_config_stdout_bytes(name, doc, args, code, digest, capsys, tmp_path):
     assert main(["verify", "--config", str(path), *args]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: stdout of ``demos/02_coordinate_algebras.py``
+DEMO_02 = "be1ce4654325403bd9d3ff587c906006effa7998cf95b41a7d2f7be97017e17c"
+
+
+def test_demo_02_stdout_bytes():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "demos" / "02_coordinate_algebras.py")],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_02

@@ -15,7 +15,7 @@ from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from reference import reference_records, reference_report, reference_rows
-from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
+from wpline import (AlgebraElement, AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
 from wpline.field import ConstantUnavailable, InvalidLambda
@@ -49,6 +49,22 @@ def outcome(fn, *args):
 
 
 # -- degree records against the reference path --------------------------------
+
+@pytest.mark.parametrize("cid,field", [("A", Q), ("B", PrimeField(7)), ("D", Q)])
+def test_reference_records_use_no_element_arithmetic(monkeypatch, cid, field):
+    """The reference path multiplies sparse terms with its own rewriting, so
+    it still gives the verifier's records while every arithmetic operator
+    of ``AlgebraElement`` raises."""
+    hom = builtin_case(cid, field, lam=-3 if cid == "D" else None).algebra_hom
+    want = records(hom, 6)
+
+    def refuse(*args):
+        raise AssertionError("the reference path used AlgebraElement arithmetic")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(AlgebraElement, name, refuse)
+    assert reference_records(hom, 6) == want
+
 
 @SLOW
 @given(st.data())
