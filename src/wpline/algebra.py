@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .field import Field, RationalField, schoolbook
+from .field import Field, Fp, RationalField, _poly_mul
 from .stringgroup import GroupElement, WeightSequence, generator_letter
 
 #: the most levels and carries by V - lam U (the k-th costs about k operations)
@@ -55,10 +55,13 @@ def carry(raw, l: int, coeffs: list, weights: tuple, pairs: list, q: int | None 
     return tuple(tor), l, coeffs
 
 
-def _add_form(forms: dict, key: tuple, coeffs: list):
-    """forms[key] += coeffs, dropping a form that cancels to zero."""
+def _add_form(forms: dict, key: tuple, coeffs: list, q: int | None = None):
+    """forms[key] += coeffs, mod q on ints in [0, q) if q is given,
+    dropping a form that cancels to zero."""
     if key in forms:
         coeffs = [a + b for a, b in zip(forms.pop(key), coeffs)]
+        if q:
+            coeffs = [c % q for c in coeffs]
     if any(coeffs):
         forms[key] = coeffs
 
@@ -76,6 +79,7 @@ class CoordinateAlgebra:
             weights = WeightSequence(tuple(weights))
         self.weights = weights
         self.field = field
+        self.modulus = getattr(field, "q", None)  # q for F_q, None for Q
         t = len(weights)
         vals = list(params) if params is not None else []
         if len(vals) == t - 3:
@@ -150,7 +154,7 @@ class CoordinateAlgebra:
     def _build(self, monos: list) -> "AlgebraElement":
         """The sum of c X^e over (c, e) in ``monos``, by ``carry`` on ints;
         each carry by lam = num/den is by den V - num U, divided out at the end."""
-        ws, q = self.weights.weights, getattr(self.field, "q", None)
+        ws, q = self.weights.weights, self.modulus
         units = [1 if q else -(-(n.bit_length() + d.bit_length()) // CARRY_BITS)
                  for d, n in self.int_pairs]
         ks = [[a // p for a, p in zip(e, ws)] for _, e in monos]
@@ -249,11 +253,17 @@ class AlgebraElement:
         return {(a * p1 + tor[0], (l - a) * p2 + tor[1]) + tor[2:]: c
                 for (tor, l), coeffs in self.forms.items() for a, c in enumerate(coeffs) if c}
 
+    def _values(self):
+        """(key, coeffs) per form, over F_q with the residues' int values."""
+        if self.algebra.modulus:
+            return [(key, [c.value for c in cs]) for key, cs in self.forms.items()]
+        return self.forms.items()
+
     def is_zero(self) -> bool:
         return not self.forms
 
     def _check_same(self, other: "AlgebraElement"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("elements belong to different coordinate algebras")
 
     def __eq__(self, other):
@@ -282,13 +292,18 @@ class AlgebraElement:
         alg = self.algebra
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            ws, pairs = alg.weights.weights, [(1, lam) for lam in alg.params]
+            ws, q = alg.weights.weights, alg.modulus
+            # over F_q on the residues' values, carried by (1, lam) = int_pairs
+            pairs = alg.int_pairs if q else [(1, lam) for lam in alg.params]
+            theirs = other._values()
             out: dict = {}
-            for (t1, l1), f in self.forms.items():
-                for (t2, l2), g in other.forms.items():
+            for (t1, l1), f in self._values():
+                for (t2, l2), g in theirs:
                     tor, l, coeffs = carry([a + b for a, b in zip(t1, t2)], l1 + l2,
-                                           schoolbook(f, g), ws, pairs)
-                    _add_form(out, (tor, l), coeffs)
+                                           _poly_mul(f, g, q), ws, pairs, q)
+                    _add_form(out, (tor, l), coeffs, q)
+            if q:
+                out = {key: [Fp(c, q) for c in cs] for key, cs in out.items()}
             return AlgebraElement(alg, out)
         try:
             c = alg.field(other)

@@ -1,7 +1,8 @@
 """The four built-in verification cases and admissible-prime discovery.
 
 Each case is a :class:`VerifyConfig` document plus the paper's kernel of
-its string-group homomorphism:
+its string-group homomorphism, written in the order of ``_kernel_sort_key``
+(zero first), as ``builtin_case`` compares it with the computed kernel:
 
   A: (4,4,2)   -> (2,2,2,2; -1)          kernel of order 2
   B: (6,3,2)   -> (2,2,2,2; eps)         kernel of order 3
@@ -131,15 +132,18 @@ class CaseSpec:
                         self.field, self.constants)
 
 
-def builtin_case(case, field: Field, lam=None, root_pick: str = "smallest") -> CaseSpec:
-    """Instantiate a built-in case id, or a VerifyConfig as case "custom",
-    over ``field``.  Raises ConstantUnavailable when a needed root is missing
-    (choose another prime) and InvalidLambda for a bad or missing lambda."""
-    cid, cfg = ((str(case).upper(), case_config(case)) if isinstance(case, str)
-                else ("custom", case))
-    spec = CaseSpec(cid, cfg, field, cfg.resolve(field, lam, root_pick))
-    if cid in CASES and spec.expected_kernel != expected_kernel(cid):
-        raise AssertionError("case %s: the kernel differs from the paper's" % cid)  # pragma: no cover
+def builtin_case(case, field: Field, lam=None, root_pick: str = "smallest",
+                 case_id: str = "custom") -> CaseSpec:
+    """Instantiate a built-in case id, or a parsed VerifyConfig as case
+    ``case_id``, over ``field``; the kernel of a built-in case id is checked
+    against the paper's.  Raises ConstantUnavailable when a needed root is missing (choose another
+    prime) and InvalidLambda for a bad or missing lambda."""
+    if isinstance(case, str):
+        case_id, case = str(case).upper(), case_config(case)
+    spec = CaseSpec(case_id, case, field, case.resolve(field, lam, root_pick))
+    if case_id in CASES and [str(k) for k in spec.expected_kernel] != CASES[case_id]["kernel"]:
+        raise AssertionError("case %s: the kernel differs from the paper's"
+                             % case_id)  # pragma: no cover
     return spec
 
 

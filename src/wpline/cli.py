@@ -264,7 +264,8 @@ def _cmd_verify(args) -> int:
         field = PrimeField(auto_prime(args.case or cfg, lam=args.lam))
     else:
         field = field_from_spec(args.field or cfg.field_spec)
-    spec = builtin_case(args.case or cfg, field, lam=args.lam, root_pick=args.root_pick)
+    spec = builtin_case(cfg, field, lam=args.lam, root_pick=args.root_pick,
+                        case_id=args.case or "custom")
     extra = {}
     if args.tamper:
         key, _, value = args.tamper.partition("=")

@@ -4,12 +4,15 @@ No floating point anywhere.  Rational elements are ``fractions.Fraction``;
 prime-field elements are :class:`Fp` residues.  Root finding covers degrees
 two and three, which is all the named constants need, and never scans the
 field: over F_q it splits gcd(f, x^q - x), over Q it finds the integer roots
-of a monic integer transform.
+of a monic integer transform.  ``_poly_mul`` is the one product of binary
+forms: mod q on ints by Kronecker substitution, exactly by schoolbook.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 
@@ -284,6 +287,56 @@ def schoolbook(f: list, g: list) -> list:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return out
+
+
+#: array typecodes of unsigned machine words by bit width (16, 32, 64)
+_WORDS = {8 * array(code).itemsize: code for code in "HIQ"}
+
+
+def _slot_bits(bound: int) -> int:
+    """Bits per packed slot for values below ``bound``: 16, 32 or a
+    multiple of 64."""
+    n = bound.bit_length()
+    return 16 if n <= 16 else 32 if n <= 32 else -(-n // 64) * 64
+
+
+def _pack(values, k: int) -> int:
+    """sum(v_i * 2^(k*i)) for nonnegative values below 2^k (Kronecker)."""
+    if k in _WORDS:
+        words = array(_WORDS[k], values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
+    nb = k // 8
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+
+
+def _unpack(n: int, k: int, m: int):
+    """The lowest m slots of k bits of n, lowest first, as an array of
+    machine words when k is a word width and a list otherwise; inverse of
+    _pack."""
+    raw = n.to_bytes(m * k // 8, "little")
+    if k in _WORDS:
+        words = array(_WORDS[k], raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+    nb = k // 8
+    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _poly_mul(f: list, g: list, q: int | None) -> list:
+    """Product of coefficient lists: exactly by schoolbook when q is None;
+    mod q, on ints in [0, q), as a scalar multiple when a factor has one
+    coefficient and otherwise by one integer multiply after Kronecker
+    substitution (Harvey, J. Symb. Comput. 2009)."""
+    if q is None:
+        return schoolbook(f, g)
+    if len(f) == 1 or len(g) == 1:
+        (c,), h = (f, g) if len(f) == 1 else (g, f)
+        return [c * v % q for v in h]
+    k = _slot_bits(q * q * min(len(f), len(g)))
+    return [c % q for c in _unpack(_pack(f, k) * _pack(g, k), k, len(f) + len(g) - 1)]
 
 
 # -- polynomials over F_q: ascending lists of ints in [0, q), no trailing zero

@@ -14,9 +14,13 @@ torsion, its level l and the coefficients of U^a V^(l-a), and a product adds
 torsions, multiplies forms and lets ``algebra.carry`` take out each
 X_i^{p_i} as U, V or a multiple of V - lam_i U.  The source is
 free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
-basis monomial is h_r f^a g^b: h_r the image of its torsion monomial, f and g
-the images of X_1^{q_1} and X_2^{q_2}.  Over F_q the coefficients are plain
-ints mod q, and when g carries no torsion a row is one big-integer product of
+basis monomial is h_r f^a g^b: the head h_r the image of its torsion
+monomial x^r, f and g the images of X_1^{q_1} and X_2^{q_2}.  Heads are
+cached per exponent vector, and each is one product h_{r - e_j} phi(x_j) of
+a neighbour's head.  Over F_q the coefficients are plain ints mod q, and
+every product of forms is ``field._poly_mul``: a scalar multiple when a
+factor has one coefficient, else one big-integer product after Kronecker
+substitution.  When g carries no torsion a row is one such product of
 cached packed forms.  Over Q a row is an integer multiple of its image (no
 denominators: a carry by lam_i = num/den is by den V - num U), so a full rank
 mod RANK_PRIME is the rank over Q, and only a smaller one is redone exactly.
@@ -35,14 +39,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from array import array
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, CoordinateAlgebra, carry
-from .field import PrimeField, schoolbook
+from .field import PrimeField, _pack, _poly_mul, _slot_bits, _unpack
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
                           _sort_key)
 
@@ -84,42 +86,6 @@ def row_rank(rows: list[list], modulus: int | None = None) -> int:
     return len(pivots)
 
 
-#: array typecodes of unsigned machine words by bit width (16, 32, 64)
-_WORDS = {8 * array(code).itemsize: code for code in "HIQ"}
-
-
-def _slot_bits(bound: int) -> int:
-    """Bits per packed slot for values below ``bound``: 16, 32 or a
-    multiple of 64."""
-    n = bound.bit_length()
-    return 16 if n <= 16 else 32 if n <= 32 else -(-n // 64) * 64
-
-
-def _pack(values, k: int) -> int:
-    """sum(v_i * 2^(k*i)) for nonnegative values below 2^k (Kronecker)."""
-    if k in _WORDS:
-        words = array(_WORDS[k], values)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return int.from_bytes(words.tobytes(), "little")
-    nb = k // 8
-    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
-
-
-def _unpack(n: int, k: int, m: int):
-    """The lowest m slots of k bits of n, lowest first, as an array of
-    machine words when k is a word width and a list otherwise; inverse of
-    _pack."""
-    raw = n.to_bytes(m * k // 8, "little")
-    if k in _WORDS:
-        words = array(_WORDS[k], raw)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return words
-    nb = k // 8
-    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
-
-
 def unreduced_bound(q: int, cols: int) -> int:
     """Rows mod q of ``cols`` entries in [0, bound) enter elimination as
     they are; the bound is the least power of two above q^2 cols."""
@@ -133,8 +99,9 @@ def _rank_mod(rows: list, q: int) -> int:
     makes the slot a multiple of q, or else it becomes that pivot.  Either
     way the slot is then dropped with a shift.  Adding a multiple in
     [0, q) of a pivot keeps every slot nonnegative; a pivot's slots are
-    reduced mod q when it is stored.  A row with an entry outside
-    [0, unreduced_bound) is reduced first."""
+    reduced mod q when it is stored, unless they are already (a row
+    whose entries are below q, and that no pivot has reduced).  A row
+    with an entry outside [0, unreduced_bound) is reduced first."""
     if not rows:
         return 0
     cols = len(rows[0])
@@ -144,7 +111,8 @@ def _rank_mod(rows: list, q: int) -> int:
     # bound + full (q - 1)^2 < 2 bound, which fits a slot of _slot_bits(bound)
     k = _slot_bits(bound)
     mask = (1 << k) - 1
-    high = _pack([(1 << k) - bound] * cols, k)  # the slot bits at or above the bound
+    # the slot bits at or above the bound: (2^k - bound) in each of cols slots
+    high = (mask + 1 - bound) * ((1 << k * cols) - 1) // mask
     pivots: dict[int, tuple[int, int]] = {}  # lead slot -> (-1 / lead mod q, row from its lead)
     for row in rows:
         if len(pivots) == full:
@@ -154,7 +122,9 @@ def _rank_mod(rows: list, q: int) -> int:
         except OverflowError:  # a negative entry, or one wider than a slot
             r = high
         if r & high:
-            r = _pack([v % q for v in row], k)
+            r, reduced = _pack([v % q for v in row], k), True
+        else:
+            reduced = max(row) < q
         slot = 0
         while r:
             c = r & mask
@@ -167,23 +137,15 @@ def _rank_mod(rows: list, q: int) -> int:
             if c:
                 pivot = pivots.get(slot)
                 if pivot is None:
-                    r = _pack([v % q for v in _unpack(r, k, cols - slot)], k)
+                    if not reduced:
+                        r = _pack([v % q for v in _unpack(r, k, cols - slot)], k)
                     pivots[slot] = (q - pow(c, -1, q), r)
                     break
                 r += c * pivot[0] % q * pivot[1]
+                reduced = False
             r >>= k
             slot += 1
     return len(pivots)
-
-
-def _poly_mul(f: list, g: list, q: int | None) -> list:
-    """Product of coefficient lists, mod q by one integer multiply after
-    Kronecker substitution, or exactly when q is None."""
-    if q is None:
-        return schoolbook(f, g)
-    k = _slot_bits(q * q * min(len(f), len(g)))
-    prod = _pack(f, k) * _pack(g, k)
-    return [c % q for c in _unpack(prod, k, len(f) + len(g) - 1)]
 
 
 def sylvester_rank(f: list, g: list, modulus: int | None = None) -> int:
@@ -359,8 +321,10 @@ class AlgebraHom:
                              else self.RANK_PRIME)
         self._one = (0,) * len(target.weights), 0, [1]  # the form of 1
         # binary-form caches per coefficient domain (rank_modulus, or None
-        # for exact integers): series of forms (generator powers, h_r f^a,
-        # g^b) and their packed ints per slot width
+        # for exact integers): generator images, heads h_r, series of forms
+        # (h_r f^a, g^b) and their packed ints per slot width
+        self._gens: dict[tuple, tuple | None] = {}
+        self._heads: dict = {}
         self._forms: dict[tuple, list] = {}
         self._packs: dict[tuple, list[int]] = {}
         if validate:
@@ -415,16 +379,19 @@ class AlgebraHom:
     # coeffs[a] the coefficient of U^a V^(l-a); zero is None.  Coefficients
     # are ints mod q, or with q None exact for an integer multiple of it.
 
-    def _gen_form(self, j: int, q):
-        forms = self.gen_images[j].forms
-        if not forms:
-            return None
-        if len(forms) > 1:
-            raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
-        ((tor, l), coeffs), = forms.items()
-        den = math.lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-        return tor, l, [v % q for v in coeffs] if q else coeffs
+    def _gen(self, j: int, q):
+        """phi(x_j) as a form, read once per coefficient domain."""
+        if (q, j) not in self._gens:
+            forms = self.gen_images[j].forms
+            if len(forms) > 1:
+                raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
+            form = None
+            for (tor, l), coeffs in forms.items():  # the one form of a nonzero image
+                den = math.lcm(*(c.denominator for c in coeffs))
+                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+                form = tor, l, [v % q for v in coeffs] if q else coeffs
+            self._gens[(q, j)] = form
+        return self._gens[(q, j)]
 
     def _mul(self, f, g, q):
         if f is None or g is None:
@@ -444,15 +411,26 @@ class AlgebraHom:
                 forms.append(self._mul(forms[-1], t, q))
         return forms
 
-    def _power(self, j: int, n: int, q):
-        return self._series(j, n, q, lambda: self._one, lambda: self._gen_form(j, q))[n]
-
     def _head(self, r: tuple, q):
-        """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t}."""
-        h = self._power(0, r[0], q)
-        for j in range(1, len(r)):
-            h = self._mul(h, self._power(j, r[j], q), q)
+        """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t},
+        cached per exponent vector.  h_r = h_{r - e_j} phi(x_j) for the last
+        j with r_j > 0, so a head is one product once its neighbour is
+        known; the neighbours missing are made first, lowest first."""
+        heads = self._heads.setdefault(q, {(0,) * len(r): self._one})
+        missing = []
+        while r not in heads:
+            j = max(i for i, a in enumerate(r) if a)
+            missing.append((r, j))
+            r = r[:j] + (r[j] - 1,) + r[j + 1:]
+        h = heads[r]
+        for r, j in reversed(missing):
+            h = heads[r] = self._mul(h, self._gen(j, q), q)
         return h
+
+    def _fg(self, j: int, q):
+        """f (j = 0) or g (j = 1): the image of x_j^{q_j}."""
+        qs = self.source.weights.weights
+        return self._head(tuple(qs[i] if i == j else 0 for i in range(len(qs))), q)
 
     def _packed(self, key, forms: list, q: int, k: int) -> list[int]:
         """The forms of a cached series packed at k bits per slot; zero is 0."""
@@ -470,9 +448,8 @@ class AlgebraHom:
         when g carries no torsion, h_r f^a times g^b carries nothing, so a
         row is one product of packed ints: its entries are unreduced, below
         q^2 cols.  Otherwise, and for exact rows (q None), rows are forms."""
-        qs = self.source.weights.weights
-        f = lambda: self._power(0, qs[0], q)
-        g = lambda: self._power(1, qs[1], q)
+        f = lambda: self._fg(0, q)
+        g = lambda: self._fg(1, q)
         k = _slot_bits(q * q * max(cols, 1)) if q else None
 
         def check(y, torsion, l):
@@ -530,8 +507,7 @@ class AlgebraHom:
         for im, d in zip(self.gen_images, self.group_hom.gen_images):
             if not im.is_zero() and im.degree() != d:
                 return None
-        qs = self.source.weights.weights
-        f, g = self._power(0, qs[0], q), self._power(1, qs[1], q)
+        f, g = self._fg(0, q), self._fg(1, q)
         if f is None or g is None or sylvester_rank(f[2], g[2], q) < 2 * c.l:
             return None
         return c.l

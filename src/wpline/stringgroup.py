@@ -341,11 +341,16 @@ class GroupHom:
                              "a group map can solve fibers over"
                              % (self.source, count, MAX_RESIDUES))
         tw, dw, lcm = self.target.weights, self.target.degree_weights, self.target.lcm
+        gens = [(im.l, im.torsion) for im in self.gen_images]
+        zero = [0] * len(tw)
         out = []
         for r in self.source.torsion_tuples():
-            hl, ht = _normal(tw, sum(a * im.l for a, im in zip(r, self.gen_images)),
-                             [sum(a * im.torsion[i] for a, im in zip(r, self.gen_images))
-                              for i in range(len(tw))])
+            l, raw = 0, zero
+            for a, (gl, gt) in zip(r, gens):
+                if a:
+                    l += a * gl
+                    raw = [v + a * w for v, w in zip(raw, gt)]
+            hl, ht = _normal(tw, l, raw)
             out.append((r, hl, ht, hl * lcm + sum(v * d for v, d in zip(ht, dw))))
         return tuple(out)
 
@@ -407,12 +412,13 @@ class GroupHom:
 
         The image of (j + k n) c_S + r is that of j c_S + r moved up k m
         levels.  So one normal form (xl, xt) per residue r and class j of
-        source levels mod n puts the pair (j + k n, r) over (xl + k m, xt)
-        for every k, that is, the pair (j - (xl // m) n + (L // m) n, r)
-        over each (L, xt) with L = xl (mod m); the pairs of a fiber keep
-        one order as L moves.  Property tests cross-check the fibers
-        against :meth:`fiber`.  A table of more than MAX_RESIDUES entries
-        raises ValueError before any is made.
+        source levels mod n (for j = 0 the residue's own from ``_residues``)
+        puts the pair (j + k n, r) over (xl + k m, xt) for every k, that is,
+        the pair (j - (xl // m) n + (L // m) n, r) over each (L, xt) with
+        L = xl (mod m); the pairs of a fiber keep one order as L moves.
+        Property tests cross-check the fibers against :meth:`fiber`.  A table
+        of more than MAX_RESIDUES entries raises ValueError before any is
+        made.
         """
         self._canonical_degree()
         n, m = self._period
@@ -424,7 +430,8 @@ class GroupHom:
         cl, ct = self.c_image.l, self.c_image.torsion
         groups: dict[tuple, list] = defaultdict(list)  # (xl mod m, xt) -> (offset, r)
         for r, hl, ht, _ in self._residues:
-            for j in range(n):
+            groups[(hl % m, ht)].append((-(hl // m) * n, r))  # j = 0: the residue's own image
+            for j in range(1, n):
                 xl, xt = _normal(tw, j * cl + hl, [j * a + b for a, b in zip(ct, ht)])
                 groups[(xl % m, xt)].append((j - xl // m * n, r))
         by_class = defaultdict(list)

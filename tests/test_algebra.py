@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import as_elements, reference_power, reference_product, reference_reduce
-from wpline import (CoordinateAlgebra, PrimeField, RationalField,
+from wpline import (CoordinateAlgebra, Fp, PrimeField, RationalField,
                     builtin_group_hom)
 
 Q = RationalField()
@@ -293,3 +293,33 @@ def test_arithmetic_matches_the_rewriting_oracle(data):
     assert (a ** n).terms == reference_power(alg, ra, n)
     c = alg.field(data.draw(COEFFS, label="scalar"))
     assert (c * a).terms == (a * c).terms == {e: c * v for e, v in ra.items() if c * v != 0}
+
+
+def test_products_over_a_prime_field_leave_residue_arithmetic_out(monkeypatch):
+    """Over F_q a product multiplies the residues' int values (one Kronecker
+    product per pair of forms, carried mod q) and wraps each coefficient in
+    ``Fp`` once, so with every ``*`` and ``+`` of ``Fp`` raising, products
+    and powers still run and equal the elements of the rewriting oracle's
+    terms.  The elements span several degrees, so their products collide in
+    a degree, and (x1 + x2)(x1 - x2) cancels its form at x1 x2."""
+    rng = random.Random(7)
+    pairs = []
+    for alg in ORACLE_ALGEBRAS:
+        if alg.field == F7:
+            ws = alg.weights.weights
+            pairs.append([alg.element([(rng.randint(1, 6), [rng.randrange(3 * p) for p in ws])
+                                       for _ in range(4)]) for _ in range(2)])
+    x1, x2 = CoordinateAlgebra((2, 3), F7).gens
+    pairs.append([x1 + x2, x1 - x2])
+    element = lambda alg, terms: alg.element([(c, e) for e, c in terms.items()])
+    want = [(element(a.algebra, reference_product(a.algebra, a.terms, b.terms)),
+             element(a.algebra, reference_power(a.algebra, a.terms, 5))) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("an element product used Fp arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fp, name, refuse)
+    got = [(a * b, a ** 5) for a, b in pairs]
+    monkeypatch.undo()
+    assert got == want

@@ -260,6 +260,21 @@ class TestVerifyCommand:
         assert report["admissible"] is True
         assert report["kernel"] == ["0;0,0,0", "-1;2,2,0"]
 
+    @pytest.mark.parametrize("argv,want", [(["--case", "A", "--field", "5"], 0),
+                                           (["--case", "D", "--field", "7", "--lambda", "-1"], 0),
+                                           (["--case", "B", "--field", "7",
+                                             "--tamper", "lambda=2"], 1),
+                                           (["--case", "C", "--field", "7"], 2)])
+    def test_case_document_is_parsed_once(self, capsys, monkeypatch, argv, want):
+        """One verify call reads its case document once, whether it passes,
+        fails a relation or lacks a root; the kernel self-check compares
+        with the paper's kernel text."""
+        parse, docs = VerifyConfig.from_dict, []
+        monkeypatch.setattr(VerifyConfig, "from_dict",
+                            classmethod(lambda cls, data: docs.append(data) or parse(data)))
+        code, _, _ = run(capsys, "verify", "--window", "4", *argv)
+        assert (code, len(docs)) == (want, 1)
+
     def test_reports_are_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--case", "B", "--field", "7",
                              "--window", "5")

@@ -46,6 +46,10 @@ The ``algebra dim``, ``basis`` and ``reduce`` answers (over Q and F_7, on 2 to
 coefficients) and the output of demo 02 were pinned while the algebra still
 rewrote exponent dicts, before its elements became binary forms over
 k[U, V]; the demo has since dropped its block on redex orders.
+
+The RelationError reports of ``relation_doc(5000)`` and ``relation_doc(25000)``
+were pinned while products of elements over F_q still multiplied ``Fp``
+coefficients term by term, which took 5 s and 34 s for them.
 """
 
 import hashlib
@@ -298,6 +302,23 @@ CONFIG_FAIL = {"source": {"params": [], "weights": [2, 2]},
                "phi": [[["1", [1, 0]]], [["1", [1, 0]]]],
                "field": "rationals", "window": 6}
 
+
+
+def relation_doc(n: int) -> dict:
+    """(2,2,n) -> (2,2,2,2; -1) over F_7, n even, with phi = x1^n, x2^n, x3^2:
+    graded, but x3^n = x2^2 - x1^2 fails, and checking it takes the power
+    (V - U)^n, a form of n + 1 coefficients."""
+    return {"source": {"weights": [2, 2, n], "params": ["1"]},
+            "target": {"weights": [2, 2, 2, 2], "params": ["1", "-1"]},
+            "constants": {},
+            "pi": ["%d;0,0,0,0" % (n // 2), "%d;0,0,0,0" % (n // 2), "1;0,0,0,0"],
+            "phi": [[["1", [n, 0, 0, 0]]], [["1", [0, n, 0, 0]]], [["1", [0, 0, 2, 0]]]],
+            "field": "7", "window": 20}
+
+
+#: stdout of ``verify --config`` on relation_doc(25000), exit code 1
+RELATION_25000 = "b61369133c13ad796ce5e9ed77b67ef4d6502119381db9388bdb9c57fdbca707"
+
 #: (name, document, further arguments, exit code, digest)
 CONFIG_GOLDEN = [
     ("A/Q", dict(CONFIG_A, field="rationals"), [], 0,
@@ -311,6 +332,8 @@ CONFIG_GOLDEN = [
      "ff2ddd6e2553bc56b35acc44015e86dd53fda28c1e2bc569caf1605b02ac92a6"),
     ("A/5 tamper", dict(CONFIG_A, field="5"), ["--tamper", "lambda=-1"], 0,
      "ebfc1c893e4601dad157a46699973769634c075a3f9955b6659d28f45840110d"),
+    ("relation/5000", relation_doc(5000), [], 1,
+     "72327a8602f74941ea3fe660a8c04c2283700eb218d900908a0d24de59ffb935"),
 ]
 
 
@@ -329,6 +352,20 @@ def test_config_stdout_bytes(name, doc, args, code, digest, capsys, tmp_path):
     assert main(["verify", "--config", str(path), *args]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_relation_check_of_a_long_power_is_bounded(tmp_path):
+    """The source relation of relation_doc(25000) is checked on a power of
+    25001 coefficients within 20 s, interpreter start included, with the
+    pinned report."""
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(relation_doc(25000)))
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "wpline", "verify", "--config", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RELATION_25000
 
 
 #: stdout of ``demos/02_coordinate_algebras.py``

@@ -14,12 +14,12 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from reference import reference_records, reference_report, reference_rows
+from reference import monomial_image, reference_records, reference_report, reference_rows
 from wpline import (AlgebraElement, AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
-from wpline.field import ConstantUnavailable, InvalidLambda
-from wpline.homverify import _poly_mul, _slot_bits, sylvester_rank, unreduced_bound
+from wpline.field import ConstantUnavailable, InvalidLambda, _poly_mul, _slot_bits
+from wpline.homverify import sylvester_rank, unreduced_bound
 
 Q = RationalField()
 P = AlgebraHom.RANK_PRIME
@@ -64,6 +64,56 @@ def test_reference_records_use_no_element_arithmetic(monkeypatch, cid, field):
     for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__"):
         monkeypatch.setattr(AlgebraElement, name, refuse)
     assert reference_records(hom, 6) == want
+
+
+# -- heads against the reference images ------------------------------------------
+
+def _head_terms(hom, form, field):
+    """A form (torsion, level, coeffs), or None for zero, as the terms
+    {exponent vector: coefficient in ``field``} of the target element."""
+    if form is None:
+        return {}
+    tor, l, coeffs = form
+    return AlgebraElement(hom.target, {(tor, l): [field(c) for c in coeffs]}).terms
+
+
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_heads_match_the_reference_images(cid):
+    """The head h_r of every source residue r, one product of a
+    neighbour's head and a generator image, is the image of x^r that
+    ``monomial_image`` makes by rewriting: exactly mod an acceptance prime
+    q, and over Q (the first field of B and C is a prime) as an integer
+    multiple, whose residues mod RANK_PRIME are the head of the rank."""
+    for field in CASE_FIELDS[cid][:2]:
+        hom = builtin_case(cid, field, lam=-3 if cid == "D" else None).algebra_hom
+        powers = {}
+        for r in hom.source.weights.torsion_tuples():
+            want = monomial_image(hom, r, powers)
+            if isinstance(field, PrimeField):
+                assert _head_terms(hom, hom._head(r, field.q), field) == want, r
+                continue
+            tor, l, ints = hom._head(r, None)
+            exact = _head_terms(hom, (tor, l, ints), field)
+            e = next(iter(exact))
+            scale = exact[e] / want[e]
+            assert scale.denominator == 1 and exact == {e: scale * c for e, c in want.items()}, r
+            assert hom._head(r, P) == (tor, l, [c % P for c in ints]), r
+
+
+def test_heads_through_a_zero_image_are_zero():
+    """Case A with phi(x_3) = 0, unchecked: a head is zero exactly when its
+    residue has x_3 in it, and every head is still the reference image."""
+    spec = builtin_case("A", Q)
+    target = spec.algebra_hom.target
+    x1, x2, _, _ = target.gens
+    hom = AlgebraHom.unchecked(spec.algebra_hom.source, target, spec.group_hom,
+                               [x1, x2, target.zero])
+    powers = {}
+    for r in hom.source.weights.torsion_tuples():
+        for q in (None, P):
+            head = hom._head(r, q)
+            assert (head is None) == (r[2] > 0), r
+            assert _head_terms(hom, head, Q) == monomial_image(hom, r, powers), r
 
 
 @SLOW
@@ -316,6 +366,22 @@ def test_rank_mod_q_matches_sympy(q, rows):
     assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANK_MODULI), st.data())
+def test_rank_of_rows_below_q_matches_sympy(q, data):
+    """Rows whose entries are below q are stored as pivots as they are,
+    and rows up to the unreduced bound once reduced; a row made of two
+    earlier ones mod q makes the rank deficient."""
+    m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    bound = unreduced_bound(q, n)
+    rows = [data.draw(st.lists(st.integers(0, q - 1 if data.draw(st.booleans()) else bound - 1),
+                               min_size=n, max_size=n)) for _ in range(m)]
+    if m > 2 and data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(2, m)),
+                    [(a + b) % q for a, b in zip(rows[0], rows[1])])
+    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
+
+
 @pytest.mark.parametrize("q", [5, 10007, P, 2 ** 61 - 1])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -400,6 +466,34 @@ def test_exact_form_product_matches_sympy(f, g):
             for c in _sympy_product([QQ(v.numerator, v.denominator) for v in f],
                                     [QQ(v.numerator, v.denominator) for v in g], QQ)]
     assert _poly_mul(f, g, None) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RANK_MODULI), st.integers(0, 2 ** 70),
+       st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=40), st.booleans())
+def test_form_product_by_one_coefficient_matches_sympy(q, c, g, left):
+    """A factor of one coefficient, on either side, is a scalar multiple."""
+    f, g = [c % q], [v % q for v in g]
+    if left:
+        f, g = g, f
+    assert _poly_mul(f, g, q) == [int(v) % q for v in _sympy_product(f, g, GF(q))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=12),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=12))
+def test_integer_form_product_without_modulus_matches_sympy(f, g):
+    """q None on the integer forms of exact ranks over Q: any sign and size."""
+    assert _poly_mul(f, g, None) == [int(c) for c in _sympy_product(f, g, ZZ)]
+
+
+@pytest.mark.parametrize("q,n", [(P, 300), (P, 2000), (1000000007, 40)])
+def test_form_product_of_forms_long_enough_for_wide_slots(q, n):
+    """q^2 min(len(f), len(g)) past 2^64 takes slots of 128 bits."""
+    assert _slot_bits(q * q * n) == 128
+    f = [(q - 1 - 3 * i) % q for i in range(n)]
+    g = [(q - 1 - 5 * i * i) % q for i in range(n + 7)]
+    assert _poly_mul(f, g, q) == [int(c) % q for c in _sympy_product(f, g, GF(q))]
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from reference import (as_elements, reference_admissibility, reference_fiber,
                        reference_order, reference_window_fibers)
 from wpline import (GroupHom, InfiniteFiberError, WeightSequence,
-                    WellDefinednessError, builtin_group_hom, expected_kernel)
+                    WellDefinednessError, builtin_group_hom, expected_kernel, stringgroup)
 
 L2222 = WeightSequence((2, 2, 2, 2))
 L333 = WeightSequence((3, 3, 3))
@@ -290,6 +290,24 @@ class TestAdmissibility:
         for call in (h.window_fibers, h.is_admissible):
             with pytest.raises(ValueError, match="period table"):
                 call(1)
+
+    @pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+    def test_period_table_normalizes_each_residue_once(self, monkeypatch, cid):
+        """n = 1 for the four cases, so the table's entries are the residues'
+        own images: a cold ``_classes`` takes one normal form per source
+        residue, in ``_residues``, and none of its own."""
+        h = builtin_group_hom(cid)
+        normal, calls = stringgroup._normal, []
+
+        def counting(*args):
+            calls.append(args)
+            return normal(*args)
+
+        monkeypatch.setattr(stringgroup, "_normal", counting)
+        n, _, by_class = h._classes
+        assert n == 1
+        assert len(calls) == math.prod(h.source.weights) == sum(
+            len(pairs) for classes in by_class.values() for _, pairs in classes)
 
     def test_negation_automorphism(self):
         # canonical element maps to negative degree; fibers are singletons
