@@ -153,7 +153,8 @@ class CoordinateAlgebra:
 
     def _build(self, monos: list) -> "AlgebraElement":
         """The sum of c X^e over (c, e) in ``monos``, by ``carry`` on ints;
-        each carry by lam = num/den is by den V - num U, divided out at the end."""
+        each carry by lam = num/den is by den V - num U, divided out at the end.
+        Over F_q the coefficients are ints mod q, wrapped in ``Fp`` once."""
         ws, q = self.weights.weights, self.modulus
         units = [1 if q else -(-(n.bit_length() + d.bit_length()) // CARRY_BITS)
                  for d, n in self.int_pairs]
@@ -168,7 +169,13 @@ class CoordinateAlgebra:
         for (c, e), row in zip(monos, ks):
             tor, l, ints = carry(e, 0, [1], ws, self.int_pairs, q)
             scale = math.prod([d ** k for (d, _), k in zip(self.int_pairs, row[2:])])
-            _add_form(forms, (tor, l), [c * v / scale for v in ints])
+            if q:
+                c = c.value * pow(scale, -1, q) % q
+                _add_form(forms, (tor, l), [c * v % q for v in ints], q)
+            else:
+                _add_form(forms, (tor, l), [c * v / scale for v in ints])
+        if q:
+            forms = {key: [Fp(c, q) for c in cs] for key, cs in forms.items()}
         return AlgebraElement(self, forms)
 
     # -- grading -------------------------------------------------------------

@@ -168,10 +168,14 @@ def find_admissible_primes(case, count: int = 3, lam=None) -> list[int]:
     return found
 
 
-def auto_prime(case, lam=None) -> int:
-    """The smallest admissible prime, for the command-line --auto-prime flag."""
+def auto_prime(case, lam=None, case_id: str | None = None) -> int:
+    """The smallest admissible prime, for the command-line --auto-prime flag.
+    ``case`` is a case id or a parsed case document; ``case_id`` names the
+    case in the error message (by default the id, or "custom")."""
     found = find_admissible_primes(case, count=1, lam=lam)
     if not found:
+        if case_id is None:
+            case_id = case if isinstance(case, str) else "custom"
         raise ConstantUnavailable("no prime in [%d, %d] resolves the constants of case %s"
-                                  % (*PRIME_SCAN, case if isinstance(case, str) else "custom"))
+                                  % (*PRIME_SCAN, case_id))
     return found[0]

@@ -261,7 +261,7 @@ def _cmd_verify(args) -> int:
     if args.auto_prime:
         if args.field is not None:
             raise UsageError("--auto-prime replaces --field")
-        field = PrimeField(auto_prime(args.case or cfg, lam=args.lam))
+        field = PrimeField(auto_prime(cfg, lam=args.lam, case_id=args.case or "custom"))
     else:
         field = field_from_spec(args.field or cfg.field_spec)
     spec = builtin_case(cfg, field, lam=args.lam, root_pick=args.root_pick,

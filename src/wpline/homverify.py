@@ -41,12 +41,13 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraElement, CoordinateAlgebra, carry
 from .field import PrimeField, _pack, _poly_mul, _slot_bits, _unpack
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
-                          _sort_key)
+                          WindowFibers, _sort_key)
 
 
 class GradednessError(ValueError):
@@ -202,6 +203,20 @@ def _record_format(torsion: tuple, pairs: tuple) -> tuple[str, tuple[int, ...]]:
             tuple([off for off, _ in pairs]))
 
 
+def _plain_format(formats: list[tuple]) -> tuple[str, itemgetter, list[int]]:
+    """The records of one level of a class of the period table when each is
+    (mult, mult, mult), from the ``_record_format`` of each of its entries:
+    their format strings joined into one, the itemgetter that picks its
+    arguments from [l, mult, "true", *(u + shift for u in offsets)], and
+    the distinct level offsets of the class."""
+    offsets = sorted({off for _, offs in formats for off in offs})
+    slot = {off: 3 + i for i, off in enumerate(offsets)}
+    picks = []
+    for _, offs in formats:
+        picks += [0, *[slot[off] for off in offs], 1, 2, 1, 1]
+    return ",\n".join([fmt for fmt, _ in formats]), itemgetter(*picks), offsets
+
+
 class VerificationResult:
     """Admissibility of the group map plus one entry per image degree on a
     window.  An entry is (l, torsion, pairs, source_dim, target_dim,
@@ -209,30 +224,67 @@ class VerificationResult:
     source pairs (l, r) of ``GroupHom.window_fibers`` (never empty), and
     the counts of its :class:`DegreeRecord`.
 
-    A result keeps each entry in the compact form (fiber class, l, shift,
-    source_dim, target_dim, image_rank): the class is (torsion, pairs),
-    and the fiber is its pairs moved up ``shift`` levels.
-    ``verify_window`` passes ``compact`` entries whose classes are those of
-    the period table of ``GroupHom._classes``, each shared by every level
-    of its class; given ``entries``, each is its own class at shift 0.
-    ``entries`` and ``records`` (with their ``GroupElement``s) are built on
-    first access.
+    A result from ``verify_window`` is a view on the period table, like
+    ``WindowFibers``: it keeps the window's ``fibers``, the induction level
+    ``m`` (None when every record is eliminated), the admissibility failure
+    ``totals`` by (l, torsion), and in ``eliminated`` the (l, torsion,
+    source_dim, target_dim, image_rank) of each record it eliminated, in
+    the order of the fibers.  Every other record is (total, mult, mult),
+    with total the failure total of its degree or else mult = max(l + 1, 0).
+    Given ``entries`` instead, each is its own level and class at shift 0,
+    and eliminated.  ``entries`` and ``records`` (with their
+    ``GroupElement``s) are built on first access.
     """
 
     def __init__(self, window: int, admissibility: AdmissibilityReport, source: WeightSequence,
                  target: WeightSequence, entries: tuple[tuple, ...] = (), *,
-                 compact: list[tuple] | None = None):
+                 fibers: WindowFibers | None = None, m: int | None = None,
+                 eliminated: Sequence[tuple] = ()):
         self.window = window
         self.admissibility = admissibility
         self.source = source
         self.target = target
-        self.compact = compact if compact is not None else [
-            ((tor, pairs), l, 0, s, t, rank) for l, tor, pairs, s, t, rank in entries]
+        self.fibers = fibers
+        self.m = m
+        self.totals = {(x.l, x.torsion): got for x, got, _ in admissibility.failures}
+        if fibers is None:
+            self._given = [(l, 0, [(tor, pairs)]) for l, tor, pairs, *_ in entries]
+            eliminated = [(l, tor, s, t, rank) for l, tor, _, s, t, rank in entries]
+        self.eliminated = eliminated
+
+    def _levels(self) -> Iterator[tuple[int, int, list, list | None]]:
+        """(l, shift, classes, counts) per level in order, with l, shift and
+        classes as ``WindowFibers.levels`` gives them, and counts the
+        (source_dim, target_dim, image_rank) of each class; counts is None
+        on a plain level, where no record is eliminated and admissibility
+        lists no failure, so every record is (mult, mult, mult)."""
+        levels = self.fibers.levels() if self.fibers is not None else self._given
+        totals = self.totals
+        failed = {l for l, _ in totals}
+        elim = iter(self.eliminated)
+        nxt = next(elim, None)
+        for l, shift, classes in levels:
+            if (not nxt or nxt[0] != l) and l not in failed:
+                yield l, shift, classes, None
+                continue
+            mult = max(l + 1, 0)
+            counts = []
+            for tor, _ in classes:
+                if nxt and nxt[:2] == (l, tor):
+                    counts.append(nxt[2:])
+                    nxt = next(elim, None)
+                else:
+                    counts.append((totals.get((l, tor), mult), mult, mult))
+            yield l, shift, classes, counts
 
     @cached_property
     def entries(self) -> tuple[tuple, ...]:
-        return tuple((l, tor, tuple([(off + shift, r) for off, r in pairs]), s, t, rank)
-                     for (tor, pairs), l, shift, s, t, rank in self.compact)
+        out = []
+        for l, shift, classes, counts in self._levels():
+            mult = max(l + 1, 0)
+            for (tor, pairs), c in zip(classes, counts or [(mult, mult, mult)] * len(classes)):
+                out.append((l, tor, tuple([(off + shift, r) for off, r in pairs]), *c))
+        return tuple(out)
 
     @cached_property
     def records(self) -> tuple[DegreeRecord, ...]:
@@ -244,8 +296,10 @@ class VerificationResult:
 
     @property
     def passed(self) -> bool:
+        """Admissible, with every eliminated record surjective: any other
+        record fails only at an admissibility failure."""
         return self.admissibility.admissible and all(
-            s == t == rank for _, _, _, s, t, rank in self.compact)
+            s == t == rank for _, _, s, t, rank in self.eliminated)
 
     def failing_records(self) -> tuple[DegreeRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
@@ -256,11 +310,13 @@ class VerificationResult:
         sort_keys=True, indent=2) on its dict form, whose records are the
         ``as_dict`` of each record; ``extra`` adds top-level keys such as
         ``tamper``.  Every key but the records goes through json.dumps.  The
-        records of a fiber class share one format string (``_RECORD``),
-        made once per class (keyed by identity, as ``compact`` holds them),
-        and are spliced in at the one top-level ``"records": []`` of that
-        dump: a JSON string holds no raw newline, and nested keys sit
-        deeper than two spaces."""
+        records of an entry of the period table share one format string
+        (``_RECORD``), and a plain level (see ``_levels``) is one format
+        string for its whole class (``_plain_format``); each is made once,
+        keyed by the identity of the class it formats.  The records are
+        spliced in at the one top-level ``"records": []`` of that dump: a
+        JSON string holds no raw newline, and nested keys sit deeper than
+        two spaces."""
         report = {
             "case": case,
             "field": field_name,
@@ -274,16 +330,31 @@ class VerificationResult:
         if extra:
             report.update(extra)
         text = json.dumps(report, sort_keys=True, indent=2)
-        if not self.compact:
-            return text
-        formats = {}
-        records = []
-        for cls, l, shift, s, t, rank in self.compact:
+        plains, formats = {}, {}
+
+        def record_format(cls):
             fmt = formats.get(id(cls))
             if fmt is None:
                 fmt = formats[id(cls)] = _record_format(*cls)
-            records.append(fmt[0] % (l, *[off + shift for off in fmt[1]], rank,
-                                     "true" if s == t == rank else "false", s, t))
+            return fmt
+
+        records = []
+        for l, shift, classes, counts in self._levels():
+            if counts is None:
+                plain = plains.get(id(classes))
+                if plain is None:
+                    plain = plains[id(classes)] = _plain_format(list(map(record_format,
+                                                                         classes)))
+                fmt, pick, offsets = plain
+                records.append(fmt % pick([l, max(l + 1, 0), "true",
+                                           *[off + shift for off in offsets]]))
+                continue
+            for cls, (s, t, rank) in zip(classes, counts):
+                fmt, offsets = record_format(cls)
+                records.append(fmt % (l, *[off + shift for off in offsets], rank,
+                                      "true" if s == t == rank else "false", s, t))
+        if not records:
+            return text
         head, _, tail = text.partition('\n  "records": []')
         return "".join([head, '\n  "records": [\n', ",\n".join(records), "\n  ]", tail])
 
@@ -514,36 +585,48 @@ class AlgebraHom:
 
     def verify_window(self, window: int) -> VerificationResult:
         """Admissibility plus a degree entry for every image degree with
-        |l| <= window, in deterministic order.  Records are visited level by
-        level on the fibers of ``GroupHom.window_fibers``, and with an
-        induction level m a record below level 0, or at l >= 2m - 1 above a
-        surjective one, is (sum of fiber mults, mult(x), mult(x)) without
-        rows; that sum is mult(x) unless admissibility lists x among its
-        failures.  Only the records that are eliminated get
-        ``GroupElement``s, for ``check_surjective_at``."""
+        |l| <= window, as a view on the fibers of ``GroupHom.window_fibers``
+        (see :class:`VerificationResult`).  Without an induction level every
+        record is eliminated, level by level.  With one, m, a record below
+        level 0, or at l >= 2m - 1 above a surjective one, is (sum of fiber
+        mults, mult(x), mult(x)) without rows and is not stored; that sum is
+        mult(x) unless admissibility lists x among its failures.  So only the
+        base levels 0 <= l <= 2m - 2 are visited, and then the chains of
+        records above deficient ones.  Only the records that are eliminated
+        get ``GroupElement``s, for ``check_surjective_at``."""
         fibers = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window)
-        totals = {(x.l, x.torsion): got for x, got, _ in admissibility.failures}
         m = self._induction_level()
         src, tgt = self.group_hom.source, self.group_hom.target
-        # (l, torsion) of the records that are not surjective.  The record m
-        # levels below one at l >= 2m - 1 is in the window and in the same
-        # class of the period table (n = 1 there, and m is its period), so
-        # it was visited first.
-        deficient = set()
-        compact = []
-        for l, shift, classes in fibers.levels():
-            mult = max(l + 1, 0)
-            above = m and l >= 2 * m - 1
-            for cls in classes:
-                tor, pairs = cls
-                if m and l < 0 or above and (l - m, tor) not in deficient:
-                    compact.append((cls, l, shift, totals.get((l, tor), mult), mult, mult))
-                    continue
-                rec = self.check_surjective_at(
-                    GroupElement(tgt, l, tor),
-                    tuple(GroupElement(src, off + shift, r) for off, r in pairs))
-                if rec.image_rank < rec.target_dim:
-                    deficient.add((l, tor))
-                compact.append((cls, l, shift, rec.source_dim, rec.target_dim, rec.image_rank))
-        return VerificationResult(window, admissibility, src, tgt, compact=compact)
+        eliminated = []
+
+        def deficient(l, shift, tor, pairs) -> bool:
+            """Eliminate the record (l, tor); True when it is not surjective."""
+            rec = self.check_surjective_at(
+                GroupElement(tgt, l, tor),
+                tuple(GroupElement(src, off + shift, r) for off, r in pairs))
+            eliminated.append((l, tor, rec.source_dim, rec.target_dim, rec.image_rank))
+            return rec.image_rank < rec.target_dim
+
+        if m is None:
+            for l, shift, classes in fibers.levels():
+                for tor, pairs in classes:
+                    deficient(l, shift, tor, pairs)
+        else:
+            # The record m levels above one is in the same class of the
+            # period table (n = 1 there, and m is its period), one shift up.
+            # Above a deficient base record at l >= m - 1 it lies past the
+            # base levels; so chains start there, and since each step adds m
+            # to a level of [m - 1, 2m - 2], they keep ``eliminated`` in the
+            # order of the fibers.
+            chains = []
+            for l in range(min(2 * m - 2, window) + 1):
+                shift, classes = fibers.level(l)
+                for cls in classes:
+                    if deficient(l, shift, *cls) and l >= m - 1:
+                        chains.append((l, shift, cls))
+            for l, shift, cls in chains:  # grows while it is read
+                if l + m <= window and deficient(l + m, shift + 1, *cls):
+                    chains.append((l + m, shift + 1, cls))
+        return VerificationResult(window, admissibility, src, tgt, fibers=fibers, m=m,
+                                  eliminated=eliminated)

@@ -522,11 +522,19 @@ class WindowFibers(Mapping):
         """(L, shift, classes) for every level L of the window with a
         nonempty fiber, ascending: the fibers at L are, for each (xt, pairs)
         of classes in order, [(off + shift, r) for off, r in pairs]."""
-        n, m, by_class = self._n, self._m, self._by_class
         for L in range(-self.window, self.window + 1):
-            classes = by_class.get(L % m)
+            shift, classes = self.level(L)
             if classes:
-                yield L, L // m * n, classes
+                yield L, shift, classes
+
+    def level(self, L: int) -> tuple[int, list]:
+        """(shift, classes) of level L as ``levels`` yields them; classes
+        is empty when no fiber of the window sits at L."""
+        if -self.window <= L <= self.window:
+            classes = self._by_class.get(L % self._m)
+            if classes:
+                return L // self._m * self._n, classes
+        return 0, []
 
     def __len__(self) -> int:
         return sum(len(classes) * len(_levels_of_class(c, self._m, self.window))
@@ -542,9 +550,8 @@ class WindowFibers(Mapping):
             L, xt = key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        if -self.window <= L <= self.window:
-            for t, pairs in self._by_class.get(L % self._m, ()):
-                if t == xt:
-                    shift = L // self._m * self._n
-                    return tuple([(off + shift, r) for off, r in pairs])
+        shift, classes = self.level(L)
+        for t, pairs in classes:
+            if t == xt:
+                return tuple([(off + shift, r) for off, r in pairs])
         raise KeyError(key)

@@ -323,3 +323,34 @@ def test_products_over_a_prime_field_leave_residue_arithmetic_out(monkeypatch):
     got = [(a * b, a ** 5) for a, b in pairs]
     monkeypatch.undo()
     assert got == want
+
+
+def test_building_over_a_prime_field_leaves_residue_arithmetic_out(monkeypatch):
+    """Over F_q an element is built on the coefficients' int values (each
+    monomial scaled once and carried mod q) and wrapped in ``Fp`` once, so
+    with every ``*``, ``/``, ``+`` and ``-`` of ``Fp`` raising, elements and
+    reduced monomials still build and give the rewriting oracle's terms.
+    Exponents reach three times each weight, so every generator carries,
+    and repeated monomials collide in a form."""
+    rng = random.Random(11)
+    cases = []
+    for alg in ORACLE_ALGEBRAS:
+        if alg.field == F7:
+            ws = alg.weights.weights
+            terms = [(rng.choice([1, 3, -2, Fraction(2, 3)]),
+                      tuple(rng.randrange(3 * p) for p in ws)) for _ in range(5)]
+            terms += [(rng.randint(1, 6), terms[0][1])]
+            cases.append((alg, terms, (Fraction(-1, 5), tuple(2 * p + 1 for p in ws))))
+    want = [(_oracle(alg, terms), _oracle(alg, [mono])) for alg, terms, mono in cases]
+
+    def refuse(*args):
+        raise AssertionError("building an element used Fp arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__add__", "__radd__",
+                 "__sub__", "__rsub__"):
+        monkeypatch.setattr(Fp, name, refuse)
+    got = [(alg.element(terms), alg.reduce_monomial(mono[1], mono[0]))
+           for alg, terms, mono in cases]
+    monkeypatch.undo()
+    assert [(a.terms, b.terms) for a, b in got] == want
+    assert all(a.forms and b.forms for a, b in got)

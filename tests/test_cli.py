@@ -149,12 +149,17 @@ class TestAlgebraCommands:
     def test_hilbert_memory_is_constant(self):
         """dim is read off the level, so listing 3001 levels keeps the
         child's peak RSS small; a cache of every listed basis grows as
-        lmax^2 (76 MB at lmax 1000)."""
-        code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+        lmax^2 (76 MB at lmax 1000).  The child reads its own peak, VmHWM
+        of /proc/self/status: on Linux its ru_maxrss also carries the peak
+        of the process that spawned it, which makes the bound depend on
+        the tests run before this one."""
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from wpline.cli import main; "
                 "code = main(['algebra', 'hilbert', '--weights', '2,3', '--lmin', '0', "
                 "'--lmax', '3000']); "
-                "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+                "hwm = [line.split()[1] for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:')]; "
+                "print(code, *hwm, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                               capture_output=True, text=True, timeout=60)
         lines = proc.stdout.splitlines()
@@ -264,11 +269,14 @@ class TestVerifyCommand:
                                            (["--case", "D", "--field", "7", "--lambda", "-1"], 0),
                                            (["--case", "B", "--field", "7",
                                              "--tamper", "lambda=2"], 1),
-                                           (["--case", "C", "--field", "7"], 2)])
+                                           (["--case", "C", "--field", "7"], 2),
+                                           (["--case", "B", "--auto-prime"], 0),
+                                           (["--case", "D", "--auto-prime", "--lambda", "1"],
+                                            2)])
     def test_case_document_is_parsed_once(self, capsys, monkeypatch, argv, want):
         """One verify call reads its case document once, whether it passes,
-        fails a relation or lacks a root; the kernel self-check compares
-        with the paper's kernel text."""
+        fails a relation, lacks a root or searches a prime; the kernel
+        self-check compares with the paper's kernel text."""
         parse, docs = VerifyConfig.from_dict, []
         monkeypatch.setattr(VerifyConfig, "from_dict",
                             classmethod(lambda cls, data: docs.append(data) or parse(data)))
@@ -324,6 +332,13 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert report["field"] == "5" and report["summary"] == "pass"
+
+    def test_auto_prime_without_a_prime_names_the_case(self, capsys):
+        code, out, err = run(capsys, "verify", "--case", "D", "--auto-prime",
+                             "--lambda", "1", "--window", "4")
+        assert code == 2 and out == ""
+        assert err == ("error: no prime in [5, 1000] resolves the constants of case D "
+                       "(try another prime, or --auto-prime)\n")
 
     def test_lambda_with_zero_denominator_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "--case", "D", "--field", "rationals",

@@ -181,9 +181,11 @@ class TestVerifyWindow:
     def test_group_elements_only_for_eliminated_records(self, monkeypatch):
         """verify_window builds a GroupElement for each record it sends to
         check_surjective_at and each of its fiber elements, and for no other
-        record."""
+        record.  The result stores the counts of those records, in the order
+        of the calls, and nothing per inferred record; its verdict and its
+        report build no GroupElement."""
         hom = builtin_case("A", Q).algebra_hom
-        built, eliminated = [], []
+        built, calls = [], []
 
         class Counting(GroupElement):
             def __init__(self, *args, **kwargs):
@@ -193,15 +195,22 @@ class TestVerifyWindow:
         plain = AlgebraHom.check_surjective_at
 
         def spy(self, x, fiber=None):
-            eliminated.append(1 + len(fiber))
+            calls.append((x.l, x.torsion, 1 + len(fiber)))
             return plain(self, x, fiber)
 
         monkeypatch.setattr(homverify, "GroupElement", Counting)
         monkeypatch.setattr(AlgebraHom, "check_surjective_at", spy)
         result = hom.verify_window(40)
-        assert result.passed
-        assert len(built) <= sum(eliminated)
-        assert 4 * sum(eliminated) < len(result.entries)
+        eliminated = sum(n for *_, n in calls)
+        assert len(built) <= eliminated
+        assert [(l, tor) for l, tor, *_ in result.eliminated] == [c[:2] for c in calls]
+        assert 0 < 10 * len(calls) < len(result.fibers)
+        built.clear()
+        text = result.to_report("A", "rationals")
+        assert result.passed and not built
+        assert 4 * eliminated < len(result.entries)
+        monkeypatch.undo()
+        assert text == reference_report(result, "A", "rationals")
 
 
 #: the keys of a report without its extras

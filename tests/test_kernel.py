@@ -661,18 +661,101 @@ def test_deficit_just_above_a_surjective_base_level(monkeypatch, field):
     assert rank["1;0,0,0,0"] == (0, 2) and rank["3;0,0,0,0"] == (0, 4)
 
 
+def _all_eliminated(hom, window):
+    """The result of verify_window with the induction turned off, so that
+    every record is eliminated."""
+    hom._induction_level = lambda: None
+    try:
+        return hom.verify_window(window)
+    finally:
+        del hom._induction_level
+
+
+def _non_admissible_map(field, images):
+    """(2,2,2) -> (2,2) sending x_1 and x_3 to x_1 (see the test below);
+    ``images`` draws the generator images from the target and the degrees."""
+    source = CoordinateAlgebra((2, 2, 2), field, [1])
+    target = CoordinateAlgebra((2, 2), field, [])
+    y1, y2 = target.weights.gens
+    pi = GroupHom(source.weights, target.weights, [y1, y2, y1])
+    return AlgebraHom.unchecked(source, target, pi, images(target, pi.gen_images))
+
+
+def _assert_view_matches(hom, window, name="custom", field_name=""):
+    """The view of verify_window has the entries and verdict of an
+    all-eliminated result, and the report text of the reference encoder."""
+    result = hom.verify_window(window)
+    full = _all_eliminated(hom, window)
+    assert full.m is None and len(full.eliminated) == len(full.fibers)
+    assert result.entries == full.entries
+    assert result.passed == full.passed
+    assert result.to_report(name, field_name) == reference_report(result, name, field_name)
+    return result
+
+
+def test_view_matches_all_eliminated_results_of_random_maps():
+    """Random unchecked maps of the four group maps and of a non-admissible
+    one, some with images beyond the second zeroed (as in demo 04):
+    inferred records, the chains of eliminated records above deficient
+    ones, non-admissible levels and maps without an induction level all
+    occur, and each result equals its all-eliminated recomputation.  The
+    draws are derandomized, so that every kind occurs on every run."""
+    seen = set()
+
+    @settings(SLOW, derandomize=True)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from("ABCDN"), label="group map")
+        field = data.draw(st.sampled_from(RANDOM_FIELDS), label="field")
+
+        def images(target, degrees):
+            out = _random_images(data, target, degrees)
+            zeroed = data.draw(st.sets(st.integers(2, len(out) - 1)), label="zeroed")
+            return [target.zero if j in zeroed else im for j, im in enumerate(out)]
+
+        if kind == "N":
+            hom = _non_admissible_map(field, images)
+        else:
+            pi = builtin_group_hom(kind)
+            source = CoordinateAlgebra(pi.source, field,
+                                       _params(data, field, len(pi.source) - 2))
+            target = CoordinateAlgebra(pi.target, field,
+                                       _params(data, field, len(pi.target) - 2))
+            hom = AlgebraHom.unchecked(source, target, pi, images(target, pi.gen_images))
+        window = data.draw(st.integers(1, 12), label="window")
+        result = _assert_view_matches(hom, window, kind, field.name)
+        m = result.m
+        if m is None:
+            seen.add("no induction level")
+        elif any(l > 2 * m - 2 for l, *_ in result.eliminated):
+            seen.add("chain")
+        if m is not None and len(result.eliminated) < len(result.fibers):
+            seen.add("inferred")
+        if result.admissibility.failures:
+            seen.add("non-admissible")
+
+    check()
+    assert seen == {"no induction level", "chain", "inferred", "non-admissible"}
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("window", [6, 40])
+def test_view_matches_all_eliminated_results_of_zero_image_maps(field, window):
+    """Case A with phi(x_3) = 0, the zeroed image of demo 04: f and g are
+    coprime, and the deficient records chain up through the whole window."""
+    result = _assert_view_matches(_case_a(field, lambda m: m.algebra.zero), window)
+    m = result.m
+    assert m == 2 and not result.passed
+    assert max(l for l, *_ in result.eliminated) > window - m
+
+
 @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
 def test_inferred_records_of_a_non_admissible_map_count_their_whole_fiber(field):
     """(2,2,2) -> (2,2) sending x_1 and x_3 to x_1: the fibers over the
     degrees with torsion x_1 hold two elements of one level, so their mult
     sum is twice the mult and admissibility fails there, while f = U and
     g = V are coprime and the records above level 0 are inferred."""
-    source = CoordinateAlgebra((2, 2, 2), field, [1])
-    target = CoordinateAlgebra((2, 2), field, [])
-    y1, y2 = target.weights.gens
-    x1, x2 = target.gens
-    hom = AlgebraHom.unchecked(source, target, GroupHom(source.weights, target.weights,
-                                                        [y1, y2, y1]), [x1, x2, x1])
+    hom = _non_admissible_map(field, lambda target, _: [*target.gens, target.gens[0]])
     assert hom._induction_level() == 1
     got = records(hom, 6)
     assert got == reference_records(hom, 6)
