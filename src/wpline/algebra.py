@@ -13,12 +13,21 @@ torsion (l_1, ..., l_t), its level l and the coefficients of U^a V^(l-a).
 A product adds torsions and multiplies forms; where a torsion coordinate
 reaches p_i, :func:`carry` takes X_i^{p_i} out as U, V or V - lam_i U.  It is
 the one place where the relations are used.
+
+Construction, products and powers run on integer forms (fraction-free, with
+a tracked denominator: Geddes, Czapor and Labahn, Algorithms for Computer
+Algebra, 1992): over F_q a form is its residues' ints mod q, over Q integer
+coefficients and a positive scale, the form ints / scale, and a carry by
+lam_i = num/den is by den V - num U and multiplies the scale by den.
+:func:`_times` is the one product of such forms, and each coefficient of a
+result becomes an ``Fp`` or a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .field import Field, Fp, RationalField, _poly_mul
 from .stringgroup import GroupElement, WeightSequence, generator_letter
@@ -31,12 +40,14 @@ MAX_LEVEL, MAX_CARRIES, CARRY_BITS = 10 ** 5, 1000, 16
 
 
 def carry(raw, l: int, coeffs: list, weights: tuple, pairs: list, q: int | None = None):
-    """(torsion, level, coeffs) of X^raw times the form ``coeffs`` of level l:
-    each X_i^{p_i} in X^raw is taken out as U (i = 1), V (i = 2), or
-    a V - b U for (a, b) = pairs[i - 3]: (1, lam_i) is the relation, and
+    """(torsion, level, coeffs, scale) of X^raw times the form ``coeffs`` of
+    level l: each X_i^{p_i} in X^raw is taken out as U (i = 1), V (i = 2),
+    or a V - b U for (a, b) = pairs[i - 3]: (1, lam_i) is the relation, and
     (den, num) for lam_i = num/den its multiple by den, which keeps integer
-    forms integer.  With a modulus q, ints are reduced after such a carry."""
+    forms integer; scale is the product of the a taken out, so the value is
+    coeffs / scale.  With a modulus q, ints are reduced after such a carry."""
     tor = list(raw)
+    scale = 1
     for i in reversed(range(len(tor))):  # pairs first, on the shortest forms
         p = weights[i]
         if tor[i] >= p:
@@ -44,6 +55,7 @@ def carry(raw, l: int, coeffs: list, weights: tuple, pairs: list, q: int | None 
             l += k
             if i > 1:
                 a, b = pairs[i - 2]
+                scale *= a ** k
                 for _ in range(k):
                     coeffs = [a * v - b * u for v, u in zip(coeffs + [0], [0] + coeffs)]
                     if q:
@@ -52,18 +64,48 @@ def carry(raw, l: int, coeffs: list, weights: tuple, pairs: list, q: int | None 
                 coeffs = coeffs + [0] * k
             else:
                 coeffs = [0] * k + coeffs
-    return tuple(tor), l, coeffs
+    return tuple(tor), l, coeffs, scale
 
 
-def _add_form(forms: dict, key: tuple, coeffs: list, q: int | None = None):
-    """forms[key] += coeffs, mod q on ints in [0, q) if q is given,
-    dropping a form that cancels to zero."""
+def _add_form(forms: dict, key: tuple, coeffs: list):
+    """forms[key] += coeffs, dropping a form that cancels to zero."""
     if key in forms:
         coeffs = [a + b for a, b in zip(forms.pop(key), coeffs)]
-        if q:
-            coeffs = [c % q for c in coeffs]
     if any(coeffs):
         forms[key] = coeffs
+
+
+def _times(alg: "CoordinateAlgebra", a: dict, b: dict, out: dict | None = None) -> dict:
+    """The product of int forms a and b, added into ``out``: the one product
+    of elements.  An int form maps (torsion, l) to (ints, scale), the form
+    ints / scale; over F_q the ints lie in [0, q) and the scale is 1.  Each
+    pair of forms is one ``_poly_mul``, one ``carry`` on the summed torsion
+    (by the ``int_pairs``), and scales multiplied; forms that meet at a key
+    are summed over the lcm of their scales, and one that cancels is
+    dropped."""
+    ws, q, pairs = alg.weights.weights, alg.modulus, alg.int_pairs
+    out = {} if out is None else out
+    for (t1, l1), (f, s) in a.items():
+        for (t2, l2), (g, t) in b.items():
+            tor, l, ints, scale = carry([x + y for x, y in zip(t1, t2)], l1 + l2,
+                                        _poly_mul(f, g, q), ws, pairs, q)
+            scale *= s * t
+            key = (tor, l)
+            old = out.pop(key, None)
+            if old is not None:
+                h, u = old
+                if q:
+                    ints = [(x + y) % q for x, y in zip(h, ints)]
+                elif u == scale:
+                    ints = [x + y for x, y in zip(h, ints)]
+                else:
+                    m = math.lcm(u, scale)
+                    hu, su = m // u, m // scale
+                    ints = [x * hu + y * su for x, y in zip(h, ints)]
+                    scale = m
+            if any(ints):
+                out[key] = ints, scale
+    return out
 
 
 class CoordinateAlgebra:
@@ -152,9 +194,8 @@ class CoordinateAlgebra:
         return self._build([(self.field(coeff), e)])
 
     def _build(self, monos: list) -> "AlgebraElement":
-        """The sum of c X^e over (c, e) in ``monos``, by ``carry`` on ints;
-        each carry by lam = num/den is by den V - num U, divided out at the end.
-        Over F_q the coefficients are ints mod q, wrapped in ``Fp`` once."""
+        """The sum of c X^e over (c, e) in ``monos``: each is the int form of
+        c times 1, carried by ``_times`` from the raw exponent e."""
         ws, q = self.weights.weights, self.modulus
         units = [1 if q else -(-(n.bit_length() + d.bit_length()) // CARRY_BITS)
                  for d, n in self.int_pairs]
@@ -165,18 +206,22 @@ class CoordinateAlgebra:
             raise ValueError("exponents reach level %d with %d carries by V - lam U, above the "
                              "%d levels or %d carries an element is built with"
                              % (level, carries, MAX_LEVEL, MAX_CARRIES))
-        forms: dict = {}
-        for (c, e), row in zip(monos, ks):
-            tor, l, ints = carry(e, 0, [1], ws, self.int_pairs, q)
-            scale = math.prod([d ** k for (d, _), k in zip(self.int_pairs, row[2:])])
-            if q:
-                c = c.value * pow(scale, -1, q) % q
-                _add_form(forms, (tor, l), [c * v % q for v in ints], q)
-            else:
-                _add_form(forms, (tor, l), [c * v / scale for v in ints])
+        out: dict = {}
+        unit = {((0,) * len(ws), 0): ([1], 1)}
+        for c, e in monos:
+            _times(self, {(e, 0): ([c.numerator], c.denominator)}, unit, out)
+        return self._element(out)
+
+    def _element(self, out: dict) -> "AlgebraElement":
+        """The element of an int form (see ``_times``): each coefficient
+        becomes an ``Fp`` or a ``Fraction`` once."""
+        q = self.modulus
         if q:
-            forms = {key: [Fp(c, q) for c in cs] for key, cs in forms.items()}
-        return AlgebraElement(self, forms)
+            return AlgebraElement(self, {key: [Fp(c, q) for c in ints]
+                                         for key, (ints, _) in out.items()})
+        return AlgebraElement(self, {key: [Fraction(c, s) for c in ints] if s > 1
+                                     else [Fraction(c) for c in ints]  # no gcd to take
+                                     for key, (ints, s) in out.items()})
 
     # -- grading -------------------------------------------------------------
 
@@ -260,11 +305,16 @@ class AlgebraElement:
         return {(a * p1 + tor[0], (l - a) * p2 + tor[1]) + tor[2:]: c
                 for (tor, l), coeffs in self.forms.items() for a, c in enumerate(coeffs) if c}
 
-    def _values(self):
-        """(key, coeffs) per form, over F_q with the residues' int values."""
+    def _ints(self) -> dict:
+        """The int form of the element (see ``_times``): over F_q the
+        residues' values, over Q each form over the lcm of its denominators."""
         if self.algebra.modulus:
-            return [(key, [c.value for c in cs]) for key, cs in self.forms.items()]
-        return self.forms.items()
+            return {key: ([c.value for c in cs], 1) for key, cs in self.forms.items()}
+        out = {}
+        for key, cs in self.forms.items():
+            den = math.lcm(*[c.denominator for c in cs])
+            out[key] = [c.numerator * (den // c.denominator) for c in cs], den
+        return out
 
     def is_zero(self) -> bool:
         return not self.forms
@@ -299,19 +349,7 @@ class AlgebraElement:
         alg = self.algebra
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            ws, q = alg.weights.weights, alg.modulus
-            # over F_q on the residues' values, carried by (1, lam) = int_pairs
-            pairs = alg.int_pairs if q else [(1, lam) for lam in alg.params]
-            theirs = other._values()
-            out: dict = {}
-            for (t1, l1), f in self._values():
-                for (t2, l2), g in theirs:
-                    tor, l, coeffs = carry([a + b for a, b in zip(t1, t2)], l1 + l2,
-                                           _poly_mul(f, g, q), ws, pairs, q)
-                    _add_form(out, (tor, l), coeffs, q)
-            if q:
-                out = {key: [Fp(c, q) for c in cs] for key, cs in out.items()}
-            return AlgebraElement(alg, out)
+            return alg._element(_times(alg, self._ints(), other._ints()))
         try:
             c = alg.field(other)
         except (TypeError, ValueError):
@@ -323,16 +361,21 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n by square and multiply on the int form, from self itself:
+        floor(log2 n) + popcount(n) - 1 products for n >= 1."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be nonnegative integers")
-        result = self.algebra.one
-        base = self
-        while n:
+        alg = self.algebra
+        if not n:
+            return alg.one
+        base, result = self._ints(), None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else _times(alg, result, base)
             n >>= 1
-        return result
+            if not n:
+                return alg._element(result)
+            base = _times(alg, base, base)
 
     def degree(self) -> GroupElement | None:
         """Common degree of all terms, None if inhomogeneous; zero has none."""

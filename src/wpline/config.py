@@ -21,83 +21,94 @@ from .stringgroup import GroupHom, WeightSequence
 
 
 def parse_scalar(text: str, field: Field, env: dict | None = None):
-    """Evaluate a coefficient expression: ints, named constants, + - * / ^ ()."""
-    env = env or {}
+    """Evaluate a coefficient expression: ints, named constants, + - * / ^ ().
+
+    Recursive descent over the token list of ``_tokenize`` ended by ``_END``:
+    sum = product (("+" | "-") product)*, product = unary (("*" | "/")
+    unary)*, unary = "-" unary | power, power = atom ("^" int)?, atom = int
+    | name | "(" sum ")".  Each rule is a module function of (ctx, i), with
+    ctx = (tokens, text, field, env) and i the index of the next token, and
+    returns (value, next index); positions in messages are token indices.
+    Over Q a power of more than 2^16 bits is refused."""
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(kind=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (kind is not None and tok[0] != kind):
-            raise ValueError("bad expression %r near position %d" % (text, pos))
-        pos += 1
-        return tok
-
-    def parse_expr():
-        node = parse_term()
-        while peek() and peek()[0] in "+-":
-            op = take()[0]
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term():
-        node = parse_unary()
-        while peek() and peek()[0] in "*/":
-            op = take()[0]
-            rhs = parse_unary()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_unary():
-        if peek() and peek()[0] == "-":
-            take()
-            return -parse_unary()
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek() and peek()[0] == "^":
-            take()
-            n = int(take("int")[1])
-            height = abs(base.numerator).bit_length() + base.denominator.bit_length()
-            if isinstance(field, RationalField) and n * height > 1 << 16:  # bits of the power
-                raise ValueError("power too large in expression %r" % text)
-            return base ** n
-        return base
-
-    def parse_atom():
-        tok = take()
-        kind, val = tok
-        if kind == "int":
-            return field(int(val))
-        if kind == "name":
-            if val not in env:
-                raise ValueError("unknown constant %r in expression %r" % (val, text))
-            return env[val]
-        if kind == "(":
-            node = parse_expr()
-            take(")")
-            return node
-        raise ValueError("bad expression %r" % text)
-
-    value = parse_expr()
-    if pos != len(tokens):
+    tokens.append(_END)
+    value, i = _sum((tokens, text, field, env or {}), 0)
+    if i != len(tokens) - 1:
         raise ValueError("trailing input in expression %r" % text)
     return value
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    for num, name, op in re.findall(r"\s*(?:(\d+)|([^\W\d]\w*)|(\S))", text):
+#: the token that ends every token list of ``parse_scalar``
+_END = ("", "", "")
+
+
+def _sum(ctx, i):
+    node, i = _product(ctx, i)
+    op = ctx[0][i][2]
+    while op == "+" or op == "-":
+        rhs, i = _product(ctx, i + 1)
+        node = node + rhs if op == "+" else node - rhs
+        op = ctx[0][i][2]
+    return node, i
+
+
+def _product(ctx, i):
+    node, i = _unary(ctx, i)
+    op = ctx[0][i][2]
+    while op == "*" or op == "/":
+        rhs, i = _unary(ctx, i + 1)
+        node = node * rhs if op == "*" else node / rhs
+        op = ctx[0][i][2]
+    return node, i
+
+
+def _unary(ctx, i):
+    if ctx[0][i][2] == "-":
+        node, i = _unary(ctx, i + 1)
+        return -node, i
+    base, i = _atom(ctx, i)
+    tokens, text, field, _ = ctx
+    if tokens[i][2] != "^":
+        return base, i
+    digits = tokens[i + 1][0]
+    if not digits:
+        raise ValueError("bad expression %r near position %d" % (text, i + 1))
+    n = int(digits)
+    if isinstance(field, RationalField) and n * (abs(base.numerator).bit_length()
+                                                 + base.denominator.bit_length()) > 1 << 16:
+        raise ValueError("power too large in expression %r" % text)
+    return base ** n, i + 2
+
+
+def _atom(ctx, i):
+    tokens, text, field, env = ctx
+    num, name, op = tokens[i]
+    if num:
+        return field(int(num)), i + 1
+    if name:
+        if name not in env:
+            raise ValueError("unknown constant %r in expression %r" % (name, text))
+        return env[name], i + 1
+    if op == "(":
+        node, i = _sum(ctx, i + 1)
+        if tokens[i][2] != ")":
+            raise ValueError("bad expression %r near position %d" % (text, i))
+        return node, i + 1
+    if not op:
+        raise ValueError("bad expression %r near position %d" % (text, i))
+    raise ValueError("bad expression %r" % text)
+
+
+#: one token per match: (digits, "", ""), ("", name, "") or ("", "", character)
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(\S))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, str]]:
+    tokens = _TOKEN.findall(text)
+    for _, _, op in tokens:
         if op and op not in "+-*/^()":
             raise ValueError("unexpected character %r in expression %r" % (op, text))
-        out.append(("int", num) if num else ("name", name) if name else (op, op))
-    return out
+    return tokens
 
 
 class VerifyConfig(NamedTuple):
@@ -176,7 +187,7 @@ class VerifyConfig(NamedTuple):
         env: dict = {}
         texts = [*self.source_params, *self.target_params, *(c for g in self.phi for c, _ in g),
                  *(c for v in self.constants.values() for c in ([v] if isinstance(v, str) else v))]
-        if any(("name", "lambda") in _tokenize(t) for t in texts):
+        if any(("", "lambda", "") in _tokenize(t) for t in texts):
             if lam is None:
                 raise InvalidLambda("the constant lambda is unset (pass --lambda)")
             env["lambda"] = field(lam)

@@ -3,9 +3,11 @@
 No floating point anywhere.  Rational elements are ``fractions.Fraction``;
 prime-field elements are :class:`Fp` residues.  Root finding covers degrees
 two and three, which is all the named constants need, and never scans the
-field: over F_q it splits gcd(f, x^q - x), over Q it finds the integer roots
-of a monic integer transform.  ``_poly_mul`` is the one product of binary
-forms: mod q on ints by Kronecker substitution, exactly by schoolbook.
+field: over F_q a quadratic takes a square root of its discriminant and a
+cubic splits gcd(f, x^q - x), over Q it finds the integer roots of a monic
+integer transform.  ``_poly_mul`` is the one product of binary
+forms: mod q on ints by Kronecker substitution, exactly on long int lists by
+a signed Kronecker substitution and otherwise by schoolbook.
 """
 
 from __future__ import annotations
@@ -326,17 +328,41 @@ def _unpack(n: int, k: int, m: int):
 
 
 def _poly_mul(f: list, g: list, q: int | None) -> list:
-    """Product of coefficient lists: exactly by schoolbook when q is None;
-    mod q, on ints in [0, q), as a scalar multiple when a factor has one
-    coefficient and otherwise by one integer multiply after Kronecker
-    substitution (Harvey, J. Symb. Comput. 2009)."""
+    """Product of coefficient lists.  Mod q, on ints in [0, q): a scalar
+    multiple when a factor has one coefficient, otherwise one integer
+    multiply after Kronecker substitution (Harvey, J. Symb. Comput. 2009).
+    Exactly (q None): lists of ints of at least KRONECKER_MIN entries each
+    by ``_signed_kronecker``, anything else (Fractions too) by schoolbook."""
     if q is None:
+        if (min(len(f), len(g)) >= KRONECKER_MIN and all([type(v) is int for v in f])
+                and all([type(v) is int for v in g])):
+            return _signed_kronecker(f, g)
         return schoolbook(f, g)
     if len(f) == 1 or len(g) == 1:
         (c,), h = (f, g) if len(f) == 1 else (g, f)
         return [c * v % q for v in h]
     k = _slot_bits(q * q * min(len(f), len(g)))
     return [c % q for c in _unpack(_pack(f, k) * _pack(g, k), k, len(f) + len(g) - 1)]
+
+
+#: the shortest int lists whose exact product is a Kronecker substitution
+KRONECKER_MIN = 32
+
+
+def _signed_kronecker(f: list, g: list) -> list:
+    """The exact product of two int lists of any sign by one multiply.  With
+    h = 2^(k-1) above every |coefficient| of f, g and f g, a list shifted by
+    h packs (``_pack``), and less the packed shift, h (1 + 2^k + 2^(2k) +
+    ...), it is the list's value at 2^k.  The product plus the packed shift
+    holds the coefficients of f g shifted by h, which unpack without
+    borrows."""
+    m = len(f) + len(g) - 1
+    k = _slot_bits(2 * (max(map(abs, f)) + 1) * (max(map(abs, g)) + 1) * min(len(f), len(g)))
+    h = 1 << (k - 1)
+    shift = lambda n: int.from_bytes((bytes(k // 8 - 1) + b"\x80") * n, "little")
+    prod = ((_pack([v + h for v in f], k) - shift(len(f)))
+            * (_pack([v + h for v in g], k) - shift(len(g))) + shift(m))
+    return [v - h for v in _unpack(prod, k, m)]
 
 
 # -- polynomials over F_q: ascending lists of ints in [0, q), no trailing zero
@@ -448,12 +474,56 @@ class PrimeField(Field):
         return "PrimeField(%d)" % self.q
 
     def roots(self, coeffs) -> list:
-        """g = gcd(f, x^q - x) is the product of the distinct linear factors
-        of f; x^q mod f takes about log2(q) squarings, then g is split."""
+        """A quadratic x^2 + b x + c (made monic) has the roots (-b +- s) / 2
+        for a square root s of its discriminant, if there is one
+        (``_sqrt_mod``).  For a cubic f, g = gcd(f, x^q - x) is the product
+        of its distinct linear factors; x^q mod f takes about log2(q)
+        squarings, then g is split."""
         q = self.q
         f = _monic([c.value for c in self._poly_coeffs(coeffs)], q)
-        g = _pgcd(f, _psub(_ppowmod([0, 1], q, f, q), [0, 1], q), q)
-        return [Fp(r, q) for r in sorted(_split_linear(g, q)) if _poly_eval(f, r) % q == 0]
+        if len(f) == 3:
+            c, b, _ = f
+            s = _sqrt_mod((b * b - 4 * c) % q, q)
+            if s is None:
+                return []
+            half = (q + 1) // 2  # 1/2 mod q
+            return [Fp(r, q) for r in sorted({(-b - s) * half % q, (s - b) * half % q})]
+        return [Fp(r, q) for r in _gcd_roots(f, q)]
+
+
+def _gcd_roots(f: list, q: int) -> list[int]:
+    """The distinct roots in [0, q), sorted, of a monic f over F_q: the
+    roots of g = gcd(f, x^q - x), by equal-degree splitting."""
+    g = _pgcd(f, _psub(_ppowmod([0, 1], q, f, q), [0, 1], q), q)
+    return [r for r in sorted(_split_linear(g, q)) if _poly_eval(f, r) % q == 0]
+
+
+def _sqrt_mod(a: int, q: int) -> int | None:
+    """A square root of a in [0, q) mod an odd prime q, or None: one pow when
+    q = 3 mod 4, else Tonelli-Shanks (Cohen, A Course in Computational
+    Algebraic Number Theory, 1.5.1) with the least non-residue z."""
+    if a == 0:
+        return 0
+    if q % 4 == 3:
+        s = pow(a, (q + 1) // 4, q)
+        return s if s * s % q == a else None
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    e, t = 0, q - 1
+    while t % 2 == 0:
+        e, t = e + 1, t // 2
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    y, x, b = pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:
+        m, b2 = 1, b * b % q
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % q
+        s = pow(y, 1 << (e - m - 1), q)
+        y, e = s * s % q, m
+        x, b = x * s % q, b * y % q
+    return x
 
 
 def field_from_spec(spec: str) -> Field:

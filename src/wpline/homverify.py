@@ -17,11 +17,13 @@ free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
 basis monomial is h_r f^a g^b: the head h_r the image of its torsion
 monomial x^r, f and g the images of X_1^{q_1} and X_2^{q_2}.  Heads are
 cached per exponent vector, and each is one product h_{r - e_j} phi(x_j) of
-a neighbour's head.  Over F_q the coefficients are plain ints mod q, and
-every product of forms is ``field._poly_mul``: a scalar multiple when a
-factor has one coefficient, else one big-integer product after Kronecker
-substitution.  When g carries no torsion a row is one such product of
-cached packed forms.  Over Q a row is an integer multiple of its image (no
+a neighbour's head; f and g, computed once for the check of the source
+relations, enter the cache as they are.  Over F_q the coefficients are
+plain ints mod q, and every product of forms is ``field._poly_mul``: a
+scalar multiple when a factor has one coefficient, else one big-integer
+product after Kronecker substitution.  A row at source level 0 is its head;
+when g carries no torsion any other row is one such product of cached
+packed forms.  Over Q a row is an integer multiple of its image (no
 denominators: a carry by lam_i = num/den is by den V - num U), so a full rank
 mod RANK_PRIME is the rank over Q, and only a smaller one is redone exactly.
 
@@ -38,7 +40,6 @@ level 0 are zero.  So verify_window eliminates only the base levels
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -67,7 +68,8 @@ def row_rank(rows: list[list], modulus: int | None = None) -> int:
     [0, unreduced_bound(modulus, columns)) are used without reducing them
     first.  Exact coefficients make pivot choice irrelevant, so the first
     nonzero entry is always taken, and elimination stops once the rank is
-    min(rows, columns).
+    min(rows, columns).  The rows are left as they are: they may be cached
+    heads.
     """
     if modulus is not None:
         return _rank_mod(rows, modulus)
@@ -359,6 +361,15 @@ class VerificationResult:
         return "".join([head, '\n  "records": [\n', ",\n".join(records), "\n  ]", tail])
 
 
+def _int_form(elem: AlgebraElement, q):
+    """The one form of a homogeneous element as (torsion, l, ints), its
+    coefficients cleared of denominators and reduced mod q unless q is None,
+    or None for zero."""
+    for (tor, l), (ints, _) in elem._ints().items():
+        return tor, l, [v % q for v in ints] if q else ints
+    return None
+
+
 class AlgebraHom:
     """An algebra homomorphism compatible with a string-group homomorphism.
 
@@ -406,6 +417,11 @@ class AlgebraHom:
         return cls(source, target, group_hom, gen_images, validate=False)
 
     def _validate(self):
+        """Gradedness of each image, then each source relation
+        x_i^{q_i} = x_2^{q_2} - mu_i x_1^{q_1} on the images, with
+        f = phi(x_1)^{q_1} and g = phi(x_2)^{q_2} computed once; they become
+        the heads of x_1^{q_1} and x_2^{q_2} in the rank's domain (over Q
+        cleared of denominators, a nonzero integer multiple of the image)."""
         for j, im in enumerate(self.gen_images):
             if im.is_zero():
                 raise GradednessError("image of generator %d is zero and carries no degree"
@@ -420,15 +436,18 @@ class AlgebraHom:
                     % (j + 1, d, want)
                 )
         qs = self.source.weights.weights
+        f, g = self.gen_images[0] ** qs[0], self.gen_images[1] ** qs[1]
         for i in range(2, len(qs)):
             mu = self.source.params[i - 2]
-            residual = (self.gen_images[i] ** qs[i]
-                        - self.gen_images[1] ** qs[1]
-                        + mu * self.gen_images[0] ** qs[0])
+            residual = self.gen_images[i] ** qs[i] - g + mu * f
             if not residual.is_zero():
                 raise RelationError(
                     "relation for generator %d fails, residual %s" % (i + 1, residual)
                 )
+        q = self.rank_modulus
+        heads = self._heads.setdefault(q, {(0,) * len(qs): self._one})
+        for j, h in enumerate((f, g)):
+            heads[tuple(qs[i] if i == j else 0 for i in range(len(qs)))] = _int_form(h, q)
 
     # -- application ---------------------------------------------------------
 
@@ -453,22 +472,16 @@ class AlgebraHom:
     def _gen(self, j: int, q):
         """phi(x_j) as a form, read once per coefficient domain."""
         if (q, j) not in self._gens:
-            forms = self.gen_images[j].forms
-            if len(forms) > 1:
+            if len(self.gen_images[j].forms) > 1:
                 raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
-            form = None
-            for (tor, l), coeffs in forms.items():  # the one form of a nonzero image
-                den = math.lcm(*(c.denominator for c in coeffs))
-                coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-                form = tor, l, [v % q for v in coeffs] if q else coeffs
-            self._gens[(q, j)] = form
+            self._gens[(q, j)] = _int_form(self.gen_images[j], q)
         return self._gens[(q, j)]
 
     def _mul(self, f, g, q):
         if f is None or g is None:
             return None
         return carry([a + b for a, b in zip(f[0], g[0])], f[1] + g[1], _poly_mul(f[2], g[2], q),
-                     self.target.weights.weights, self.target.int_pairs, q)
+                     self.target.weights.weights, self.target.int_pairs, q)[:3]
 
     def _series(self, key, n: int, q, first, step) -> list:
         """[s, s t, ..., s t^n] for s = first() and t = step(), cached under
@@ -515,10 +528,12 @@ class AlgebraHom:
         order.  The monomials of degree y with torsion r are
         m_r X_1^{q_1 a} X_2^{q_2 b} with a + b = y.l, a ascending, and the
         image of one is h_r f^a g^b with h_r = phi(m_r), f = phi(x_1)^{q_1}
-        and g = phi(x_2)^{q_2}; h_r f^a and g^b are cached series.  Over F_q,
-        when g carries no torsion, h_r f^a times g^b carries nothing, so a
-        row is one product of packed ints: its entries are unreduced, below
-        q^2 cols.  Otherwise, and for exact rows (q None), rows are forms."""
+        and g = phi(x_2)^{q_2}; h_r f^a and g^b are cached series.  At
+        y.l = 0 the row is the head's own coefficient list.  Over F_q, when g
+        carries no torsion, h_r f^a times g^b carries nothing, so a row is
+        one product of packed ints: its entries are unreduced, below q^2 cols.
+        Otherwise, and for exact rows (q None), rows are forms.  Rows may be
+        cached lists, so nothing may change them."""
         f = lambda: self._fg(0, q)
         g = lambda: self._fg(1, q)
         k = _slot_bits(q * q * max(cols, 1)) if q else None
@@ -533,9 +548,15 @@ class AlgebraHom:
             n, r = y.l, y.torsion
             if n < 0:
                 continue
+            if n == 0:  # the head itself, shared with the cache
+                head = self._head(r, q)
+                if head:
+                    check(y, head[0], head[1])
+                rows.append(head[2] if head else [0] * cols)
+                continue
             lefts = self._series(r, n, q, lambda: self._head(r, q), f)
             rights = self._series(None, n, q, lambda: self._one, g)
-            if q and (n == 0 or rights[1] is None or not any(rights[1][0])):
+            if q and (rights[1] is None or not any(rights[1][0])):
                 pl, pr = self._packed(r, lefts, q, k), self._packed(None, rights, q, k)
                 for a in range(n + 1):
                     left, right = lefts[a], rights[n - a]

@@ -1,8 +1,9 @@
 """Reference oracles: the rewriting system of the coordinate algebras,
 degree records independent of the binary-form kernel, fibers and
 admissibility on ``GroupElement`` values, the report text by ``json.dumps``
-on the whole report, roots by exhaustive search, and element orders by
-repeated addition.
+on the whole report, roots by exhaustive search, element orders by
+repeated addition, and coefficient expressions by the parser of nested
+closures that ``wpline.config.parse_scalar`` replaced.
 
 Elements here are sparse dicts {exponent vector: coefficient}.  Products
 multiply term by term, and ``reference_reduce`` rewrites
@@ -19,9 +20,10 @@ verifier's original path, kept here to cross-check the kernel in
 
 import json
 import math
+import re
 from fractions import Fraction
 
-from wpline import Fp, GradednessError, PrimeField
+from wpline import Fp, GradednessError, PrimeField, RationalField
 from wpline.homverify import DegreeRecord
 from wpline.stringgroup import (AdmissibilityReport, GroupElement, InfiniteFiberError,
                                 _ceil_div, _sort_key)
@@ -297,3 +299,84 @@ def reference_order(elem):
         acc, n = acc + elem, n + 1
         assert n <= elem.weights.lcm * math.prod(elem.weights.weights)
     return n
+
+
+def reference_parse_scalar(text: str, field, env: dict | None = None):
+    """The expression parser of nested closures that ``config.parse_scalar``
+    replaced, kept verbatim as its oracle: same grammar, values and messages."""
+    env = env or {}
+    tokens = _reference_tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(kind=None):
+        nonlocal pos
+        tok = peek()
+        if tok is None or (kind is not None and tok[0] != kind):
+            raise ValueError("bad expression %r near position %d" % (text, pos))
+        pos += 1
+        return tok
+
+    def parse_expr():
+        node = parse_term()
+        while peek() and peek()[0] in "+-":
+            op = take()[0]
+            rhs = parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term():
+        node = parse_unary()
+        while peek() and peek()[0] in "*/":
+            op = take()[0]
+            rhs = parse_unary()
+            node = node * rhs if op == "*" else node / rhs
+        return node
+
+    def parse_unary():
+        if peek() and peek()[0] == "-":
+            take()
+            return -parse_unary()
+        return parse_power()
+
+    def parse_power():
+        base = parse_atom()
+        if peek() and peek()[0] == "^":
+            take()
+            n = int(take("int")[1])
+            height = abs(base.numerator).bit_length() + base.denominator.bit_length()
+            if isinstance(field, RationalField) and n * height > 1 << 16:  # bits of the power
+                raise ValueError("power too large in expression %r" % text)
+            return base ** n
+        return base
+
+    def parse_atom():
+        tok = take()
+        kind, val = tok
+        if kind == "int":
+            return field(int(val))
+        if kind == "name":
+            if val not in env:
+                raise ValueError("unknown constant %r in expression %r" % (val, text))
+            return env[val]
+        if kind == "(":
+            node = parse_expr()
+            take(")")
+            return node
+        raise ValueError("bad expression %r" % text)
+
+    value = parse_expr()
+    if pos != len(tokens):
+        raise ValueError("trailing input in expression %r" % text)
+    return value
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str]]:
+    out = []
+    for num, name, op in re.findall(r"\s*(?:(\d+)|([^\W\d]\w*)|(\S))", text):
+        if op and op not in "+-*/^()":
+            raise ValueError("unexpected character %r in expression %r" % (op, text))
+        out.append(("int", num) if num else ("name", name) if name else (op, op))
+    return out

@@ -354,3 +354,108 @@ def test_building_over_a_prime_field_leaves_residue_arithmetic_out(monkeypatch):
     monkeypatch.undo()
     assert [(a.terms, b.terms) for a, b in got] == want
     assert all(a.forms and b.forms for a, b in got)
+
+
+# -- products on integer forms -------------------------------------------------
+
+BIG = PrimeField(2 ** 61 - 1)
+#: parameters of height up to about 2^60, none of them 0 or 1
+LAMS = st.fractions(min_value=-2 ** 30, max_value=2 ** 30, max_denominator=2 ** 30).filter(
+    lambda v: v not in (0, 1))
+
+
+@st.composite
+def int_form_algebras(draw):
+    """(2,2,2,2), (2,2,2,2,2), (3,3,3) or (6,3,2) over F_7, 2^61 - 1 or Q,
+    the free parameters drawn up to height 2^60 (small over F_7)."""
+    field = draw(st.sampled_from([F7, BIG, Q]), label="field")
+    ws = draw(st.sampled_from([(2, 2, 2, 2), (2, 2, 2, 2, 2), (3, 3, 3), (6, 3, 2)]),
+              label="weights")
+    lams = draw(st.lists(LAMS if field != F7 else st.sampled_from([2, 3, 4, 5, 6]),
+                         min_size=len(ws) - 3, max_size=len(ws) - 3, unique=True),
+                label="lambdas")
+    try:
+        return CoordinateAlgebra(ws, field, [1, *lams])
+    except (ValueError, ZeroDivisionError):  # parameters that meet 0, 1 or each other
+        return CoordinateAlgebra(ws, field, [1, *range(2, len(ws) - 1)])
+
+
+def _int_form_terms(data, alg, size):
+    """Up to ``size`` (coeff, exponent vector) pairs with exponents below
+    2 p_i: zero, a monomial, or an inhomogeneous sum, coefficients of height
+    up to 2^40."""
+    coeffs = st.fractions(min_value=-2 ** 20, max_value=2 ** 20, max_denominator=2 ** 20)
+    if alg.field == F7:
+        coeffs = st.integers(-3, 3)
+    exps = st.tuples(*[st.integers(0, 2 * p - 1) for p in alg.weights.weights])
+    return data.draw(st.lists(st.tuples(coeffs, exps), max_size=size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_form_algebras(), st.data())
+def test_int_form_arithmetic_matches_the_rewriting_oracle(alg, data):
+    """``element``, ``__mul__`` and ``__pow__`` on integer forms give the
+    rewriting oracle's terms, over F_7, a large prime and Q with parameters
+    of height up to 2^60, on the zero element and inhomogeneous elements,
+    with exponents 0 to 9 (on at most two terms)."""
+    ta, tb = _int_form_terms(data, alg, 3), _int_form_terms(data, alg, 3)
+    a, b = alg.element(ta), alg.element(tb)
+    ra, rb = _oracle(alg, ta), _oracle(alg, tb)
+    assert a.terms == ra and b.terms == rb
+    assert (a * b).terms == reference_product(alg, ra, rb)
+    tc = _int_form_terms(data, alg, 2)
+    c, n = alg.element(tc), data.draw(st.integers(0, 9), label="power")
+    assert (c ** n).terms == reference_power(alg, _oracle(alg, tc), n)
+    assert (alg.zero ** n).terms == ({} if n else {(0,) * len(alg.weights): alg.field.one})
+
+
+def test_int_form_arithmetic_over_q_leaves_fraction_arithmetic_out(monkeypatch):
+    """Over Q, ``element``, ``__mul__`` and ``__pow__`` run on integer forms
+    with a scale and make each coefficient a ``Fraction`` once, by
+    construction: with every arithmetic operator of ``Fraction`` raising,
+    they still give the rewriting oracle's terms.  The parameters carry
+    denominators, and the elements span several degrees."""
+    rng = random.Random(13)
+    cases = []
+    for alg in ORACLE_ALGEBRAS + [CoordinateAlgebra((2, 2, 2, 2, 2), Q,
+                                                    [1, Fraction(-7, 3), Fraction(5, 11)])]:
+        if alg.field == Q:
+            ws = alg.weights.weights
+            terms = [[(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                       tuple(rng.randrange(3 * p) for p in ws)) for _ in range(3)]
+                     for _ in range(2)]
+            cases.append((alg, terms))
+    want = [(_oracle(alg, ta), _oracle(alg, tb),
+             reference_product(alg, _oracle(alg, ta), _oracle(alg, tb)),
+             reference_power(alg, _oracle(alg, ta), 5)) for alg, (ta, tb) in cases]
+
+    def refuse(*args):
+        raise AssertionError("integer-form arithmetic used Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
+                 "__rpow__", "__neg__", "__abs__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = []
+    for alg, (ta, tb) in cases:
+        a, b = alg.element(ta), alg.element(tb)
+        got.append((a, b, a * b, a ** 5))
+    monkeypatch.undo()
+    assert [tuple(e.terms for e in row) for row in got] == want
+
+
+@pytest.mark.parametrize("field", [Q, F7, BIG], ids=["Q", "F7", "F_2^61-1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 64, 100])
+def test_powers_take_square_and_multiply_products(monkeypatch, field, n):
+    """x^n of a homogeneous x is floor(log2 n) + popcount(n) - 1 products
+    of forms, each one ``_poly_mul``: from x itself, with no product by 1."""
+    from wpline import algebra
+    alg = CoordinateAlgebra((2, 2, 2, 2), field, [1, 3])
+    x = alg.element([(2, (3, 0, 1, 0)), (-1, (1, 2, 1, 0))])
+    assert x.degree() is not None
+    want = alg.element([(c, e) for e, c in reference_power(alg, x.terms, n).items()])
+    calls = []
+    mul = algebra._poly_mul
+    monkeypatch.setattr(algebra, "_poly_mul", lambda *args: calls.append(1) or mul(*args))
+    assert x ** n == want
+    assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1

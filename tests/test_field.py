@@ -12,7 +12,7 @@ from reference import reference_roots
 from wpline import (ConstantUnavailable, Fp, InvalidLambda, PrimeField,
                     RationalField, field_from_spec, is_prime, primes,
                     resolve_constants)
-from wpline.field import MILLER_RABIN_LIMIT
+from wpline.field import MILLER_RABIN_LIMIT, _gcd_roots, _sqrt_mod
 
 Q = RationalField()
 F7 = PrimeField(7)
@@ -287,6 +287,53 @@ def test_prime_roots_match_exhaustive_search(q, data):
     F = PrimeField(q)
     cs = data.draw(_prime_polys(q))
     assert F.roots(cs) == reference_roots(F, cs)
+
+
+def test_square_roots_mod_every_prime_below_3000():
+    """For every prime 5 <= q < 3000 and every residue a, ``_sqrt_mod``
+    gives a square root of a exactly when a is a square mod q (every
+    class of discriminants of the quadratics)."""
+    for q in primes(5, 3000):
+        squares = {s * s % q for s in range(q)}
+        for a in range(q):
+            s = _sqrt_mod(a, q)
+            assert (s is not None) == (a in squares), (q, a)
+            assert s is None or (0 <= s < q and s * s % q == a), (q, a)
+
+
+def test_quadratic_roots_match_the_gcd_path_below_3000():
+    """Quadratic roots from one square root of the discriminant equal the
+    roots of gcd(f, x^q - x): every monic quadratic for q < 60, and per
+    prime up to 3000 ten seeded quadratics (any leading coefficient) and
+    one with a double root, which is listed once."""
+    rng = random.Random(3000)
+    for q in primes(5, 3000):
+        F = PrimeField(q)
+        polys = [[rng.randrange(q), rng.randrange(q), rng.randrange(1, q)] for _ in range(10)]
+        r = rng.randrange(q)
+        polys.append([r * r % q, -2 * r % q, 1])
+        if q < 60:
+            polys += [[c, b, 1] for b in range(q) for c in range(q)]
+        for cs in polys:
+            monic = [c * pow(cs[2], -1, q) % q for c in cs]
+            assert [v.value for v in F.roots(cs)] == _gcd_roots(monic, q), (q, cs)
+        assert F.roots(polys[10]) == [Fp(r, q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([10007, 49999, 65537, 99991, 998244353, 10 ** 9 + 7, 2 ** 61 - 1]),
+       st.data())
+def test_quadratic_roots_at_large_primes(q, data):
+    """Over large primes, q = 1 mod 4 with up to 2^23 | q - 1 among them:
+    a product of two linear factors has exactly its roots, sorted, and any
+    quadratic has the roots of the gcd path."""
+    F = PrimeField(q)
+    r, s, lead = (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)),
+                  data.draw(st.integers(1, q - 1)))
+    split = [lead * r * s % q, -lead * (r + s) % q, lead]
+    assert [v.value for v in F.roots(split)] == sorted({r, s})
+    b, c = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+    assert [v.value for v in F.roots([c, b, 1])] == _gcd_roots([c, b, 1], q)
 
 
 @settings(max_examples=150, deadline=None)

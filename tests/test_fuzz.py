@@ -3,7 +3,9 @@
 Mutated A-D documents, and documents with a string where a list belongs,
 go through ``verify --config``; random strings over
 the expression alphabet, plus junk, go to ``parse_scalar`` directly and as a
-``--tamper`` value.
+``--tamper`` value.  ``parse_scalar`` agrees with the parser it replaced,
+``reference_parse_scalar``, on random token strings and expression trees:
+the same value, or the same exception type and message.
 """
 
 import copy
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_parse_scalar
 from wpline import PrimeField, RationalField, VerifyConfig, parse_scalar
 from wpline.cases import CASES, case_config
 from wpline.cli import main
@@ -127,6 +130,8 @@ def test_case_documents_round_trip(cid):
     assert VerifyConfig.from_dict(cfg.to_dict()) == cfg
 
 
+Q, F7 = RationalField(), PrimeField(7)
+
 #: the tokens of coefficient expressions, two bound names, and junk
 EXPRESSIONS = st.lists(st.sampled_from(list("0123456789+-*/^() ab") + ["lambda", "99", "@", ".",
                                                                         ";", "\t", "é", "[", "'"]),
@@ -148,3 +153,84 @@ def test_parse_scalar_returns_or_raises_value_errors(field, text):
 @given(EXPRESSIONS)
 def test_tampered_parameters_exit_cleanly(text):
     assert_clean_exit(*run("verify", "--case", "A", "--window", "3", "--tamper", "lambda=" + text))
+
+
+def _outcome(parse, text, field, env):
+    try:
+        return "value", parse(text, field, env)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+#: (expression, field, exception type, message), pinned on the parser of
+#: nested closures
+MALFORMED = [
+    ("", Q, ValueError, "bad expression '' near position 0"),
+    ("1+", Q, ValueError, "bad expression '1+' near position 2"),
+    ("(1", Q, ValueError, "bad expression '(1' near position 2"),
+    ("-(", F7, ValueError, "bad expression '-(' near position 2"),
+    ("2^", Q, ValueError, "bad expression '2^' near position 2"),
+    ("2^a", F7, ValueError, "bad expression '2^a' near position 2"),
+    ("2^-1", Q, ValueError, "bad expression '2^-1' near position 2"),
+    ("*", Q, ValueError, "bad expression '*'"),
+    ("()", F7, ValueError, "bad expression '()'"),
+    ("1)", Q, ValueError, "trailing input in expression '1)'"),
+    ("2^ 3 4", F7, ValueError, "trailing input in expression '2^ 3 4'"),
+    ("b", Q, ValueError, "unknown constant 'b' in expression 'b'"),
+    ("lambda", F7, ValueError, "unknown constant 'lambda' in expression 'lambda'"),
+    ("2^100000", Q, ValueError, "power too large in expression '2^100000'"),
+    ("(2/3)^40000", Q, ValueError, "power too large in expression '(2/3)^40000'"),
+    ("a^1000000", Q, ValueError, "power too large in expression 'a^1000000'"),
+    ("1$2", Q, ValueError, "unexpected character '$' in expression '1$2'"),
+    ("3 @", F7, ValueError, "unexpected character '@' in expression '3 @'"),
+    ("1/0", Q, ZeroDivisionError, "Fraction(1, 0)"),
+    ("a/(7*a)", F7, ZeroDivisionError, "division by zero in F_7"),
+]
+
+
+@pytest.mark.parametrize("text,field,kind,message", MALFORMED,
+                         ids=["%r/%s" % (m[0], m[1].name) for m in MALFORMED])
+def test_malformed_expression_messages(text, field, kind, message):
+    env = {"a": field(2)}
+    assert _outcome(parse_scalar, text, field, env) == (kind, message)
+    assert _outcome(reference_parse_scalar, text, field, env) == (kind, message)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([Q, F7]), EXPRESSIONS)
+def test_parse_scalar_matches_the_reference_on_token_strings(field, text):
+    env = {"a": field(2), "b": field(-3)}
+    assert (_outcome(parse_scalar, text, field, env)
+            == _outcome(reference_parse_scalar, text, field, env))
+
+
+def _spaced(draw, parts):
+    return "".join(p + draw(st.sampled_from(["", "", " ", "\t"])) for p in parts)
+
+
+@st.composite
+def expression_trees(draw, depth=3):
+    """The text of a random expression tree: ints, the names a, b and
+    lambda (unbound), unary minus, the four operations, powers with small
+    and occasionally huge exponents, and parentheses."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaf = draw(st.one_of(st.integers(0, 10 ** 6).map(str), st.sampled_from(["a", "b", "lambda"])))
+        return _spaced(draw, [leaf])
+    kind = draw(st.sampled_from(["+", "-", "*", "/", "^", "neg", "()"]))
+    inner = draw(expression_trees(depth - 1))
+    if kind == "neg":
+        return _spaced(draw, ["-", inner])
+    if kind == "()":
+        return _spaced(draw, ["(", inner, ")"])
+    if kind == "^":
+        n = draw(st.one_of(st.integers(0, 12), st.integers(0, 10 ** 6)))
+        return _spaced(draw, ["(", inner, ")", "^", str(n)])
+    return _spaced(draw, [inner, kind, draw(expression_trees(depth - 1))])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([Q, F7]), expression_trees())
+def test_parse_scalar_matches_the_reference_on_expression_trees(field, text):
+    env = {"a": field(2), "b": field(-3)}
+    assert (_outcome(parse_scalar, text, field, env)
+            == _outcome(reference_parse_scalar, text, field, env))

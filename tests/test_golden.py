@@ -49,7 +49,10 @@ k[U, V]; the demo has since dropped its block on redex orders.
 
 The RelationError reports of ``relation_doc(5000)`` and ``relation_doc(25000)``
 were pinned while products of elements over F_q still multiplied ``Fp``
-coefficients term by term, which took 5 s and 34 s for them.
+coefficients term by term, which took 5 s and 34 s for them.  Those of
+``rational_relation_doc(600)`` and ``rational_relation_doc(2000)`` were pinned
+while products over Q still multiplied ``Fraction`` coefficients and long
+integer forms by schoolbook, which took 1 s and 7 s for them.
 """
 
 import hashlib
@@ -316,6 +319,16 @@ def relation_doc(n: int) -> dict:
             "field": "7", "window": 20}
 
 
+def rational_relation_doc(n: int) -> dict:
+    """``relation_doc(n)`` over Q onto (2,2,2,2; LAM): checking the relation
+    takes (V - U)^n with integer coefficients up to C(n, n/2)."""
+    return dict(relation_doc(n), field="rationals",
+                target={"weights": [2, 2, 2, 2], "params": ["1", LAM]})
+
+
+#: a parameter of height about 2^50 for the rational relation documents
+LAM = "-123456789012345/987654321098767"
+
 #: stdout of ``verify --config`` on relation_doc(25000), exit code 1
 RELATION_25000 = "b61369133c13ad796ce5e9ed77b67ef4d6502119381db9388bdb9c57fdbca707"
 
@@ -334,6 +347,8 @@ CONFIG_GOLDEN = [
      "ebfc1c893e4601dad157a46699973769634c075a3f9955b6659d28f45840110d"),
     ("relation/5000", relation_doc(5000), [], 1,
      "72327a8602f74941ea3fe660a8c04c2283700eb218d900908a0d24de59ffb935"),
+    ("relation/Q/600", rational_relation_doc(600), [], 1,
+     "1598838e98b7f2448bb2ebedc02f6581bfd84c0a1018ec00adc5794074eb2639"),
 ]
 
 
@@ -366,6 +381,24 @@ def test_relation_check_of_a_long_power_is_bounded(tmp_path):
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 1, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RELATION_25000
+
+
+#: stdout of ``verify --config`` on rational_relation_doc(2000), exit code 1
+RATIONAL_RELATION_2000 = "0ab74ff67ae1fe4d72f373dfa7d06c0b81efca9df09b6a9f9fb269977fcd3de9"
+
+
+def test_rational_relation_check_of_a_long_power_is_bounded(tmp_path):
+    """The source relation of rational_relation_doc(2000) is checked over Q
+    on integer forms of 2001 coefficients of up to 2000 bits within 20 s,
+    interpreter start included, with the pinned report."""
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(rational_relation_doc(2000)))
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "wpline", "verify", "--config", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == RATIONAL_RELATION_2000
 
 
 #: stdout of ``demos/02_coordinate_algebras.py``

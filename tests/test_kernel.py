@@ -5,6 +5,8 @@ Degree records are compared with the sparse-rewriting reference path in
 sympy, which the tests use as an oracle and the package never imports.
 """
 
+import copy
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,12 @@ from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from reference import monomial_image, reference_records, reference_report, reference_rows
-from wpline import (AlgebraElement, AlgebraHom, CoordinateAlgebra, GradednessError, GroupHom,
+from wpline import (AlgebraElement, AlgebraHom, CoordinateAlgebra, GradednessError, GroupElement,
+                    GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
-from wpline.field import ConstantUnavailable, InvalidLambda, _poly_mul, _slot_bits
+from wpline.field import (KRONECKER_MIN, ConstantUnavailable, InvalidLambda, _poly_mul,
+                          _signed_kronecker, _slot_bits, schoolbook)
 from wpline.homverify import sylvester_rank, unreduced_bound
 
 Q = RationalField()
@@ -114,6 +118,87 @@ def test_heads_through_a_zero_image_are_zero():
             head = hom._head(r, q)
             assert (head is None) == (r[2] > 0), r
             assert _head_terms(hom, head, Q) == monomial_image(hom, r, powers), r
+
+
+def _lam(cid):
+    return -3 if cid == "D" else None
+
+
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_f_and_g_of_the_relation_check_are_the_heads(monkeypatch, cid):
+    """Construction computes f = phi(x_1)^{q_1} and g = phi(x_2)^{q_2} for
+    the relation check and keeps them as the heads of x_1^{q_1} and
+    x_2^{q_2}, so the induction level takes no form product for them.
+    They are the heads an unchecked map builds by products: equal over
+    F_q, and over Q multiples of them mod RANK_PRIME."""
+    for field in CASE_FIELDS[cid][:2]:
+        hom = builtin_case(cid, field, lam=_lam(cid)).algebra_hom
+        fresh = AlgebraHom.unchecked(hom.source, hom.target, hom.group_hom, hom.gen_images)
+        calls = []
+        mul = AlgebraHom._mul
+        monkeypatch.setattr(AlgebraHom, "_mul", lambda *args: calls.append(1) or mul(*args))
+        m = hom._induction_level()
+        assert calls == [], (cid, field)
+        monkeypatch.undo()
+        assert m == fresh._induction_level()
+        for j in (0, 1):
+            got, want = hom._fg(j, hom.rank_modulus), fresh._fg(j, hom.rank_modulus)
+            assert got[:2] == want[:2]
+            assert got == want if field != Q else _is_multiple(got[2], want[2], P)
+
+
+def _is_multiple(got: list, want: list, q: int) -> bool:
+    """got is a nonzero multiple of the nonzero want mod q."""
+    i = next(i for i, v in enumerate(want) if v)
+    ratio = got[i] * pow(want[i], -1, q) % q
+    return ratio != 0 and [ratio * v % q for v in want] == got
+
+
+@pytest.mark.parametrize("cid,field", [("A", PrimeField(5)), ("B", PrimeField(7)),
+                                       ("C", PrimeField(5)), ("D", PrimeField(7)), ("D", Q)])
+def test_rows_below_the_induction_level_are_heads(monkeypatch, cid, field):
+    """At the levels 0 <= l < m every fiber pair sits at level 0, so each
+    row is the head of its residue as it is: ``_rows`` packs and unpacks
+    nothing there, and gives the reference rows.  The rank leaves the rows,
+    and so the cached heads, as they were."""
+    hom = builtin_case(cid, field, lam=_lam(cid)).algebra_hom
+    m, q = hom._induction_level(), hom.rank_modulus
+    fibers = hom.group_hom.window_fibers(m)
+    got, want = [], []
+
+    def refuse(*args):
+        raise AssertionError("a row at level offset 0 was packed")
+
+    for l in range(m):
+        shift, classes = fibers.level(l)
+        for tor, pairs in classes:
+            x = GroupElement(hom.target.weights, l, tor)
+            fiber = tuple(GroupElement(hom.source.weights, off + shift, r) for off, r in pairs)
+            assert all(y.l <= 0 for y in fiber)
+            cols = len(hom.target.component_basis(x))
+            monkeypatch.setattr(homverify, "_pack", refuse)
+            monkeypatch.setattr(homverify, "_unpack", refuse)
+            rows = hom._rows(x, fiber, cols, q)
+            monkeypatch.undo()
+            heads = copy.deepcopy(hom._heads)
+            assert row_rank(rows, q) == hom.check_surjective_at(x, fiber).image_rank
+            assert hom._heads == heads
+            got.append([list(row) for row in rows])
+            want.append([[_residue(v, q) for v in row]
+                         for row in reference_rows(hom, x, fiber)])
+    assert got and all(rows for rows in got)
+    if field == Q:  # integer multiples of the rows, row by row
+        assert all(_is_multiple(row, r, q) for rows, ref in zip(got, want)
+                   for row, r in zip(rows, ref))
+    else:
+        assert got == want
+
+
+def _residue(v, q):
+    """A coefficient of the reference path (``Fp`` or ``Fraction``) mod q."""
+    if isinstance(v, Fraction):
+        return v.numerator * pow(v.denominator, -1, q) % q
+    return v.value
 
 
 @SLOW
@@ -485,6 +570,35 @@ def test_form_product_by_one_coefficient_matches_sympy(q, c, g, left):
 def test_integer_form_product_without_modulus_matches_sympy(f, g):
     """q None on the integer forms of exact ranks over Q: any sign and size."""
     assert _poly_mul(f, g, None) == [int(c) for c in _sympy_product(f, g, ZZ)]
+
+
+SIGNED = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                   st.integers(-2 ** 300, 2 ** 300), st.sampled_from([0, -2 ** 64, 2 ** 64 - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SIGNED, min_size=1, max_size=90), st.lists(SIGNED, min_size=1, max_size=90),
+       st.booleans())
+def test_signed_kronecker_product_matches_schoolbook(f, g, zero):
+    """The exact product of int lists by one multiply equals schoolbook on
+    any signs, zeros, all-zero factors and values up to 2^300, through
+    ``_poly_mul`` (which takes it from KRONECKER_MIN entries on) and on
+    its own."""
+    if zero:
+        f = [0] * len(f)
+    want = schoolbook(f, g)
+    assert _signed_kronecker(f, g) == want
+    assert _signed_kronecker(g, f) == want
+    assert _poly_mul(f, g, None) == want
+
+
+def test_exact_products_of_long_int_lists():
+    """A binomial row of 301 coefficients and a signed row of KRONECKER_MIN,
+    squared and multiplied together, as schoolbook gives them."""
+    row = [math.comb(300, i) for i in range(301)]
+    signed = [(-1) ** i * (i * i - 500) for i in range(KRONECKER_MIN)]
+    for f, g in ((row, row), (row, signed), (signed, [-v for v in signed])):
+        assert _poly_mul(f, g, None) == schoolbook(f, g)
 
 
 @pytest.mark.parametrize("q,n", [(P, 300), (P, 2000), (1000000007, 40)])
