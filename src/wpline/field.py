@@ -6,8 +6,9 @@ two and three, which is all the named constants need, and never scans the
 field: over F_q a quadratic takes a square root of its discriminant and a
 cubic splits gcd(f, x^q - x), over Q it finds the integer roots of a monic
 integer transform.  ``_poly_mul`` is the one product of binary
-forms: mod q on ints by Kronecker substitution, exactly on long int lists by
-a signed Kronecker substitution and otherwise by schoolbook.
+forms: mod q on ints by Kronecker substitution (by schoolbook when a factor
+is short), exactly on long int lists by a signed Kronecker substitution and
+otherwise by schoolbook.
 """
 
 from __future__ import annotations
@@ -329,24 +330,32 @@ def _unpack(n: int, k: int, m: int):
 
 def _poly_mul(f: list, g: list, q: int | None) -> list:
     """Product of coefficient lists.  Mod q, on ints in [0, q): a scalar
-    multiple when a factor has one coefficient, otherwise one integer
-    multiply after Kronecker substitution (Harvey, J. Symb. Comput. 2009).
-    Exactly (q None): lists of ints of at least KRONECKER_MIN entries each
-    by ``_signed_kronecker``, anything else (Fractions too) by schoolbook."""
+    multiple when a factor has one coefficient, schoolbook up to
+    SCHOOLBOOK_MAX products of coefficients, otherwise one integer multiply
+    after Kronecker substitution (Harvey, J. Symb. Comput. 2009).  Exactly
+    (q None): lists of ints of at least KRONECKER_MIN entries each by
+    ``_signed_kronecker``, anything else (Fractions too) by schoolbook."""
     if q is None:
         if (min(len(f), len(g)) >= KRONECKER_MIN and all([type(v) is int for v in f])
                 and all([type(v) is int for v in g])):
             return _signed_kronecker(f, g)
         return schoolbook(f, g)
-    if len(f) == 1 or len(g) == 1:
-        (c,), h = (f, g) if len(f) == 1 else (g, f)
-        return [c * v % q for v in h]
-    k = _slot_bits(q * q * min(len(f), len(g)))
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 1:
+        c = f[0]
+        return [c * v % q for v in g]
+    if len(f) * len(g) <= SCHOOLBOOK_MAX:
+        return [c % q for c in schoolbook(f, g)]
+    k = _slot_bits(q * q * len(f))
     return [c % q for c in _unpack(_pack(f, k) * _pack(g, k), k, len(f) + len(g) - 1)]
 
 
 #: the shortest int lists whose exact product is a Kronecker substitution
 KRONECKER_MIN = 32
+#: the most coefficient products of a product mod q taken by schoolbook:
+#: about where Kronecker substitution overtakes it (2 x 12, 4 x 5)
+SCHOOLBOOK_MAX = 24
 
 
 def _signed_kronecker(f: list, g: list) -> list:

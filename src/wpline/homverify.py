@@ -20,12 +20,14 @@ cached per exponent vector, and each is one product h_{r - e_j} phi(x_j) of
 a neighbour's head; f and g, computed once for the check of the source
 relations, enter the cache as they are.  Over F_q the coefficients are
 plain ints mod q, and every product of forms is ``field._poly_mul``: a
-scalar multiple when a factor has one coefficient, else one big-integer
-product after Kronecker substitution.  A row at source level 0 is its head;
-when g carries no torsion any other row is one such product of cached
-packed forms.  Over Q a row is an integer multiple of its image (no
-denominators: a carry by lam_i = num/den is by den V - num U), so a full rank
-mod RANK_PRIME is the rank over Q, and only a smaller one is redone exactly.
+scalar multiple when a factor has one coefficient, schoolbook for short
+factors, else one big-integer product after Kronecker substitution.  A row
+at source level 0 is its head; the rows of a source degree at level n >= 1
+come from one product, h_r times the cached forms f^a g^(n-a) laid end to
+end.  The rank is a list echelon.  Over Q a row is an integer multiple of
+its image (no denominators: a carry by lam_i = num/den is by den V - num U),
+so a full rank mod RANK_PRIME is the rank over Q, and only a smaller one is
+redone exactly.
 
 Most records need no rows at all.  When pi(c_S) = m c carries no torsion and
 every nonzero generator image sits at its group degree, f and g are binary
@@ -40,13 +42,15 @@ level 0 are zero.  So verify_window eliminates only the base levels
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraElement, CoordinateAlgebra, carry
-from .field import PrimeField, _pack, _poly_mul, _slot_bits, _unpack
+from .field import PrimeField, _poly_mul
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
                           WindowFibers, _sort_key)
 
@@ -60,94 +64,36 @@ class RelationError(ValueError):
 
 
 def row_rank(rows: list[list], modulus: int | None = None) -> int:
-    """Rank of a list of coefficient rows by Gaussian elimination.
+    """Rank of a list of coefficient rows by Gaussian elimination on lists.
 
     Without a modulus, entries are ints or Fractions and the rank is over Q.
-    With a prime ``modulus`` they are plain ints standing for residues mod
-    it: any ints, and rows (lists or arrays) whose entries lie in
-    [0, unreduced_bound(modulus, columns)) are used without reducing them
-    first.  Exact coefficients make pivot choice irrelevant, so the first
-    nonzero entry is always taken, and elimination stops once the rank is
-    min(rows, columns).  The rows are left as they are: they may be cached
-    heads.
+    With a prime ``modulus`` they are any ints standing for their residues
+    mod it; a nonzero row with an entry outside [0, modulus) is reduced as
+    it enters.  Exact coefficients make pivot choice irrelevant: a row is
+    cleared at its first nonzero entry by the pivot led there until it has
+    none there, and then leads a new pivot.  Elimination stops once the rank
+    is min(rows, columns).  Every row operation makes a new list, so the
+    rows are left as they are: they may be cached heads.
     """
-    if modulus is not None:
-        return _rank_mod(rows, modulus)
+    q = modulus
     full = min(len(rows), len(rows[0])) if rows else 0
-    pivots: list[tuple[int, list]] = []
+    pivots: dict[int, tuple] = {}  # lead column -> (-1 / the lead, its row)
     for row in rows:
         if len(pivots) == full:
             break
-        for col, prow in pivots:
-            c = row[col]
-            if c:
-                row = [a - c * b for a, b in zip(row, prow)]
-        col = next((i for i, v in enumerate(row) if v), None)
-        if col is not None:
-            inv = Fraction(1, row[col])
-            pivots.append((col, [a * inv for a in row]))
-    return len(pivots)
-
-
-def unreduced_bound(q: int, cols: int) -> int:
-    """Rows mod q of ``cols`` entries in [0, bound) enter elimination as
-    they are; the bound is the least power of two above q^2 cols."""
-    return 1 << (q * q * cols).bit_length()
-
-
-def _rank_mod(rows: list, q: int) -> int:
-    """Rank mod a prime q by echelon form on rows packed into integers, so
-    that a row operation is one big-integer multiply-add.  A row is reduced
-    at its lowest slot that is nonzero mod q: by the pivot led there, which
-    makes the slot a multiple of q, or else it becomes that pivot.  Either
-    way the slot is then dropped with a shift.  Adding a multiple in
-    [0, q) of a pivot keeps every slot nonnegative; a pivot's slots are
-    reduced mod q when it is stored, unless they are already (a row
-    whose entries are below q, and that no pivot has reduced).  A row
-    with an entry outside [0, unreduced_bound) is reduced first."""
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    full = min(len(rows), cols)
-    bound = unreduced_bound(q, cols)
-    # each pivot adds less than (q - 1)^2 to an entry, so entries stay below
-    # bound + full (q - 1)^2 < 2 bound, which fits a slot of _slot_bits(bound)
-    k = _slot_bits(bound)
-    mask = (1 << k) - 1
-    # the slot bits at or above the bound: (2^k - bound) in each of cols slots
-    high = (mask + 1 - bound) * ((1 << k * cols) - 1) // mask
-    pivots: dict[int, tuple[int, int]] = {}  # lead slot -> (-1 / lead mod q, row from its lead)
-    for row in rows:
-        if len(pivots) == full:
-            break
-        try:
-            r = _pack(row, k)
-        except OverflowError:  # a negative entry, or one wider than a slot
-            r = high
-        if r & high:
-            r, reduced = _pack([v % q for v in row], k), True
-        else:
-            reduced = max(row) < q
-        slot = 0
-        while r:
-            c = r & mask
-            if not c:
-                low = ((r & -r).bit_length() - 1) // k
-                r >>= low * k
-                slot += low
-                c = r & mask
-            c %= q
-            if c:
-                pivot = pivots.get(slot)
-                if pivot is None:
-                    if not reduced:
-                        r = _pack([v % q for v in _unpack(r, k, cols - slot)], k)
-                    pivots[slot] = (q - pow(c, -1, q), r)
-                    break
-                r += c * pivot[0] % q * pivot[1]
-                reduced = False
-            r >>= k
-            slot += 1
+        col = next(compress(count(), row), None)  # the first nonzero entry
+        if col is not None and q and (min(row) < 0 or max(row) >= q):
+            row = [v % q for v in row]
+            col = next(compress(count(), row), None)
+        while col is not None:
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = (q - pow(row[col], -1, q) if q else Fraction(-1, row[col]), row)
+                break
+            c, prow = row[col] * pivot[0], pivot[1]  # prow is zero before col
+            row = ([(a + c * b) % q for a, b in zip(row, prow)] if q
+                   else [a + c * b for a, b in zip(row, prow)])
+            col = next(compress(count(), row), None)
     return len(pivots)
 
 
@@ -361,6 +307,37 @@ class VerificationResult:
         return "".join([head, '\n  "records": [\n', ",\n".join(records), "\n  ]", tail])
 
 
+def _laid(forms: list, degree: tuple, cols: int) -> tuple:
+    """Forms of one degree (torsion, l), zero (None) among them, laid end
+    to end at stride cols as one form of that degree."""
+    tor, l = degree
+    pad = [0] * (cols - l - 1)
+    coeffs = []
+    for p in forms:
+        coeffs += (p[2] if p else [0] * (l + 1)) + pad
+    return tor, l, coeffs[:len(coeffs) - len(pad)]
+
+
+def _leaves(y: GroupElement, x: GroupElement) -> GradednessError:
+    return GradednessError("image of a monomial of degree %s leaves the component of %s"
+                           % (y, x))
+
+
+def _residual_text(residual: AlgebraElement) -> str:
+    """The residual as text; past Python's limit on the digits of an int
+    written in decimal, its degree and the sha256 of its terms
+    "e_1,...,e_t:num/den" (sorted, joined by ";", num and den in hex)."""
+    try:
+        return str(residual)
+    except ValueError:
+        import hashlib
+        terms = ";".join("%s:%x/%x" % (",".join(map(str, e)), c.numerator, c.denominator)
+                         for e, c in sorted(residual.terms.items()))
+        return "of degree %s with a coefficient of more than %d digits, sha256 %s" % (
+            residual.degree(), sys.get_int_max_str_digits(),
+            hashlib.sha256(terms.encode()).hexdigest())
+
+
 def _int_form(elem: AlgebraElement, q):
     """The one form of a homogeneous element as (torsion, l, ints), its
     coefficients cleared of denominators and reduced mod q unless q is None,
@@ -380,7 +357,7 @@ class AlgebraHom:
     """
 
     #: the modulus of ranks over Q, taken on integer rows
-    RANK_PRIME = 268435399  # the largest prime below 2^28: 64-bit slots up to 255 columns
+    RANK_PRIME = 268435399  # the largest prime below 2^28: 64-bit Kronecker slots up to 255
 
     def __init__(self, source: CoordinateAlgebra, target: CoordinateAlgebra,
                  group_hom: GroupHom, gen_images, validate: bool = True):
@@ -403,12 +380,11 @@ class AlgebraHom:
                              else self.RANK_PRIME)
         self._one = (0,) * len(target.weights), 0, [1]  # the form of 1
         # binary-form caches per coefficient domain (rank_modulus, or None
-        # for exact integers): generator images, heads h_r, series of forms
-        # (h_r f^a, g^b) and their packed ints per slot width
+        # for exact integers): generator images, heads h_r, and per level n
+        # the forms f^a g^(n-a)
         self._gens: dict[tuple, tuple | None] = {}
         self._heads: dict = {}
-        self._forms: dict[tuple, list] = {}
-        self._packs: dict[tuple, list[int]] = {}
+        self._levels: dict = {}
         if validate:
             self._validate()
 
@@ -441,9 +417,8 @@ class AlgebraHom:
             mu = self.source.params[i - 2]
             residual = self.gen_images[i] ** qs[i] - g + mu * f
             if not residual.is_zero():
-                raise RelationError(
-                    "relation for generator %d fails, residual %s" % (i + 1, residual)
-                )
+                raise RelationError("relation for generator %d fails, residual %s"
+                                    % (i + 1, _residual_text(residual)))
         q = self.rank_modulus
         heads = self._heads.setdefault(q, {(0,) * len(qs): self._one})
         for j, h in enumerate((f, g)):
@@ -478,29 +453,22 @@ class AlgebraHom:
         return self._gens[(q, j)]
 
     def _mul(self, f, g, q):
+        """The product of two forms; by the form of 1 it is the other one."""
         if f is None or g is None:
             return None
+        if f is self._one or g is self._one:
+            return g if f is self._one else f
         return carry([a + b for a, b in zip(f[0], g[0])], f[1] + g[1], _poly_mul(f[2], g[2], q),
                      self.target.weights.weights, self.target.int_pairs, q)[:3]
-
-    def _series(self, key, n: int, q, first, step) -> list:
-        """[s, s t, ..., s t^n] for s = first() and t = step(), cached under
-        (q, key) and extended on demand; step() runs only to extend."""
-        forms = self._forms.get((q, key))
-        if forms is None:
-            forms = self._forms[(q, key)] = [first()]
-        if len(forms) <= n:
-            t = step()
-            while len(forms) <= n:
-                forms.append(self._mul(forms[-1], t, q))
-        return forms
 
     def _head(self, r: tuple, q):
         """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t},
         cached per exponent vector.  h_r = h_{r - e_j} phi(x_j) for the last
         j with r_j > 0, so a head is one product once its neighbour is
         known; the neighbours missing are made first, lowest first."""
-        heads = self._heads.setdefault(q, {(0,) * len(r): self._one})
+        heads = self._heads.get(q) or self._heads.setdefault(q, {(0,) * len(r): self._one})
+        if r in heads:
+            return heads[r]
         missing = []
         while r not in heads:
             j = max(i for i, a in enumerate(r) if a)
@@ -516,59 +484,47 @@ class AlgebraHom:
         qs = self.source.weights.weights
         return self._head(tuple(qs[i] if i == j else 0 for i in range(len(qs))), q)
 
-    def _packed(self, key, forms: list, q: int, k: int) -> list[int]:
-        """The forms of a cached series packed at k bits per slot; zero is 0."""
-        packed = self._packs.setdefault((q, k, key), [])
-        for form in forms[len(packed):]:
-            packed.append(0 if form is None else _pack(form[2], k))
-        return packed
+    def _powers(self, n: int, q) -> list:
+        """The forms f^a g^(n-a), a ascending, cached per level n: level n
+        is level n - 1 times f, after g^n."""
+        levels = self._levels.setdefault(q, [[self._one]])
+        if len(levels) <= n:
+            f, g = self._fg(0, q), self._fg(1, q)
+            while len(levels) <= n:
+                last = levels[-1]
+                levels.append([self._mul(last[0], g, q)] + [self._mul(p, f, q) for p in last])
+        return levels[n]
 
     def _rows(self, x: GroupElement, fiber, cols: int, q) -> list:
         """One row per source basis monomial over the fiber of x, fibers in
         order.  The monomials of degree y with torsion r are
         m_r X_1^{q_1 a} X_2^{q_2 b} with a + b = y.l, a ascending, and the
         image of one is h_r f^a g^b with h_r = phi(m_r), f = phi(x_1)^{q_1}
-        and g = phi(x_2)^{q_2}; h_r f^a and g^b are cached series.  At
-        y.l = 0 the row is the head's own coefficient list.  Over F_q, when g
-        carries no torsion, h_r f^a times g^b carries nothing, so a row is
-        one product of packed ints: its entries are unreduced, below q^2 cols.
-        Otherwise, and for exact rows (q None), rows are forms.  Rows may be
-        cached lists, so nothing may change them."""
-        f = lambda: self._fg(0, q)
-        g = lambda: self._fg(1, q)
-        k = _slot_bits(q * q * max(cols, 1)) if q else None
-
-        def check(y, torsion, l):
-            if torsion != x.torsion or l != x.l:
-                raise GradednessError(
-                    "image of a monomial of degree %s leaves the component of %s" % (y, x))
-
+        and g = phi(x_2)^{q_2}.  At y.l = 0 the row is the head's own
+        coefficient list.  Above it the forms f^a g^b of ``_powers`` share
+        one degree, y.l pi(c_S), and are laid end to end at stride cols:
+        h_r times that list is one ``_mul``, whose carries act on each form
+        alone, and it is cut into the rows.  Rows may be cached lists, so
+        nothing may change them."""
         rows = []
         for y in fiber:
-            n, r = y.l, y.torsion
+            n = y.l
             if n < 0:
                 continue
-            if n == 0:  # the head itself, shared with the cache
-                head = self._head(r, q)
-                if head:
-                    check(y, head[0], head[1])
-                rows.append(head[2] if head else [0] * cols)
-                continue
-            lefts = self._series(r, n, q, lambda: self._head(r, q), f)
-            rights = self._series(None, n, q, lambda: self._one, g)
-            if q and (rights[1] is None or not any(rights[1][0])):
-                pl, pr = self._packed(r, lefts, q, k), self._packed(None, rights, q, k)
-                for a in range(n + 1):
-                    left, right = lefts[a], rights[n - a]
-                    if left and right:
-                        check(y, left[0], left[1] + right[1])
-                    rows.append(_unpack(pl[a] * pr[n - a], k, cols))
+            block = self._head(y.torsion, q)
+            if block and n:
+                forms = self._powers(n, q)
+                degrees = {p[:2] for p in forms if p}
+                if len(degrees) > 1:  # nonzero rows in two components
+                    raise _leaves(y, x)
+                block = self._mul(block, _laid(forms, *degrees, cols), q) if degrees else None
+            if block is None:
+                rows += [[0] * cols for _ in range(n + 1)]
+            elif block[0] != x.torsion or block[1] != x.l:
+                raise _leaves(y, x)
             else:
-                for a in range(n + 1):
-                    form = self._mul(lefts[a], rights[n - a], q)
-                    if form:
-                        check(y, form[0], form[1])
-                    rows.append(form[2] if form else [0] * cols)
+                coeffs = block[2]
+                rows += [coeffs[i:i + cols] for i in range(0, len(coeffs), cols)] if n else [coeffs]
         return rows
 
     # -- verification --------------------------------------------------------
@@ -582,7 +538,7 @@ class AlgebraHom:
         cols = len(self.target.component_basis(x))
         rows = self._rows(x, fiber, cols, self.rank_modulus)
         rank = row_rank(rows, self.rank_modulus)
-        if not isinstance(self.target.field, PrimeField) and rank < min(len(rows), cols):
+        if rank < min(len(rows), cols) and not isinstance(self.target.field, PrimeField):
             rank = row_rank(self._rows(x, fiber, cols, None))
         return DegreeRecord(degree=x, fiber=fiber, source_dim=len(rows),
                             target_dim=cols, image_rank=rank)

@@ -3,7 +3,9 @@ degree records independent of the binary-form kernel, fibers and
 admissibility on ``GroupElement`` values, the report text by ``json.dumps``
 on the whole report, roots by exhaustive search, element orders by
 repeated addition, and coefficient expressions by the parser of nested
-closures that ``wpline.config.parse_scalar`` replaced.
+closures that ``wpline.config.parse_scalar`` replaced, and the rank mod q
+on rows packed into integers that the list echelon of ``row_rank``
+replaced.
 
 Elements here are sparse dicts {exponent vector: coefficient}.  Products
 multiply term by term, and ``reference_reduce`` rewrites
@@ -24,6 +26,7 @@ import re
 from fractions import Fraction
 
 from wpline import Fp, GradednessError, PrimeField, RationalField
+from wpline.field import _pack, _slot_bits, _unpack
 from wpline.homverify import DegreeRecord
 from wpline.stringgroup import (AdmissibilityReport, GroupElement, InfiniteFiberError,
                                 _ceil_div, _sort_key)
@@ -42,6 +45,69 @@ def reference_rank(rows, zero):
             if v != zero:
                 pivots.append((col, row))
                 break
+    return len(pivots)
+
+
+
+def unreduced_bound(q: int, cols: int) -> int:
+    """Rows mod q of ``cols`` entries in [0, bound) enter elimination as
+    they are; the bound is the least power of two above q^2 cols."""
+    return 1 << (q * q * cols).bit_length()
+
+
+def reference_rank_mod(rows: list, q: int) -> int:
+    """Rank mod a prime q by echelon form on rows packed into integers, so
+    that a row operation is one big-integer multiply-add.  A row is reduced
+    at its lowest slot that is nonzero mod q: by the pivot led there, which
+    makes the slot a multiple of q, or else it becomes that pivot.  Either
+    way the slot is then dropped with a shift.  Adding a multiple in
+    [0, q) of a pivot keeps every slot nonnegative; a pivot's slots are
+    reduced mod q when it is stored, unless they are already (a row
+    whose entries are below q, and that no pivot has reduced).  A row
+    with an entry outside [0, unreduced_bound) is reduced first."""
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    full = min(len(rows), cols)
+    bound = unreduced_bound(q, cols)
+    # each pivot adds less than (q - 1)^2 to an entry, so entries stay below
+    # bound + full (q - 1)^2 < 2 bound, which fits a slot of _slot_bits(bound)
+    k = _slot_bits(bound)
+    mask = (1 << k) - 1
+    # the slot bits at or above the bound: (2^k - bound) in each of cols slots
+    high = (mask + 1 - bound) * ((1 << k * cols) - 1) // mask
+    pivots: dict[int, tuple[int, int]] = {}  # lead slot -> (-1 / lead mod q, row from its lead)
+    for row in rows:
+        if len(pivots) == full:
+            break
+        try:
+            r = _pack(row, k)
+        except OverflowError:  # a negative entry, or one wider than a slot
+            r = high
+        if r & high:
+            r, reduced = _pack([v % q for v in row], k), True
+        else:
+            reduced = max(row) < q
+        slot = 0
+        while r:
+            c = r & mask
+            if not c:
+                low = ((r & -r).bit_length() - 1) // k
+                r >>= low * k
+                slot += low
+                c = r & mask
+            c %= q
+            if c:
+                pivot = pivots.get(slot)
+                if pivot is None:
+                    if not reduced:
+                        r = _pack([v % q for v in _unpack(r, k, cols - slot)], k)
+                    pivots[slot] = (q - pow(c, -1, q), r)
+                    break
+                r += c * pivot[0] % q * pivot[1]
+                reduced = False
+            r >>= k
+            slot += 1
     return len(pivots)
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -612,6 +613,36 @@ class TestConfig:
         assert got.pop("constants") == {"s": "-1", "t": "-2"}
         want.pop("constants")
         assert got == want
+
+    def test_relation_residual_past_the_int_digit_limit_exits_1(self, capsys, tmp_path):
+        """(2,2,2) -> (2,2,2,2; 1, -(10^4400+3)/7) over Q with phi = x1^2,
+        x2^2, x4^2: the residual of x3^2 = x2^2 - x1^2 has a coefficient
+        past Python's 4300-digit limit on decimal ints, so the message gives
+        its degree and the sha256 of its terms written in hex, and the
+        verdict is the RelationError report with exit code 1."""
+        lam = Fraction(-(10 ** 4400 + 3), 7)
+        cfg = {"source": {"weights": [2, 2, 2], "params": ["1"]},
+               "target": {"weights": [2, 2, 2, 2], "params": ["1", "-(10^4400+3)/7"]},
+               "field": "rationals", "constants": {}, "pi": ["1;0,0,0,0"] * 3,
+               "phi": [[["1", [2, 0, 0, 0]]], [["1", [0, 2, 0, 0]]], [["1", [0, 0, 0, 2]]]],
+               "window": 20}
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["summary"] == "fail" and report["records"] == []
+        # the residual phi(x3)^2 - phi(x2)^2 + phi(x1)^2 = x4^4 - x2^4 + x1^4
+        # is (lam^2 + 1) U^2 - 2 lam U V in U = x1^2, V = x2^2, x4^2 = V - lam U
+        terms = [("2,2,0,0", -2 * lam), ("4,0,0,0", lam * lam + 1)]
+        digest = hashlib.sha256(";".join("%s:%x/%x" % (e, c.numerator, c.denominator)
+                                         for e, c in terms).encode()).hexdigest()
+        assert report["error"] == {
+            "type": "RelationError",
+            "message": "relation for generator 3 fails, residual of degree 2;0,0,0,0 with a "
+                       "coefficient of more than 4300 digits, sha256 " + digest}
 
     def test_huge_source_weights_exit_2_before_enumerating_residues(self, capsys, tmp_path):
         """(1000,1000,1000) has 10^9 torsion residues; the relation fails, and

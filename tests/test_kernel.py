@@ -6,6 +6,7 @@ sympy, which the tests use as an oracle and the package never imports.
 """
 
 import copy
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,14 +17,17 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from reference import monomial_image, reference_records, reference_report, reference_rows
+from reference import (monomial_image, reference_rank_mod, reference_record, reference_records,
+                       reference_report, reference_rows, unreduced_bound)
 from wpline import (AlgebraElement, AlgebraHom, CoordinateAlgebra, GradednessError, GroupElement,
                     GroupHom,
                     PrimeField, RationalField, builtin_case, builtin_group_hom,
                     homverify, row_rank)
-from wpline.field import (KRONECKER_MIN, ConstantUnavailable, InvalidLambda, _poly_mul,
-                          _signed_kronecker, _slot_bits, schoolbook)
-from wpline.homverify import sylvester_rank, unreduced_bound
+from wpline import algebra, cli
+from wpline import field as field_module
+from wpline.field import (KRONECKER_MIN, SCHOOLBOOK_MAX, ConstantUnavailable, InvalidLambda,
+                          _poly_mul, _signed_kronecker, _slot_bits, schoolbook)
+from wpline.homverify import sylvester_rank
 
 Q = RationalField()
 P = AlgebraHom.RANK_PRIME
@@ -158,17 +162,21 @@ def _is_multiple(got: list, want: list, q: int) -> bool:
                                        ("C", PrimeField(5)), ("D", PrimeField(7)), ("D", Q)])
 def test_rows_below_the_induction_level_are_heads(monkeypatch, cid, field):
     """At the levels 0 <= l < m every fiber pair sits at level 0, so each
-    row is the head of its residue as it is: ``_rows`` packs and unpacks
-    nothing there, and gives the reference rows.  The rank leaves the rows,
-    and so the cached heads, as they were."""
+    row is the head of its residue as it is, and gives the reference rows.
+    The rank leaves the rows, and so the cached heads, as they were.  No
+    product of building the map and of its whole ``verify_window(40)``
+    packs or unpacks: its forms are short enough for schoolbook."""
     hom = builtin_case(cid, field, lam=_lam(cid)).algebra_hom
     m, q = hom._induction_level(), hom.rank_modulus
     fibers = hom.group_hom.window_fibers(m)
     got, want = [], []
 
     def refuse(*args):
-        raise AssertionError("a row at level offset 0 was packed")
+        raise AssertionError("a form of the kernel was packed")
 
+    monkeypatch.setattr("wpline.field._pack", refuse)
+    monkeypatch.setattr("wpline.field._unpack", refuse)
+    assert builtin_case(cid, field, lam=_lam(cid)).algebra_hom.verify_window(40).passed
     for l in range(m):
         shift, classes = fibers.level(l)
         for tor, pairs in classes:
@@ -176,22 +184,47 @@ def test_rows_below_the_induction_level_are_heads(monkeypatch, cid, field):
             fiber = tuple(GroupElement(hom.source.weights, off + shift, r) for off, r in pairs)
             assert all(y.l <= 0 for y in fiber)
             cols = len(hom.target.component_basis(x))
-            monkeypatch.setattr(homverify, "_pack", refuse)
-            monkeypatch.setattr(homverify, "_unpack", refuse)
             rows = hom._rows(x, fiber, cols, q)
-            monkeypatch.undo()
             heads = copy.deepcopy(hom._heads)
             assert row_rank(rows, q) == hom.check_surjective_at(x, fiber).image_rank
             assert hom._heads == heads
             got.append([list(row) for row in rows])
             want.append([[_residue(v, q) for v in row]
                          for row in reference_rows(hom, x, fiber)])
+    monkeypatch.undo()
     assert got and all(rows for rows in got)
     if field == Q:  # integer multiples of the rows, row by row
         assert all(_is_multiple(row, r, q) for rows, ref in zip(got, want)
                    for row, r in zip(rows, ref))
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("cid,field", [("A", Q), ("B", PrimeField(7)), ("C", PrimeField(5)),
+                                       ("D", PrimeField(7))])
+def test_rows_above_source_level_0_are_the_reference_rows_in_order(cid, field):
+    """The rows of a source degree at level n are h_r f^a g^(n-a), a
+    ascending: one product cut into rows, each the reference row (over Q
+    an integer multiple of it), in the reference order, up to n = 3."""
+    hom = builtin_case(cid, field, lam=_lam(cid)).algebra_hom
+    m, q = hom._induction_level(), hom.rank_modulus
+    fibers = hom.group_hom.window_fibers(4 * m)
+    top = 0
+    for l in range(4 * m):
+        shift, classes = fibers.level(l)
+        for tor, pairs in classes:
+            x = GroupElement(hom.target.weights, l, tor)
+            fiber = tuple(GroupElement(hom.source.weights, off + shift, r) for off, r in pairs)
+            top = max([top] + [y.l for y in fiber])
+            cols = len(hom.target.component_basis(x))
+            got = hom._rows(x, fiber, cols, q)
+            want = [[_residue(v, q) for v in row] for row in reference_rows(hom, x, fiber)]
+            assert len(got) == len(want)
+            if field == Q:
+                assert all(_is_multiple(row, r, q) for row, r in zip(got, want)), x
+            else:
+                assert got == want, x
+    assert top == 3
 
 
 def _residue(v, q):
@@ -454,9 +487,9 @@ def test_rank_mod_q_matches_sympy(q, rows):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(RANK_MODULI), st.data())
 def test_rank_of_rows_below_q_matches_sympy(q, data):
-    """Rows whose entries are below q are stored as pivots as they are,
-    and rows up to the unreduced bound once reduced; a row made of two
-    earlier ones mod q makes the rank deficient."""
+    """Rows whose entries are below q are stored as pivots of the packed
+    oracle as they are, and rows up to its unreduced bound once reduced; a
+    row made of two earlier ones mod q makes the rank deficient."""
     m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     bound = unreduced_bound(q, n)
     rows = [data.draw(st.lists(st.integers(0, q - 1 if data.draw(st.booleans()) else bound - 1),
@@ -464,15 +497,16 @@ def test_rank_of_rows_below_q_matches_sympy(q, data):
     if m > 2 and data.draw(st.booleans()):
         rows.insert(data.draw(st.integers(2, m)),
                     [(a + b) % q for a, b in zip(rows[0], rows[1])])
-    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
+    assert reference_rank_mod(rows, q) == row_rank(rows, q) == _sympy_rank(rows, GF(q))
 
 
 @pytest.mark.parametrize("q", [5, 10007, P, 2 ** 61 - 1])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rank_of_unreduced_rows_at_the_bound_matches_sympy(q, data):
-    """Nonnegative entries up to unreduced_bound - 1 enter elimination as
-    they are; entries at the bound and above are reduced first."""
+    """Nonnegative entries up to unreduced_bound - 1 enter the packed
+    oracle's elimination as they are; entries at the bound and above are
+    reduced first."""
     m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     bound = unreduced_bound(q, n)
     assert bound > q * q * n
@@ -480,7 +514,7 @@ def test_rank_of_unreduced_rows_at_the_bound_matches_sympy(q, data):
     entry = st.one_of(top, st.integers(0, bound - 1),
                       st.sampled_from([bound, 2 * bound - 1, 0]))
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
+    assert reference_rank_mod(rows, q) == row_rank(rows, q) == _sympy_rank(rows, GF(q))
 
 
 def _wider(q):
@@ -501,7 +535,48 @@ def test_rank_of_rows_at_the_bound_minus_one(q, n):
     rows = [[top] * n, [top - i for i in range(n)], [top if i % 2 else 0 for i in range(n)],
             [(top - top % q) if i == 0 else top for i in range(n)]]
     rows += [[top - i * j % q for i in range(n)] for j in range(n)]
-    assert row_rank(rows, q) == _sympy_rank(rows, GF(q))
+    assert reference_rank_mod(rows, q) == row_rank(rows, q) == _sympy_rank(rows, GF(q))
+
+
+#: the moduli of the list echelon against the packed oracle: small primes, a
+#: prime of 32- and 64-bit packed slots, the rank prime, and one past 64 bits
+ECHELON_MODULI = (5, 7, 10007, P, 2 ** 61 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ECHELON_MODULI), st.data())
+def test_list_echelon_matches_the_packed_oracle_and_sympy(q, data):
+    """Rows of 1-40 columns with entries below q, negative, unreduced up to
+    the packed oracle's bound and past it, or wider than any of its slots;
+    zero rows among them, and a last row that is a combination of the first
+    two mod q.  The rows are left as they were."""
+    n, m = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 8))
+    bound = unreduced_bound(q, n)
+    entry = st.one_of(st.integers(0, q - 1), st.integers(-q * q * n, -1),
+                      st.integers(q, bound - 1), st.integers(bound, 2 ** 140), st.just(0))
+    row = st.one_of(st.lists(entry, min_size=n, max_size=n), st.just([0] * n))
+    rows = data.draw(st.lists(row, min_size=m, max_size=m))
+    if m >= 2 and data.draw(st.booleans()):
+        k, j = data.draw(st.integers(1, q - 1)), data.draw(st.integers(-2, 2))
+        rows.append([a + k * b + j * q for a, b in zip(rows[0], rows[1])])
+    before = copy.deepcopy(rows)
+    want = _sympy_rank(rows, GF(q))
+    assert row_rank(rows, q) == reference_rank_mod(rows, q) == want
+    assert rows == before
+
+
+def test_list_echelon_of_zero_and_repeated_rows():
+    """Zero rows count nothing, wherever they stand; a row repeated mod q,
+    or a multiple of an earlier one, counts once."""
+    for q in ECHELON_MODULI:
+        for n in (1, 2, 17, 40):
+            e = [[int(i == j) for i in range(n)] for j in range(n)]
+            zero = [0] * n
+            assert row_rank([zero] * 3, q) == reference_rank_mod([zero] * 3, q) == 0
+            rows = [zero, e[-1], [q * v for v in e[0]], [v + q for v in e[-1]],
+                    [(q - 3) * v for v in e[-1]], zero, e[0]]
+            want = 1 if n == 1 else 2
+            assert row_rank(rows, q) == reference_rank_mod(rows, q) == want, (q, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -541,6 +616,23 @@ def test_form_product_in_each_slot_width(q, n, bits):
     assert _slot_bits(q * q * n) == bits
     f, g = [q - 1] * n, [(q - 1 - i) % q for i in range(n + 3)]
     assert _poly_mul(f, g, q) == [int(c) % q for c in _sympy_product(f, g, GF(q))]
+
+
+@pytest.mark.parametrize("q", RANK_MODULI)
+@pytest.mark.parametrize("short,long", [(2, 2), (2, 12), (2, 13), (3, 8), (3, 9), (4, 6), (4, 7),
+                                        (5, 5), (1, 40)])
+def test_form_product_at_the_schoolbook_bound(monkeypatch, q, short, long):
+    """Up to SCHOOLBOOK_MAX products of coefficients a product mod q is
+    schoolbook and packs nothing, past it one Kronecker product; either
+    way, and on either side, it is sympy's."""
+    packs = []
+    pack = field_module._pack
+    monkeypatch.setattr(field_module, "_pack", lambda *args: packs.append(1) or pack(*args))
+    f = [(q - 1 - 3 * i) % q for i in range(short)]
+    g = [(q - 1 - i * i) % q for i in range(long)]
+    want = [int(c) % q for c in _sympy_product(f, g, GF(q))]
+    assert _poly_mul(f, g, q) == _poly_mul(g, f, q) == want
+    assert bool(packs) == (short > 1 and short * long > SCHOOLBOOK_MAX)
 
 
 @settings(max_examples=100, deadline=None)
@@ -912,6 +1004,27 @@ def test_image_of_the_wrong_degree_below_level_zero_raises_where_the_reference_d
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_rows_of_one_source_degree_in_two_components_raise(field):
+    """(2,2) -> (2,2,2,2; 1, -1) with pi(x_1) = c and pi(x_2) = x_3 + x_4,
+    so c_S alone lies over 2c, but phi(x_1) = x_1 sits at x_1: f = U lies
+    at c and g = (x_3 x_4)^2 at 2c.  The rows of c_S, g and f, lie in two
+    components, so the record of 2c raises as the reference does."""
+    target = CoordinateAlgebra((2, 2, 2, 2), field, [1, -1])
+    source = CoordinateAlgebra((2, 2), field)
+    L = target.weights
+    pi = GroupHom(source.weights, L, [L.canonical(), L.parse("0;0,0,1,1")])
+    x1, x2, x3, x4 = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [x1, x3 * x4])
+    x = L.parse("2;0,0,0,0")
+    fiber = tuple(pi.fiber(x))
+    assert [(y.l, y.torsion) for y in fiber] == [(1, (0, 0))]
+    got = outcome(hom.check_surjective_at, x)
+    assert got == outcome(reference_record, hom, x, fiber)
+    assert got == ("GradednessError", "image of a monomial of degree 1;0,0 leaves the "
+                   "component of 2;0,0,0,0")
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
 def test_canonical_image_with_torsion_is_never_inferred(field):
     """(2,4) -> (3,3,3) with pi(x_1) = c + x_3 and pi(x_2) = 2 x_3, so
     pi(c_S) = 2c + 2 x_3 carries torsion: f = U^2 y_3^2 and g = y_3^8
@@ -926,3 +1039,58 @@ def test_canonical_image_with_torsion_is_never_inferred(field):
     got = records(hom, 8)
     assert got == reference_records(hom, 8)
     assert not all(r["pass"] for r in got)
+
+
+# -- counts of the packed kernel, kept by the list echelon ---------------------------
+
+#: the fields of the benchmark's verify jobs, and the extra CLI arguments for them
+BASELINE = {"A": (Q, None, []), "B": (PrimeField(7), None, ["--field", "7"]),
+            "C": (PrimeField(5), None, ["--field", "5"]),
+            "D": (PrimeField(7), -1, ["--field", "7", "--lambda", "-1"])}
+#: (row_rank calls, rows) of verify_window(40), counted on the packed kernel
+RANK_CALLS_AT_40 = {"A": (25, 52), "B": (21, 66), "C": (28, 58), "D": (13, 28)}
+#: ``_poly_mul`` calls of ``verify --case X`` at the default window, counted
+#: on the packed kernel, whose rows above source level 0 took none
+POLY_MUL_CALLS = {"A": 48, "B": 58, "C": 55, "D": 30}
+#: demo 04's zero-image map over Q by window: (row_rank calls, rows, the
+#: sha256 of the repr of the list of its eliminated records), counted on the
+#: packed kernel
+ZERO_IMAGE_RECORDS = {
+    6: (69, 252, "adb69232292bbd34297a749d5b4a27e1e07017b8064e5b53d4d1c1a171cf7faa"),
+    40: (341, 6916, "825078b5f1ec093db6136f211ddc85e54d70490ed7ceff25115266ee6bcdcea8"),
+}
+
+
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_rank_calls_and_rows_of_the_baseline_cases(monkeypatch, cid):
+    field, lam, _ = BASELINE[cid]
+    hom = builtin_case(cid, field, lam=lam).algebra_hom
+    calls = _rank_calls(monkeypatch)
+    assert hom.verify_window(40).passed
+    assert (len(calls), sum(len(rows) for _, rows, _ in calls)) == RANK_CALLS_AT_40[cid]
+
+
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_verify_takes_no_more_form_products_than_the_packed_kernel(monkeypatch, capsys, cid):
+    calls = []
+    mul = field_module._poly_mul
+    for module in (field_module, algebra, homverify):
+        monkeypatch.setattr(module, "_poly_mul", lambda *args: calls.append(1) or mul(*args))
+    assert cli.main(["verify", "--case", cid, *BASELINE[cid][2]]) == 0
+    assert '"summary": "pass"' in capsys.readouterr().out
+    assert 0 < len(calls) <= POLY_MUL_CALLS[cid]
+
+
+@pytest.mark.parametrize("window", sorted(ZERO_IMAGE_RECORDS))
+def test_zero_image_map_of_demo_04_eliminates_the_records_of_the_packed_kernel(monkeypatch,
+                                                                              window):
+    spec = builtin_case("A", Q)
+    target = spec.algebra_hom.target
+    x1, x2, _, _ = target.gens
+    hom = AlgebraHom.unchecked(spec.algebra_hom.source, target, spec.group_hom,
+                               [x1, x2, target.zero])
+    calls = _rank_calls(monkeypatch)
+    result = hom.verify_window(window)
+    digest = hashlib.sha256(repr(list(result.eliminated)).encode()).hexdigest()
+    assert (len(calls), sum(len(rows) for _, rows, _ in calls), digest) == \
+        ZERO_IMAGE_RECORDS[window]
