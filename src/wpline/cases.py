@@ -19,7 +19,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .config import VerifyConfig
-from .field import ConstantUnavailable, Field, InvalidLambda, PrimeField, primes
+from .field import (ConstantUnavailable, Field, InvalidLambda, PrimeField, digits_digest,
+                    primes)
 from .homverify import AlgebraHom
 from .stringgroup import GroupElement, GroupHom, WeightSequence, _kernel_sort_key
 
@@ -120,7 +121,15 @@ class CaseSpec:
         return tuple(sorted(self.group_hom.kernel(), key=_kernel_sort_key))
 
     def report_constants(self) -> dict:
-        return {k: str(v) for k, v in self.constants.items()}
+        """Each constant as text; past Python's limit on the digits of an
+        int written in decimal, "a number of" its ``digits_digest``."""
+        texts = {}
+        for k, v in self.constants.items():
+            try:
+                texts[k] = str(v)
+            except ValueError:
+                texts[k] = "a number of " + digits_digest([("", v)])
+        return texts
 
     def tampered(self, value: str) -> "CaseSpec":
         """The same case with the last target parameter replaced by ``value``."""

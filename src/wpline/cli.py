@@ -46,12 +46,17 @@ def _render(elem, pretty: bool) -> str:
 
 
 def _out(value):
-    """Print to stdout; once its reader has gone, stdout is os.devnull (the
-    "Note on SIGPIPE" of the Python signal module documentation), so the
-    command runs on and keeps its exit code, and nothing is reported at
-    exit."""
+    """Print to stdout (see ``_emit``)."""
+    _emit(lambda stdout: print(value, file=stdout))
+
+
+def _emit(write):
+    """Call write(stdout) on the current sys.stdout; once its reader has
+    gone, stdout is os.devnull (the "Note on SIGPIPE" of the Python signal
+    module documentation), so the command runs on and keeps its exit code,
+    and nothing is reported at exit."""
     try:
-        print(value)
+        write(sys.stdout)
     except BrokenPipeError:
         _drop_stdout()
 
@@ -284,16 +289,38 @@ def _cmd_verify(args) -> int:
             report["admissible"] = spec.group_hom.is_admissible(window).admissible
             report["kernel"] = [str(k) for k in spec.expected_kernel]
         text, passed = json.dumps(report, sort_keys=True, indent=2), False
+
+        def write(stream):
+            stream.write(text + "\n")
     else:
         result = hom.verify_window(window)
-        text = result.to_report(case=spec.case_id, field_name=field.name,
-                                constants=spec.report_constants(), extra=extra)
         passed = result.passed
+
+        def write(stream):
+            result.to_report(case=spec.case_id, field_name=field.name,
+                             constants=spec.report_constants(), extra=extra, out=stream)
+            stream.write("\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    _out(text)
+            write(_Tee(fh))
+    else:
+        _emit(write)
     return 0 if passed else 1
+
+
+class _Tee:
+    """A text stream that writes to a file and then to stdout (``_emit``),
+    so a report is made once for both, and the file is written whole when
+    the reader of stdout leaves.  Unlike a copy of the file made after it,
+    it also serves an --out that is not a regular file (/dev/null, a pipe,
+    /dev/stdout itself)."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text: str):
+        self._fh.write(text)
+        _emit(lambda stdout: stdout.write(text))
 
 
 #: flags whose values can begin with "-" (element literals, parameters, ...)

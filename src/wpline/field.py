@@ -27,6 +27,17 @@ class InvalidLambda(ValueError):
     """Parameter values 0 and 1 are excluded."""
 
 
+def digits_digest(terms) -> str:
+    """Exact numbers past Python's limit on the digits of an int written in
+    decimal, as text made in bounded time: "more than N digits, sha256 H",
+    N that limit and H the sha256 of key + "num/den" (num and den in hex)
+    for each (key, number) of ``terms``, joined by ";"."""
+    import hashlib
+    text = ";".join("%s%x/%x" % (key, c.numerator, c.denominator) for key, c in terms)
+    return "more than %d digits, sha256 %s" % (sys.get_int_max_str_digits(),
+                                               hashlib.sha256(text.encode()).hexdigest())
+
+
 class Fp:
     """A residue in a prime field, with exact arithmetic."""
 

@@ -41,8 +41,8 @@ level 0 are zero.  So verify_window eliminates only the base levels
 
 from __future__ import annotations
 
+import io
 import json
-import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraElement, CoordinateAlgebra, carry
-from .field import PrimeField, _poly_mul
+from .field import PrimeField, _poly_mul, digits_digest
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
                           WindowFibers, _sort_key)
 
@@ -131,38 +131,61 @@ class DegreeRecord(NamedTuple):
         }
 
 
-#: the records of one fiber class at their indent in json.dumps(report,
-#: sort_keys=True, indent=2), with the degree torsion and the fiber torsions
-#: (in the order of the class) still to be written in
-_RECORD = ('    {\n      "degree": "%%d;%s",\n      "fiber": [\n        "%s"\n      ],\n'
-           '      "image_rank": %%d,\n      "pass": %%s,\n      "source_dim": %%d,\n'
-           '      "target_dim": %%d\n    }')
-#: between two fiber items of a record
+#: a record at its indent in json.dumps(report, sort_keys=True, indent=2) is
+#: static text around slots: _OPEN l ";torsion" _FIBER offset ";r" (_FIBER_SEP
+#: offset ";r")... _COUNTS[0] image_rank _COUNTS[1] pass _COUNTS[2] source_dim
+#: _COUNTS[3] target_dim _CLOSE, with the fiber levels offset + shift
+_OPEN = '    {\n      "degree": "'
+_FIBER = '",\n      "fiber": [\n        "'
 _FIBER_SEP = '",\n        "'
+_COUNTS = ('"\n      ],\n      "image_rank": ', ',\n      "pass": ', ',\n      "source_dim": ',
+           ',\n      "target_dim": ')
+_CLOSE = '\n    }'
+#: the parts of a record after its image_rank slot
+_TAIL = (_COUNTS[1], None, _COUNTS[2], None, _COUNTS[3], None, _CLOSE)
+#: between two records
+_NEXT = _CLOSE + ",\n" + _OPEN
+#: the records of a report are written in blocks of at least this many texts,
+#: each a plain level or one record, ending at a level
+REPORT_BLOCK = 256
 
 
-def _record_format(torsion: tuple, pairs: tuple) -> tuple[str, tuple[int, ...]]:
-    """The format string of the records of a fiber class (torsion, pairs)
-    and the level offsets of its pairs: the record at level l, shift s is
-    fmt % (l, *(off + s for off in offsets), image_rank, pass, source_dim,
-    target_dim).  Torsions are digits and commas, so no "%" is written in."""
-    fiber = _FIBER_SEP.join(["%d;" + ",".join(map(str, r)) for _, r in pairs])
-    return (_RECORD % (",".join(map(str, torsion)), fiber),
-            tuple([off for off, _ in pairs]))
+def _template(torsion: tuple, pairs: tuple, degrees: dict,
+              fibers: dict) -> tuple[list, list[int]]:
+    """The records of one entry (torsion, pairs) of the period table as
+    (parts, offsets): the static text of a record with a None at each of
+    its slots, parts[1::2], and the level offset of each pair, the fiber
+    slots in order.  ``degrees`` and ``fibers`` cache the static text after
+    the level of each torsion and after the fiber level of each residue."""
+    text = degrees.get(torsion)
+    if text is None:
+        text = degrees[torsion] = ";" + ",".join(map(str, torsion)) + _FIBER
+    parts = [_OPEN, None, text]
+    for _, r in pairs:
+        text = fibers.get(r)
+        if text is None:
+            text = fibers[r] = ";" + ",".join(map(str, r)) + _FIBER_SEP
+        parts += (None, text)
+    parts[-1] = parts[-1][:-len(_FIBER_SEP)] + _COUNTS[0]
+    parts += (None, *_TAIL)
+    return parts, [off for off, _ in pairs]
 
 
-def _plain_format(formats: list[tuple]) -> tuple[str, itemgetter, list[int]]:
-    """The records of one level of a class of the period table when each is
-    (mult, mult, mult), from the ``_record_format`` of each of its entries:
-    their format strings joined into one, the itemgetter that picks its
-    arguments from [l, mult, "true", *(u + shift for u in offsets)], and
-    the distinct level offsets of the class."""
-    offsets = sorted({off for _, offs in formats for off in offs})
-    slot = {off: 3 + i for i, off in enumerate(offsets)}
-    picks = []
-    for _, offs in formats:
-        picks += [0, *[slot[off] for off in offs], 1, 2, 1, 1]
-    return ",\n".join([fmt for fmt, _ in formats]), itemgetter(*picks), offsets
+def _plain(templates: list[tuple]) -> tuple[list, itemgetter, list[int]]:
+    """The records of a plain level of a class of the period table, the
+    templates of its entries joined by ",\n", as (parts, pick, offsets):
+    parts[1::2] = pick([l, mult, "true", *(off + shift for off in offsets)])
+    fills in its slots, ``offsets`` the distinct level offsets of the class,
+    sorted."""
+    offsets = sorted({off for _, offs in templates for off in offs})
+    slot = {off: i for i, off in enumerate(offsets, 3)}
+    parts, slots = [_OPEN], []
+    for record, offs in templates:
+        parts += record[1:-1]
+        parts.append(_NEXT)
+        slots += [0, *map(slot.__getitem__, offs), 1, 2, 1, 1]
+    parts[-1] = _CLOSE
+    return parts, itemgetter(*slots), offsets
 
 
 class VerificationResult:
@@ -253,18 +276,22 @@ class VerificationResult:
         return tuple(r for r in self.records if not r.passed)
 
     def to_report(self, case: str = "custom", field_name: str = "",
-                  constants: dict | None = None, extra: dict | None = None) -> str:
+                  constants: dict | None = None, extra: dict | None = None,
+                  out=None) -> str | None:
         """The report as JSON text: the bytes of json.dumps(report,
         sort_keys=True, indent=2) on its dict form, whose records are the
         ``as_dict`` of each record; ``extra`` adds top-level keys such as
-        ``tamper``.  Every key but the records goes through json.dumps.  The
-        records of an entry of the period table share one format string
-        (``_RECORD``), and a plain level (see ``_levels``) is one format
-        string for its whole class (``_plain_format``); each is made once,
-        keyed by the identity of the class it formats.  The records are
-        spliced in at the one top-level ``"records": []`` of that dump: a
-        JSON string holds no raw newline, and nested keys sit deeper than
-        two spaces."""
+        ``tamper``.  Given a text stream ``out``, the text is written there
+        in blocks of levels as they are made, and None is returned; else it
+        is returned.
+
+        Every key but the records goes through json.dumps, and the records
+        go in at its one top-level ``"records": []``: a JSON string holds no
+        raw newline, and nested keys sit deeper than two spaces.  Each entry
+        of the period table gets one ``_template``, and each class its
+        ``_plain`` join of them, on first use, keyed by identity.  A plain
+        level (see ``_levels``) fills its class's join; any other level
+        fills the template of each of its records with its counts."""
         report = {
             "case": case,
             "field": field_name,
@@ -278,33 +305,39 @@ class VerificationResult:
         if extra:
             report.update(extra)
         text = json.dumps(report, sort_keys=True, indent=2)
-        plains, formats = {}, {}
-
-        def record_format(cls):
-            fmt = formats.get(id(cls))
-            if fmt is None:
-                fmt = formats[id(cls)] = _record_format(*cls)
-            return fmt
-
-        records = []
-        for l, shift, classes, counts in self._levels():
-            if counts is None:
-                plain = plains.get(id(classes))
-                if plain is None:
-                    plain = plains[id(classes)] = _plain_format(list(map(record_format,
-                                                                         classes)))
-                fmt, pick, offsets = plain
-                records.append(fmt % pick([l, max(l + 1, 0), "true",
-                                           *[off + shift for off in offsets]]))
-                continue
-            for cls, (s, t, rank) in zip(classes, counts):
-                fmt, offsets = record_format(cls)
-                records.append(fmt % (l, *[off + shift for off in offsets], rank,
-                                      "true" if s == t == rank else "false", s, t))
-        if not records:
-            return text
+        stream = io.StringIO() if out is None else out
+        write = stream.write
         head, _, tail = text.partition('\n  "records": []')
-        return "".join([head, '\n  "records": [\n', ",\n".join(records), "\n  ]", tail])
+        sep = opening = head + '\n  "records": [\n'
+        block, cache, degrees, fibers = [], {}, {}, {}
+        for l, shift, classes, counts in self._levels():
+            cached = cache.get(id(classes))  # the class's templates, and its plain filler
+            if cached is None:
+                cached = cache[id(classes)] = [[_template(*cls, degrees, fibers)
+                                                for cls in classes], None]
+            level = str(l)
+            if counts is None:
+                if cached[1] is None:
+                    cached[1] = _plain(cached[0])
+                parts, pick, offsets = cached[1]
+                parts[1::2] = pick([level, str(max(l + 1, 0)), "true",
+                                    *map(str, map(shift.__add__, offsets))])
+                block.append("".join(parts))
+            else:
+                for (parts, offs), (s, t, rank) in zip(cached[0], counts):
+                    parts[1::2] = [level, *map(str, map(shift.__add__, offs)), str(rank),
+                                   "true" if s == t == rank else "false", str(s), str(t)]
+                    block.append("".join(parts))
+            if len(block) >= REPORT_BLOCK:
+                write(sep)
+                write(",\n".join(block))
+                sep, block = ",\n", []
+        if block:
+            write(sep)
+            write(",\n".join(block))
+            sep = ",\n"
+        write(text if sep is opening else "\n  ]" + tail)
+        return stream.getvalue() if out is None else None
 
 
 def _laid(forms: list, degree: tuple, cols: int) -> tuple:
@@ -325,17 +358,13 @@ def _leaves(y: GroupElement, x: GroupElement) -> GradednessError:
 
 def _residual_text(residual: AlgebraElement) -> str:
     """The residual as text; past Python's limit on the digits of an int
-    written in decimal, its degree and the sha256 of its terms
-    "e_1,...,e_t:num/den" (sorted, joined by ";", num and den in hex)."""
+    written in decimal, its degree and the ``digits_digest`` of its terms,
+    each keyed by "e_1,...,e_t:" and sorted."""
     try:
         return str(residual)
     except ValueError:
-        import hashlib
-        terms = ";".join("%s:%x/%x" % (",".join(map(str, e)), c.numerator, c.denominator)
-                         for e, c in sorted(residual.terms.items()))
-        return "of degree %s with a coefficient of more than %d digits, sha256 %s" % (
-            residual.degree(), sys.get_int_max_str_digits(),
-            hashlib.sha256(terms.encode()).hexdigest())
+        return "of degree %s with a coefficient of %s" % (residual.degree(), digits_digest(
+            (",".join(map(str, e)) + ":", c) for e, c in sorted(residual.terms.items())))
 
 
 def _int_form(elem: AlgebraElement, q):
@@ -519,7 +548,7 @@ class AlgebraHom:
                     raise _leaves(y, x)
                 block = self._mul(block, _laid(forms, *degrees, cols), q) if degrees else None
             if block is None:
-                rows += [[0] * cols for _ in range(n + 1)]
+                rows += [[0] * cols] * (n + 1)  # one zero row: nothing changes a row
             elif block[0] != x.torsion or block[1] != x.l:
                 raise _leaves(y, x)
             else:

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from wpline import PrimeField, RationalField, VerifyConfig, builtin_group_hom, parse_scalar
+from wpline import (PrimeField, RationalField, VerifyConfig, builtin_case, builtin_group_hom,
+                    parse_scalar)
+from wpline.field import field_from_spec
 from wpline.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -315,12 +317,42 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["--case", "B", "--field", "7", "--window", "6"],
         ["--case", "A", "--field", "5", "--window", "4", "--tamper", "lambda=2"],
-    ], ids=["pass", "error"])
+        ["--case", "C", "--field", "5", "--window", "300"],
+        ["--config", "fail.json", "--window", "20"],
+    ], ids=["pass", "error", "blocks", "fail"])
     def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        """The report is made once and each block goes to the file and to
+        stdout; C at window 300 writes several blocks."""
+        (tmp_path / "fail.json").write_text(json.dumps(CONFIG_FAIL))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", *argv, "--out", str(out_path))
         assert code in (0, 1) and out.startswith("{")
         assert out_path.read_bytes() == out.encode()
+        code_without, out_without, _ = run(capsys, "verify", *argv)
+        assert (code_without, out_without) == (code, out)
+
+    def test_out_to_a_device_still_writes_stdout(self, capsys):
+        argv = ["verify", "--case", "B", "--field", "7", "--window", "6"]
+        assert run(capsys, *argv, "--out", os.devnull) == run(capsys, *argv)
+
+    def test_out_to_stdout_itself_writes_the_report_twice(self):
+        """--out /dev/stdout is stdout's own pipe: the report goes there
+        twice (in pieces of a buffer's size, interleaved once it is larger),
+        and nothing waits to read it back."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        argv = [sys.executable, "-m", "wpline", "verify", "--case", "B", "--field", "7",
+                "--window", "3"]
+        once = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        twice = subprocess.run(argv + ["--out", "/dev/stdout"], env=env, capture_output=True,
+                               timeout=60)
+        assert (twice.returncode, twice.stderr) == (0, b"")
+        assert sorted(twice.stdout) == sorted(once.stdout * 2)
+
+    def test_unwritable_out_exits_2_before_stdout(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--case", "B", "--field", "7", "--window", "6",
+                             "--out", str(tmp_path / "missing" / "report.json"))
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
     def test_constant_unavailable_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "C", "--field", "7",
@@ -644,6 +676,39 @@ class TestConfig:
             "message": "relation for generator 3 fails, residual of degree 2;0,0,0,0 with a "
                        "coefficient of more than 4300 digits, sha256 " + digest}
 
+    @pytest.mark.parametrize("lam", ["-(10^4400+3)/7", "-1"])
+    def test_constant_past_the_int_digit_limit_keeps_the_verdict(self, capsys, tmp_path, lam):
+        """The large-residual document above, with its target parameter or
+        -1, and a constant of 4401 digits: the constant is reported as the
+        sha256 of its numerator and denominator in hex, and the verdict is
+        still the RelationError report with exit code 1."""
+        cfg = {"source": {"weights": [2, 2, 2], "params": ["1"]},
+               "target": {"weights": [2, 2, 2, 2], "params": ["1", lam]},
+               "field": "rationals", "constants": {"s": "10^4400", "t": "-1/3"},
+               "pi": ["1;0,0,0,0"] * 3,
+               "phi": [[["1", [2, 0, 0, 0]]], [["1", [0, 2, 0, 0]]], [["1", [0, 0, 0, 2]]]],
+               "window": 20}
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        digest = hashlib.sha256(("%x/%x" % (10 ** 4400, 1)).encode()).hexdigest()
+        assert report["constants"] == {
+            "s": "a number of more than 4300 digits, sha256 " + digest, "t": "-1/3"}
+        assert report["summary"] == "fail" and report["error"]["type"] == "RelationError"
+
+    def test_constant_past_the_int_digit_limit_in_a_passing_report(self, capsys, tmp_path):
+        cfg = copy.deepcopy(CASE_A_CONFIG)
+        cfg["constants"] = {"big": "-(10^4400+1)/3"}
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path), "--window", "4")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(("%x/%x" % (-(10 ** 4400 + 1), 3)).encode()).hexdigest()
+        assert json.loads(out)["constants"] == {
+            "big": "a number of more than 4300 digits, sha256 " + digest}
+
     def test_huge_source_weights_exit_2_before_enumerating_residues(self, capsys, tmp_path):
         """(1000,1000,1000) has 10^9 torsion residues; the relation fails, and
         the error report's admissibility check must refuse them, not list them."""
@@ -785,11 +850,13 @@ CONFIG_FAIL = {"source": {"params": [], "weights": [2, 2]},
 @pytest.mark.parametrize("args,code", [
     (["--case", "B", "--field", "7"], 0),
     (["--config", "fail.json"], 1),
-], ids=["pass", "fail"])
+    (["--case", "A", "--out", "report.json"], 0),
+], ids=["pass", "fail", "out"])
 def test_closed_stdout_keeps_the_exit_code(tmp_path, args, code):
     """A reader that stops after one line of a report of well over a pipe's
-    buffer: verify still exits with its own code, and prints nothing on
-    stderr (no error, no "Exception ignored" at exit)."""
+    buffer, also with ``--out``: verify still exits with its own code,
+    prints nothing on stderr (no error, no "Exception ignored" at exit), and
+    writes the whole ``--out`` file."""
     (tmp_path / "fail.json").write_text(json.dumps(CONFIG_FAIL))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen([sys.executable, "-m", "wpline", "verify", *args, "--window", "200"],
@@ -804,3 +871,44 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, args, code):
         proc.kill()
         proc.wait()
     assert err == b""
+    if "--out" in args:
+        assert json.loads((tmp_path / "report.json").read_text())["summary"] == "pass"
+
+
+def test_verify_streams_its_report_in_constant_memory():
+    """verify writes its report to stdout in blocks as it is made:
+    at window 10^4 the child's peak stays far below the 33 MB of the
+    report (111 MB when the report was one string), and the bytes are
+    the pinned ones."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from wpline.cli import main; "
+            "code = main(['verify', '--case', 'A', '--window', '10000']); "
+            "sys.stdout.flush(); "
+            "hwm = [line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')]; "
+            "print(code, *hwm, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, timeout=120)
+    exit_code, hwm_kb = map(int, proc.stderr.split())
+    assert exit_code == 0 and hwm_kb < 48 * 1024
+    assert len(proc.stdout) == 33166703
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "f10aa900fd92ab00221af58dbc68e399053761d715397bcf52abe9aaca53fe44")
+
+
+#: the fields (and lambda) of the four built-in cases in the benchmark
+STREAM_CASES = {"A": ("rationals", None), "B": ("7", None), "C": ("5", None), "D": ("7", "-1")}
+
+
+@pytest.mark.parametrize("window", [1, 4, 40])
+@pytest.mark.parametrize("cid", sorted(STREAM_CASES))
+def test_streamed_stdout_is_the_returned_report(capsys, cid, window):
+    """verify streams its report to stdout; the bytes are the text
+    ``to_report`` returns, and a newline."""
+    field, lam = STREAM_CASES[cid]
+    argv = ["verify", "--case", cid, "--field", field, "--window", str(window)]
+    code, out, _ = run(capsys, *argv, *(["--lambda", lam] if lam else []))
+    spec = builtin_case(cid, field_from_spec(field), lam=lam)
+    text = spec.algebra_hom.verify_window(window).to_report(
+        case=cid, field_name=spec.field.name, constants=spec.report_constants())
+    assert code == 0 and out == text + "\n"

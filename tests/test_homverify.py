@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, PrimeField,
                     RationalField, RelationError, builtin_case,
                     builtin_group_hom, expected_kernel, find_admissible_primes,
                     homverify, row_rank)
+from wpline import homverify
 from wpline.homverify import VerificationResult
 from wpline.stringgroup import AdmissibilityReport, GroupElement, WeightSequence
 
@@ -335,3 +337,40 @@ class TestNegativeControls:
                                       [y3, y1 * y2, i * (y1 ** 3 + y2 ** 3)])
         result = broken.verify_window(5)
         assert all(r.passed for r in result.records)
+
+
+class _Writes(list):
+    """A text stream that keeps each write."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("block", [1, 3, homverify.REPORT_BLOCK, 10 ** 6])
+def test_zero_image_report_streams_in_blocks_of_levels(monkeypatch, block):
+    """Demo 04's zero-image map fails at window 40, on eliminated and plain
+    levels alike.  Written to a stream, its report comes in blocks of at
+    least ``block`` texts (a plain level or one record each) between the
+    head and the tail, and the writes join to the text to_report returns,
+    which is the reference dump."""
+    spec = builtin_case("A", Q)
+    target = spec.algebra_hom.target
+    x1, x2, _, _ = target.gens
+    result = AlgebraHom.unchecked(spec.algebra_hom.source, target, spec.group_hom,
+                                  [x1, x2, target.zero]).verify_window(40)
+    monkeypatch.setattr(homverify, "REPORT_BLOCK", block)
+    writes = _Writes()
+    assert result.to_report("A", "rationals", out=writes) is None
+    text = result.to_report("A", "rationals")
+    assert "".join(writes) == text == reference_report(result, "A", "rationals")
+    assert not result.passed and '"pass": false' in text
+    blocks = writes[1:-1:2]  # the head and each block after the first lead in a write
+    assert all(b.count('"degree"') >= block for b in blocks[:-1])
+    if block == 1:
+        assert len(blocks) == 81  # one per level, -40..40
+    elif block == 3:
+        assert 1 < len(blocks) < 81
+    elif block > len(text):
+        assert len(blocks) == 1
+    stream = io.StringIO()
+    result.to_report("A", "rationals", out=stream)
+    assert stream.getvalue() == text

@@ -1094,3 +1094,22 @@ def test_zero_image_map_of_demo_04_eliminates_the_records_of_the_packed_kernel(m
     digest = hashlib.sha256(repr(list(result.eliminated)).encode()).hexdigest()
     assert (len(calls), sum(len(rows) for _, rows, _ in calls), digest) == \
         ZERO_IMAGE_RECORDS[window]
+
+
+def test_zero_heads_share_one_zero_row(monkeypatch):
+    """The n + 1 rows of a zero head are one zero list, which row_rank
+    never changes: demo 04's zero-image map at F_10007, window 200, passes
+    81232 rows of 10.9 million cells to row_rank, in 1632 distinct lists of
+    162476 cells, 28 of them nonzero."""
+    spec = builtin_case("A", PrimeField(10007))
+    target = spec.algebra_hom.target
+    x1, x2, _, _ = target.gens
+    hom = AlgebraHom.unchecked(spec.algebra_hom.source, target, spec.group_hom,
+                               [x1, x2, target.zero])
+    calls = _rank_calls(monkeypatch)
+    assert not hom.verify_window(200).passed
+    rows = [row for _, rows, _ in calls for row in rows]
+    distinct = list({id(row): row for row in rows}.values())
+    assert (len(calls), len(rows), sum(map(len, rows))) == (817, 81232, 10908476)
+    assert (len(distinct), sum(map(len, distinct))) == (1632, 162476)
+    assert sum(1 for row in distinct for v in row if v) == 28
