@@ -302,18 +302,29 @@ def _cmd_verify(args) -> int:
             stream.write("\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write(_Tee(fh))
+            if _is_stdout(fh):  # two writers on one file would mix their copies
+                _emit(write)
+            else:
+                write(_Tee(fh))
     else:
         _emit(write)
     return 0 if passed else 1
+
+
+def _is_stdout(fh) -> bool:
+    """Whether the open file fh is the file of the current sys.stdout."""
+    try:
+        return os.path.samestat(os.fstat(fh.fileno()), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # a stdout without a file descriptor
+        return False
 
 
 class _Tee:
     """A text stream that writes to a file and then to stdout (``_emit``),
     so a report is made once for both, and the file is written whole when
     the reader of stdout leaves.  Unlike a copy of the file made after it,
-    it also serves an --out that is not a regular file (/dev/null, a pipe,
-    /dev/stdout itself)."""
+    it also serves an --out that is not a regular file (/dev/null, a
+    pipe)."""
 
     def __init__(self, fh):
         self._fh = fh

@@ -189,28 +189,20 @@ def _plain(templates: list[tuple]) -> tuple[list, itemgetter, list[int]]:
 
 
 class VerificationResult:
-    """Admissibility of the group map plus one entry per image degree on a
-    window.  An entry is (l, torsion, pairs, source_dim, target_dim,
-    image_rank): the degree as its target pair, its fiber as the sorted
-    source pairs (l, r) of ``GroupHom.window_fibers`` (never empty), and
-    the counts of its :class:`DegreeRecord`.
-
-    A result from ``verify_window`` is a view on the period table, like
+    """Admissibility of the group map plus one :class:`DegreeRecord` per
+    image degree on a window, as a view on the period table like
     ``WindowFibers``: it keeps the window's ``fibers``, the induction level
     ``m`` (None when every record is eliminated), the admissibility failure
     ``totals`` by (l, torsion), and in ``eliminated`` the (l, torsion,
     source_dim, target_dim, image_rank) of each record it eliminated, in
     the order of the fibers.  Every other record is (total, mult, mult),
     with total the failure total of its degree or else mult = max(l + 1, 0).
-    Given ``entries`` instead, each is its own level and class at shift 0,
-    and eliminated.  ``entries`` and ``records`` (with their
-    ``GroupElement``s) are built on first access.
+    ``records`` (with their ``GroupElement``s) are built on first access.
     """
 
     def __init__(self, window: int, admissibility: AdmissibilityReport, source: WeightSequence,
-                 target: WeightSequence, entries: tuple[tuple, ...] = (), *,
-                 fibers: WindowFibers | None = None, m: int | None = None,
-                 eliminated: Sequence[tuple] = ()):
+                 target: WeightSequence, fibers: WindowFibers, m: int | None,
+                 eliminated: Sequence[tuple]):
         self.window = window
         self.admissibility = admissibility
         self.source = source
@@ -218,9 +210,6 @@ class VerificationResult:
         self.fibers = fibers
         self.m = m
         self.totals = {(x.l, x.torsion): got for x, got, _ in admissibility.failures}
-        if fibers is None:
-            self._given = [(l, 0, [(tor, pairs)]) for l, tor, pairs, *_ in entries]
-            eliminated = [(l, tor, s, t, rank) for l, tor, _, s, t, rank in entries]
         self.eliminated = eliminated
 
     def _levels(self) -> Iterator[tuple[int, int, list, list | None]]:
@@ -229,12 +218,11 @@ class VerificationResult:
         (source_dim, target_dim, image_rank) of each class; counts is None
         on a plain level, where no record is eliminated and admissibility
         lists no failure, so every record is (mult, mult, mult)."""
-        levels = self.fibers.levels() if self.fibers is not None else self._given
         totals = self.totals
         failed = {l for l, _ in totals}
         elim = iter(self.eliminated)
         nxt = next(elim, None)
-        for l, shift, classes in levels:
+        for l, shift, classes in self.fibers.levels():
             if (not nxt or nxt[0] != l) and l not in failed:
                 yield l, shift, classes, None
                 continue
@@ -249,21 +237,17 @@ class VerificationResult:
             yield l, shift, classes, counts
 
     @cached_property
-    def entries(self) -> tuple[tuple, ...]:
+    def records(self) -> tuple[DegreeRecord, ...]:
+        src, tgt = self.source, self.target
         out = []
         for l, shift, classes, counts in self._levels():
             mult = max(l + 1, 0)
-            for (tor, pairs), c in zip(classes, counts or [(mult, mult, mult)] * len(classes)):
-                out.append((l, tor, tuple([(off + shift, r) for off, r in pairs]), *c))
+            for (tor, pairs), (s, t, rank) in zip(classes, counts or [(mult,) * 3] * len(classes)):
+                out.append(DegreeRecord(
+                    degree=GroupElement(tgt, l, tor),
+                    fiber=tuple([GroupElement(src, off + shift, r) for off, r in pairs]),
+                    source_dim=s, target_dim=t, image_rank=rank))
         return tuple(out)
-
-    @cached_property
-    def records(self) -> tuple[DegreeRecord, ...]:
-        src, tgt = self.source, self.target
-        return tuple(DegreeRecord(degree=GroupElement(tgt, l, tor),
-                                  fiber=tuple(GroupElement(src, yl, r) for yl, r in pairs),
-                                  source_dim=s, target_dim=t, image_rank=rank)
-                     for l, tor, pairs, s, t, rank in self.entries)
 
     @property
     def passed(self) -> bool:
@@ -590,7 +574,7 @@ class AlgebraHom:
         return c.l
 
     def verify_window(self, window: int) -> VerificationResult:
-        """Admissibility plus a degree entry for every image degree with
+        """Admissibility plus a degree record for every image degree with
         |l| <= window, as a view on the fibers of ``GroupHom.window_fibers``
         (see :class:`VerificationResult`).  Without an induction level every
         record is eliminated, level by level.  With one, m, a record below
@@ -634,5 +618,4 @@ class AlgebraHom:
             for l, shift, cls in chains:  # grows while it is read
                 if l + m <= window and deficient(l + m, shift + 1, *cls):
                     chains.append((l + m, shift + 1, cls))
-        return VerificationResult(window, admissibility, src, tgt, fibers=fibers, m=m,
-                                  eliminated=eliminated)
+        return VerificationResult(window, admissibility, src, tgt, fibers, m, eliminated)

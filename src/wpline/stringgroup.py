@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from collections.abc import Mapping
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -440,10 +439,9 @@ class GroupHom:
         return n, m, dict(by_class)
 
     def window_fibers(self, window: int) -> "WindowFibers":
-        """All nonempty fibers over elements with |l| <= window, as a
-        read-only mapping sorted by key: target (l, torsion) -> sorted
-        source pairs (l, r).  It is a view on the period table
-        ``_classes``, so it costs nothing per key until read."""
+        """All nonempty fibers over elements with |l| <= window, level by
+        level (see :class:`WindowFibers`).  It is a view on the period
+        table ``_classes``, so it costs nothing per degree until read."""
         if window < 1:
             raise ValueError("window must be at least 1")
         return WindowFibers(self._classes, window)
@@ -506,13 +504,12 @@ def _levels_of_class(c: int, m: int, window: int) -> range:
     return range(_ceil_div(window - c, m), (-window - c) // m + 1)
 
 
-class WindowFibers(Mapping):
-    """The fibers of ``GroupHom.window_fibers``: a read-only mapping from
-    target (l, torsion) with |l| <= window to the sorted source pairs
-    (l, r) over it, iterated in key order, on the period table (n, m,
-    by_class) of ``GroupHom._classes``.  Its length is counted per class,
-    an item is made by arithmetic when read, and keys outside the window
-    raise KeyError."""
+class WindowFibers:
+    """The fibers of ``GroupHom.window_fibers``: for each target (l, torsion)
+    with |l| <= window and a nonempty fiber, the sorted source pairs (l, r)
+    over it, read level by level on the period table (n, m, by_class) of
+    ``GroupHom._classes``.  Its length, the number of such degrees, is
+    counted per class."""
 
     def __init__(self, table: tuple[int, int, dict], window: int):
         self._n, self._m, self._by_class = table
@@ -539,19 +536,3 @@ class WindowFibers(Mapping):
     def __len__(self) -> int:
         return sum(len(classes) * len(_levels_of_class(c, self._m, self.window))
                    for c, classes in self._by_class.items())
-
-    def __iter__(self) -> Iterator[tuple]:
-        for L, _, classes in self.levels():
-            for xt, _ in classes:
-                yield L, xt
-
-    def __getitem__(self, key: tuple) -> tuple[tuple, ...]:
-        try:
-            L, xt = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        shift, classes = self.level(L)
-        for t, pairs in classes:
-            if t == xt:
-                return tuple([(off + shift, r) for off, r in pairs])
-        raise KeyError(key)

@@ -210,12 +210,19 @@ def reference_record(hom, x, fiber, powers=None):
                         image_rank=reference_rank(rows, hom.target.field.zero))
 
 
-def as_elements(group_hom, table):
-    """A ``window_fibers`` table on (l, torsion) tuples as the
-    ``reference_window_fibers`` table on ``GroupElement`` values."""
+def fiber_table(fibers):
+    """The ``WindowFibers`` fibers as a dict in the order of ``levels()``:
+    target (l, torsion) -> the tuple of source pairs (l, r) over it."""
+    return {(l, xt): tuple([(off + shift, r) for off, r in pairs])
+            for l, shift, classes in fibers.levels() for xt, pairs in classes}
+
+
+def as_elements(group_hom, fibers):
+    """``WindowFibers`` as the ``reference_window_fibers`` table on
+    ``GroupElement`` values."""
     return {GroupElement(group_hom.target, *x): tuple(GroupElement(group_hom.source, *y)
                                                       for y in ys)
-            for x, ys in table.items()}
+            for x, ys in fiber_table(fibers).items()}
 
 
 def reference_window_fibers(group_hom, window):

@@ -1,4 +1,5 @@
 import copy
+import fcntl
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from maps import CONFIG_FAIL
 from wpline import (PrimeField, RationalField, VerifyConfig, builtin_case, builtin_group_hom,
                     parse_scalar)
 from wpline.field import field_from_spec
@@ -336,18 +338,24 @@ class TestVerifyCommand:
         argv = ["verify", "--case", "B", "--field", "7", "--window", "6"]
         assert run(capsys, *argv, "--out", os.devnull) == run(capsys, *argv)
 
-    def test_out_to_stdout_itself_writes_the_report_twice(self):
-        """--out /dev/stdout is stdout's own pipe: the report goes there
-        twice (in pieces of a buffer's size, interleaved once it is larger),
-        and nothing waits to read it back."""
+    def test_out_to_stdout_itself_writes_the_report_once(self, tmp_path):
+        """--out naming stdout's own pipe, or the file stdout goes to,
+        gets the report once, also past a pipe's 64 KiB buffer: two
+        writers there would interleave their copies."""
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         argv = [sys.executable, "-m", "wpline", "verify", "--case", "B", "--field", "7",
-                "--window", "3"]
+                "--window", "40"]
         once = subprocess.run(argv, env=env, capture_output=True, timeout=60)
-        twice = subprocess.run(argv + ["--out", "/dev/stdout"], env=env, capture_output=True,
+        assert once.returncode == 0 and len(once.stdout) > 64 * 1024
+        piped = subprocess.run(argv + ["--out", "/dev/stdout"], env=env, capture_output=True,
                                timeout=60)
-        assert (twice.returncode, twice.stderr) == (0, b"")
-        assert sorted(twice.stdout) == sorted(once.stdout * 2)
+        assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", once.stdout)
+        path = tmp_path / "report.json"
+        with open(path, "wb") as fh:
+            to_file = subprocess.run(argv + ["--out", str(path)], env=env, stdout=fh,
+                                     stderr=subprocess.PIPE, timeout=60)
+        assert (to_file.returncode, to_file.stderr) == (0, b"")
+        assert path.read_bytes() == once.stdout
 
     def test_unwritable_out_exits_2_before_stdout(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--case", "B", "--field", "7", "--window", "6",
@@ -840,29 +848,32 @@ class TestConfig:
         assert err == "error: malformed verification config: %s\n" % message
 
 
-#: (2,2) -> (2,2) sending both generators to x_1: neither admissible nor onto
-CONFIG_FAIL = {"source": {"params": [], "weights": [2, 2]},
-               "target": {"params": [], "weights": [2, 2]},
-               "constants": {}, "pi": ["0;1,0", "0;1,0"],
-               "phi": [[["1", [1, 0]]], [["1", [1, 0]]]], "field": "5"}
+#: ``CONFIG_FAIL`` on (8,8) -> (8,8): each level holds eight failing records
+#: with fibers of eight elements, so a short window makes a long report
+CONFIG_FAIL_8 = dict(CONFIG_FAIL, source={"params": [], "weights": [8, 8]},
+                     target={"params": [], "weights": [8, 8]})
 
 
 @pytest.mark.parametrize("args,code", [
-    (["--case", "B", "--field", "7"], 0),
-    (["--config", "fail.json"], 1),
-    (["--case", "A", "--out", "report.json"], 0),
+    (["--case", "B", "--field", "7", "--window", "200"], 0),
+    (["--config", "fail.json", "--window", "30"], 1),
+    (["--case", "A", "--window", "200", "--out", "report.json"], 0),
 ], ids=["pass", "fail", "out"])
-def test_closed_stdout_keeps_the_exit_code(tmp_path, args, code):
-    """A reader that stops after one line of a report of well over a pipe's
-    buffer, also with ``--out``: verify still exits with its own code,
-    prints nothing on stderr (no error, no "Exception ignored" at exit), and
-    writes the whole ``--out`` file."""
-    (tmp_path / "fail.json").write_text(json.dumps(CONFIG_FAIL))
+def test_closed_stdout_keeps_the_exit_code(tmp_path, capsys, args, code):
+    """A reader that stops after one line of a report of at least two
+    pipe buffers, also with ``--out``: verify still exits with its own
+    code, prints nothing on stderr (no error, no "Exception ignored" at
+    exit), and writes the whole ``--out`` file."""
+    (tmp_path / "fail.json").write_text(json.dumps(CONFIG_FAIL_8))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    assert main(["verify", *args]) == code
+    size = len(capsys.readouterr().out.encode())
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.Popen([sys.executable, "-m", "wpline", "verify", *args, "--window", "200"],
+    proc = subprocess.Popen([sys.executable, "-m", "wpline", "verify", *args],
                             cwd=tmp_path, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     try:
+        assert size >= 2 * fcntl.fcntl(proc.stdout.fileno(), fcntl.F_GETPIPE_SZ)
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read()

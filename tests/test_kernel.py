@@ -17,6 +17,7 @@ from sympy import Poly, symbols
 from sympy.polys.domains import GF, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
+from maps import non_admissible_map
 from reference import (monomial_image, reference_rank_mod, reference_record, reference_records,
                        reference_report, reference_rows, unreduced_bound)
 from wpline import (AlgebraElement, AlgebraHom, CoordinateAlgebra, GradednessError, GroupElement,
@@ -877,23 +878,13 @@ def _all_eliminated(hom, window):
         del hom._induction_level
 
 
-def _non_admissible_map(field, images):
-    """(2,2,2) -> (2,2) sending x_1 and x_3 to x_1 (see the test below);
-    ``images`` draws the generator images from the target and the degrees."""
-    source = CoordinateAlgebra((2, 2, 2), field, [1])
-    target = CoordinateAlgebra((2, 2), field, [])
-    y1, y2 = target.weights.gens
-    pi = GroupHom(source.weights, target.weights, [y1, y2, y1])
-    return AlgebraHom.unchecked(source, target, pi, images(target, pi.gen_images))
-
-
 def _assert_view_matches(hom, window, name="custom", field_name=""):
-    """The view of verify_window has the entries and verdict of an
+    """The view of verify_window has the records and verdict of an
     all-eliminated result, and the report text of the reference encoder."""
     result = hom.verify_window(window)
     full = _all_eliminated(hom, window)
     assert full.m is None and len(full.eliminated) == len(full.fibers)
-    assert result.entries == full.entries
+    assert result.records == full.records
     assert result.passed == full.passed
     assert result.to_report(name, field_name) == reference_report(result, name, field_name)
     return result
@@ -920,7 +911,7 @@ def test_view_matches_all_eliminated_results_of_random_maps():
             return [target.zero if j in zeroed else im for j, im in enumerate(out)]
 
         if kind == "N":
-            hom = _non_admissible_map(field, images)
+            hom = non_admissible_map(field, images)
         else:
             pi = builtin_group_hom(kind)
             source = CoordinateAlgebra(pi.source, field,
@@ -961,7 +952,7 @@ def test_inferred_records_of_a_non_admissible_map_count_their_whole_fiber(field)
     degrees with torsion x_1 hold two elements of one level, so their mult
     sum is twice the mult and admissibility fails there, while f = U and
     g = V are coprime and the records above level 0 are inferred."""
-    hom = _non_admissible_map(field, lambda target, _: [*target.gens, target.gens[0]])
+    hom = non_admissible_map(field, lambda target, _: [*target.gens, target.gens[0]])
     assert hom._induction_level() == 1
     got = records(hom, 6)
     assert got == reference_records(hom, 6)
