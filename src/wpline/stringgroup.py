@@ -7,7 +7,10 @@ l*c + sum(l_i * x_i) with 0 <= l_i < p_i, which is the representation used
 throughout.  The module also provides the degree and mult maps, the dualizing
 element, and group homomorphisms with effectiveness, fiber, kernel and
 admissibility checks.  Those run on plain (l, torsion) int tuples and build
-``GroupElement`` values only for what they return.
+``GroupElement`` values only for what they return.  A group map's period
+table, built generator by generator with one normal form per entry, holds
+every fiber: windows of fibers, admissibility and the kernel are read off
+it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import itertools
 import math
 from collections import defaultdict
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -332,26 +336,27 @@ class GroupHom:
     @cached_property
     def _residues(self) -> tuple:
         """Per source torsion residue r: (r, image l, image torsion, image
-        degree), the image in normal form.  More than MAX_RESIDUES residues
-        raise ValueError before any is made."""
+        degree), the image in normal form, in ``torsion_tuples`` order.  More
+        than MAX_RESIDUES residues raise ValueError before any is made.
+
+        The raw sums sum(r_j pi(x_j)) are built generator by generator: each
+        is its predecessor in the order plus one entry a pi(x_j), a < q_j,
+        of a step table, and the degree adds up with them.  Only the last
+        sums are normalized, once each."""
         count = math.prod(self.source.weights)
         if count > MAX_RESIDUES:
             raise ValueError("source weights %s have %d torsion residues, more than the %d "
                              "a group map can solve fibers over"
                              % (self.source, count, MAX_RESIDUES))
-        tw, dw, lcm = self.target.weights, self.target.degree_weights, self.target.lcm
-        gens = [(im.l, im.torsion) for im in self.gen_images]
-        zero = [0] * len(tw)
-        out = []
-        for r in self.source.torsion_tuples():
-            l, raw = 0, zero
-            for a, (gl, gt) in zip(r, gens):
-                if a:
-                    l += a * gl
-                    raw = [v + a * w for v, w in zip(raw, gt)]
-            hl, ht = _normal(tw, l, raw)
-            out.append((r, hl, ht, hl * lcm + sum(v * d for v, d in zip(ht, dw))))
-        return tuple(out)
+        tw = self.target.weights
+        sums = [(0, (0,) * len(tw), 0)]  # (l, raw torsion, degree)
+        for q, im in zip(self.source.weights, self.gen_images):
+            d = im.degree()
+            steps = [(a * im.l, [a * v for v in im.torsion], a * d) for a in range(q)]
+            sums = [(l + sl, tuple(map(add, raw, st)), deg + sd)
+                    for l, raw, deg in sums for sl, st, sd in steps]
+        return tuple((r, *_normal(tw, l, raw), deg)
+                     for r, (l, raw, deg) in zip(self.source.torsion_tuples(), sums))
 
     def _canonical_degree(self) -> int:
         """The degree of pi(c_S); fibers are finite only when it is nonzero."""
@@ -394,10 +399,18 @@ class GroupHom:
 
     @cached_property
     def _kernel(self) -> tuple[GroupElement, ...]:
-        zero = (0, (0,) * len(self.source.weights))
-        pairs = sorted(self._fiber(0, (0,) * len(self.target.weights)),
-                       key=lambda y: (y != zero, y))
-        return tuple(GroupElement(self.source, l, r) for l, r in pairs)
+        """The fiber of zero, zero first: the period table's entry of zero
+        torsion in class 0, at L = 0, where a pair's level is its offset.
+        A map whose table would exceed MAX_RESIDUES entries solves the fiber
+        residue by residue instead."""
+        zero = (0,) * len(self.target.weights)
+        if self._period[0] * math.prod(self.source.weights) > MAX_RESIDUES:
+            pairs = self._fiber(0, zero)
+        else:
+            pairs = next((pairs for xt, pairs in self._classes[2].get(0, ()) if xt == zero), ())
+        first = (0, (0,) * len(self.source.weights))
+        return tuple(GroupElement(self.source, l, r)
+                     for l, r in sorted(pairs, key=lambda y: (y != first, y)))
 
     def kernel(self) -> set[GroupElement]:
         return set(self._kernel)
@@ -454,7 +467,9 @@ class GroupHom:
         are affine in k between the points where a pair level or L + 1
         crosses 0.  On each such piece their difference is zero everywhere
         or at one k at most, so failures are listed where they occur and
-        the cost does not grow with the window."""
+        the cost does not grow with the window.  The pieces depend on the
+        entry only through its level offsets, which the entries of a class
+        mostly share, so they are taken once per offsets and class."""
         if window < 1:
             raise ValueError("window must be at least 1")
         n, m, by_class = self._classes
@@ -467,18 +482,13 @@ class GroupHom:
                 continue
             # mult(L) is L + 1 from this k on (m > 0), or before it (m < 0)
             mult_cut = _ceil_div(-c - 1, m) if m > 0 else (-c - 1) // m + 1
+            found = {}  # offsets -> (k, total, mult) of each k where they fail
             for xt, pairs in classes:
-                cuts = {mult_cut, *(_ceil_div(-off, n) for off, _ in pairs)}
-                starts = sorted({ks.start, *(k for k in cuts if ks.start < k < ks.stop)})
-                for a, b in zip(starts, starts[1:] + [ks.stop]):
-                    live = [off + 1 for off, _ in pairs if off + a * n >= 0]
-                    t0, t1 = sum(live), len(live) * n  # total = t0 + t1 k
-                    w0, w1 = (c + 1, m) if c + a * m + 1 >= 0 else (0, 0)  # mult = w0 + w1 k
-                    d0, d1 = t0 - w0, t1 - w1
-                    if d0 or d1:
-                        root = -d0 // d1 if d1 and not d0 % d1 else None
-                        failures.extend((c + k * m, xt, t0 + t1 * k, w0 + w1 * k)
-                                        for k in range(a, b) if k != root)
+                offs = tuple([off for off, _ in pairs])
+                bad = found.get(offs)
+                if bad is None:
+                    bad = found[offs] = _piece_failures(offs, n, c, m, mult_cut, ks)
+                failures.extend((c + k * m, xt, total, want) for k, total, want in bad)
         failures.sort()
         # at the top edge every fiber level is nonnegative, and at the bottom
         # (where mult is 0, as window >= 1) every fiber level is negative
@@ -495,6 +505,30 @@ class GroupHom:
             kernel=self._kernel,
             edge_regime_ok=edge_ok,
         )
+
+
+def _piece_failures(offs: tuple, n: int, c: int, m: int, mult_cut: int,
+                    ks: range) -> list[tuple[int, int, int]]:
+    """(k, fiber total, mult) for each k of ks where an entry of class c
+    with the level offsets offs fails the mult-sum condition (see
+    ``GroupHom.is_admissible``).  The offsets ascend, so the k from which a
+    pair's level off + k n is >= 0 descends: the live pairs of a piece are a
+    tail of offs, and each piece adds the next ones to it."""
+    lives = [-(off // n) for off in offs]
+    starts = sorted({ks.start, *(k for k in (mult_cut, *lives) if ks.start < k < ks.stop)})
+    bad = []
+    i, t0 = len(offs), 0
+    for a, b in zip(starts, starts[1:] + [ks.stop]):
+        while i and lives[i - 1] <= a:
+            i -= 1
+            t0 += offs[i] + 1
+        t1 = (len(offs) - i) * n  # total = t0 + t1 k
+        w0, w1 = (c + 1, m) if c + a * m + 1 >= 0 else (0, 0)  # mult = w0 + w1 k
+        d0, d1 = t0 - w0, t1 - w1
+        if d0 or d1:
+            root = -d0 // d1 if d1 and not d0 % d1 else None
+            bad.extend((k, t0 + t1 * k, w0 + w1 * k) for k in range(a, b) if k != root)
+    return bad
 
 
 def _levels_of_class(c: int, m: int, window: int) -> range:

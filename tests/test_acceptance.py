@@ -60,15 +60,22 @@ def test_criterion_2_kernel_goldens(monkeypatch):
             hom = builtin_group_hom(cid)
             calls.clear()
             got = {str(k) for k in hom.kernel()}
+            cold = len(calls)
             assert got == want, (cid, got)
             assert set(map(str, expected_kernel(cid))) == want
-            # a cold kernel scans the source residues once: one normal form
-            # per residue for its image, and one per candidate in the fiber
-            bound = 2 * math.prod(hom.source.weights)
-            assert len(calls) <= bound, "kernel %s took %d normal forms" % (cid, len(calls))
+            # a cold kernel is read off the period table, which takes one
+            # normal form per residue (n = 1 for the four cases)
+            assert cold == math.prod(hom.source.weights), "kernel %s took %d normal forms" % (
+                cid, cold)
 
 
-def test_criterion_3_admissibility_and_mult_identities():
+def test_criterion_3_admissibility_and_mult_identities(monkeypatch):
+    normal, calls = stringgroup._normal, []
+
+    def counting(*args):
+        calls.append(1)
+        return normal(*args)
+
     with criterion(3, "admissibility at window 64 plus mult identities"):
         start = time.perf_counter()
         for cid in "ABCD":
@@ -77,6 +84,17 @@ def test_criterion_3_admissibility_and_mult_identities():
             assert rep.failures == (), cid
             assert rep.edge_regime_ok, cid
             assert rep.admissible, cid
+        # a cold check builds the period table, n normal forms per residue,
+        # and no more at any window
+        monkeypatch.setattr(stringgroup, "_normal", counting)
+        for cid in "ABCD":
+            for window in (64, 10 ** 9):
+                hom = builtin_group_hom(cid)
+                calls.clear()
+                assert hom.is_admissible(window).admissible, (cid, window)
+                n = hom._period[0]
+                assert len(calls) == n * math.prod(hom.source.weights), (cid, window)
+        monkeypatch.undo()
         for l in range(-100, 101):
             if l % 2 == 0:
                 split = max(l // 2 + 1, 0) + max((l - 2) // 2 + 1, 0)

@@ -587,6 +587,21 @@ class TestConfig:
                     "error", "summary"):
             assert custom[key] == case[key], key
 
+    def test_ill_defined_group_map_is_reported(self, capsys, tmp_path):
+        """(4,4,2) -> (2,2,2,2) with pi = x1, x2, x3 breaks 4 x_1 = 2 x_3:
+        the report names the relation, on stdout with exit 1."""
+        cfg = dict(CASE_A_CONFIG, field="7", window=20,
+                   pi=["0;1,0,0,0", "0;0,1,0,0", "0;0,0,1,0"])
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, err) == (1, "")
+        assert out == "\n".join([
+            '{', '  "case": "custom",', '  "constants": {},', '  "error": {',
+            '    "message": "2*image[3] = 1;0,0,0,0 but 4*image[1] = 2;0,0,0,0",',
+            '    "type": "WellDefinednessError"', '  },', '  "field": "7",',
+            '  "records": [],', '  "summary": "fail",', '  "window": 20', '}', ''])
+
     def test_flags_apply_to_configs(self, capsys, tmp_path):
         path = tmp_path / "caseA.json"
         path.write_text(json.dumps(CASE_A_CONFIG))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from reference import (as_elements, fiber_table, reference_admissibility, reference_fiber,
                        reference_order, reference_window_fibers)
-from wpline import (GroupHom, InfiniteFiberError, WeightSequence,
+from wpline import (GroupElement, GroupHom, InfiniteFiberError, WeightSequence,
                     WellDefinednessError, builtin_group_hom, expected_kernel, stringgroup)
 
 L2222 = WeightSequence((2, 2, 2, 2))
@@ -141,8 +141,9 @@ class TestHomConstruction:
 
     def test_inconsistent_images_rejected(self):
         x1, x2, x3, _ = L2222.gens
-        with pytest.raises(WellDefinednessError):
+        with pytest.raises(WellDefinednessError) as exc:
             GroupHom(L442, L2222, [x1, x2, x3])
+        assert str(exc.value) == "2*image[3] = 1;0,0,0,0 but 4*image[1] = 2;0,0,0,0"
 
     @pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
     def test_images_of_common_element_agree(self, cid):
@@ -248,6 +249,20 @@ class TestKernels:
             generated.add(acc)
             acc = acc + gen
         assert h.kernel() == generated
+
+    def test_kernel_past_the_table_bound_solves_the_fiber(self):
+        """(250,250) -> (3,3,3) with x_j -> x_3: 62500 residues, but pi(c_S)
+        = 83c + x_3 has period n = 3, so the period table would pass
+        MAX_RESIDUES.  The kernel is still solved, residue by residue: 0 and
+        -c_S + a x_1 + (250 - a) x_2 for 0 < a < 250."""
+        src = WeightSequence((250, 250))
+        x3 = L333.gens[2]
+        h = GroupHom(src, L333, [x3, x3])
+        assert 3 * math.prod(src.weights) > stringgroup.MAX_RESIDUES
+        with pytest.raises(ValueError, match="period table"):
+            h.window_fibers(1)
+        want = {src.zero()} | {GroupElement(src, -1, (a, 250 - a)) for a in range(1, 250)}
+        assert h.kernel() == want == h.fiber(L333.zero())
 
 
 class TestAdmissibility:
@@ -404,6 +419,23 @@ class TestAgainstReference:
         if data is not None and want:
             x = data.draw(st.sampled_from(sorted(want, key=lambda e: (e.l, e.torsion))))
             assert h.fiber(x) == reference_fiber(h, x) == set(want[x])
+
+    @settings(max_examples=200, deadline=None)
+    @given(group_maps())
+    @example(GroupHom(L24, L333, [L333.parse("1;0,0,1"), L333.parse("0;0,0,2")]))
+    @example(GroupHom(L442, L442, [-g for g in L442.gens]))
+    @example(SIGN_CHANGE[0])
+    @example(SIGN_CHANGE[1])
+    def test_kernel_off_the_period_table_is_the_fiber_of_zero(self, h):
+        """The kernel read off the period table, zero first, is the preimage
+        of zero that the reference solves residue by residue, also when
+        pi(c_S) carries torsion (n > 1) or has negative degree."""
+        assume(h.c_image.degree() != 0)
+        kernel = h._kernel
+        assert kernel[0] == h.source.zero()
+        assert list(kernel[1:]) == sorted(kernel[1:], key=lambda e: (e.l, e.torsion))
+        assert set(kernel) == reference_fiber(h, h.target.zero()) == h.fiber(h.target.zero())
+        assert len(kernel) == len(set(kernel))
 
     @settings(max_examples=30, deadline=None)
     @given(group_maps(), st.integers(25, 64))
