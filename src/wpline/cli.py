@@ -86,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         if elem:
             p.add_argument("--elem", action="append", required=True,
                            help="element as 'l;l1,l2,...'")
+            p.set_defaults(elems=elem)
         if case:
             p.add_argument("--case", required=True, choices=CASE_IDS)
         if window:
@@ -151,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_group(args) -> int:
     sc = args.subcommand
     pretty = getattr(args, "pretty", False)
+    if len(getattr(args, "elem", ())) != getattr(args, "elems", 0):
+        raise UsageError("%s needs exactly %d --elem value(s)" % (sc, args.elems))
     if sc in ("normal-form", "add", "order", "dualizing", "tubular"):
         ws = _weights(args.weights)
         if sc == "normal-form":
             _out(_render(ws.parse(args.elem[0]), pretty))
         elif sc == "add":
-            if len(args.elem) != 2:
-                raise UsageError("add needs exactly two --elem values")
             a, b = (ws.parse(e) for e in args.elem)
             _out(_render(a + b, pretty))
         elif sc == "order":
@@ -300,7 +301,7 @@ def _cmd_verify(args) -> int:
             result.to_report(case=spec.case_id, field_name=field.name,
                              constants=spec.report_constants(), extra=extra, out=stream)
             stream.write("\n")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             if _is_stdout(fh):  # two writers on one file would mix their copies
                 _emit(write)

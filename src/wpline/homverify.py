@@ -19,15 +19,15 @@ monomial x^r, f and g the images of X_1^{q_1} and X_2^{q_2}.  Heads are
 cached per exponent vector, and each is one product h_{r - e_j} phi(x_j) of
 a neighbour's head; f and g, computed once for the check of the source
 relations, enter the cache as they are.  Over F_q the coefficients are
-plain ints mod q, and every product of forms is ``field._poly_mul``: a
-scalar multiple when a factor has one coefficient, schoolbook for short
-factors, else one big-integer product after Kronecker substitution.  A row
-at source level 0 is its head; the rows of a source degree at level n >= 1
-come from one product, h_r times the cached forms f^a g^(n-a) laid end to
-end.  The rank is a list echelon.  Over Q a row is an integer multiple of
-its image (no denominators: a carry by lam_i = num/den is by den V - num U),
-so a full rank mod RANK_PRIME is the rank over Q, and only a smaller one is
-redone exactly.
+plain ints mod q, over Q the exact ints of an integer multiple of the image
+(a carry by lam_i = num/den is by den V - num U).  Every product of forms
+is ``field._poly_mul``: mod q a scalar multiple when a factor has one
+coefficient, schoolbook for short factors, else one big-integer product
+after Kronecker substitution.  A row at source level 0 is its head; the rows
+of a source degree at level n >= 1 come from one product, h_r times the
+cached forms f^a g^(n-a) laid end to end.  The rank is a list echelon, over
+Q first mod RANK_PRIME: a full rank there is the rank over Q, and only a
+smaller one is redone exactly on the same rows.
 
 Most records need no rows at all.  When pi(c_S) = m c carries no torsion and
 every nonzero generator image sits at its group degree, f and g are binary
@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraElement, CoordinateAlgebra, carry
-from .field import PrimeField, _poly_mul, digits_digest
+from .field import _poly_mul, digits_digest
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
                           WindowFibers, _sort_key)
 
@@ -351,12 +351,11 @@ def _residual_text(residual: AlgebraElement) -> str:
             (",".join(map(str, e)) + ":", c) for e, c in sorted(residual.terms.items())))
 
 
-def _int_form(elem: AlgebraElement, q):
+def _int_form(elem: AlgebraElement):
     """The one form of a homogeneous element as (torsion, l, ints), its
-    coefficients cleared of denominators and reduced mod q unless q is None,
-    or None for zero."""
+    coefficients cleared of denominators, or None for zero."""
     for (tor, l), (ints, _) in elem._ints().items():
-        return tor, l, [v % q for v in ints] if q else ints
+        return tor, l, ints
     return None
 
 
@@ -369,8 +368,8 @@ class AlgebraHom:
     letting the degree records expose a broken map instead.
     """
 
-    #: the modulus of ranks over Q, taken on integer rows
-    RANK_PRIME = 268435399  # the largest prime below 2^28: 64-bit Kronecker slots up to 255
+    #: the modulus of the first rank over Q, taken on the exact integer rows
+    RANK_PRIME = 268435399  # the largest prime below 2^28
 
     def __init__(self, source: CoordinateAlgebra, target: CoordinateAlgebra,
                  group_hom: GroupHom, gen_images, validate: bool = True):
@@ -389,15 +388,13 @@ class AlgebraHom:
         self.target = target
         self.group_hom = group_hom
         self.gen_images = images
-        self.rank_modulus = (target.field.q if isinstance(target.field, PrimeField)
-                             else self.RANK_PRIME)
+        self.rank_modulus = target.modulus or self.RANK_PRIME
         self._one = (0,) * len(target.weights), 0, [1]  # the form of 1
-        # binary-form caches per coefficient domain (rank_modulus, or None
-        # for exact integers): generator images, heads h_r, and per level n
-        # the forms f^a g^(n-a)
-        self._gens: dict[tuple, tuple | None] = {}
-        self._heads: dict = {}
-        self._levels: dict = {}
+        # binary-form caches in the target's coefficients: generator images,
+        # heads h_r by exponent vector, and per level n the forms f^a g^(n-a)
+        self._gens: dict[int, tuple | None] = {}
+        self._heads: dict[tuple, tuple | None] = {(0,) * len(source.weights): self._one}
+        self._levels: list[list] = [[self._one]]
         if validate:
             self._validate()
 
@@ -409,8 +406,8 @@ class AlgebraHom:
         """Gradedness of each image, then each source relation
         x_i^{q_i} = x_2^{q_2} - mu_i x_1^{q_1} on the images, with
         f = phi(x_1)^{q_1} and g = phi(x_2)^{q_2} computed once; they become
-        the heads of x_1^{q_1} and x_2^{q_2} in the rank's domain (over Q
-        cleared of denominators, a nonzero integer multiple of the image)."""
+        the heads of x_1^{q_1} and x_2^{q_2} (over Q cleared of
+        denominators, a nonzero integer multiple of the image)."""
         for j, im in enumerate(self.gen_images):
             if im.is_zero():
                 raise GradednessError("image of generator %d is zero and carries no degree"
@@ -432,10 +429,8 @@ class AlgebraHom:
             if not residual.is_zero():
                 raise RelationError("relation for generator %d fails, residual %s"
                                     % (i + 1, _residual_text(residual)))
-        q = self.rank_modulus
-        heads = self._heads.setdefault(q, {(0,) * len(qs): self._one})
         for j, h in enumerate((f, g)):
-            heads[tuple(qs[i] if i == j else 0 for i in range(len(qs)))] = _int_form(h, q)
+            self._heads[tuple(qs[i] if i == j else 0 for i in range(len(qs)))] = _int_form(h)
 
     # -- application ---------------------------------------------------------
 
@@ -455,31 +450,32 @@ class AlgebraHom:
     #
     # A nonzero homogeneous element of the target is (torsion, l, coeffs) with
     # coeffs[a] the coefficient of U^a V^(l-a); zero is None.  Coefficients
-    # are ints mod q, or with q None exact for an integer multiple of it.
+    # are ints mod q over F_q, and over Q exact ints of an integer multiple.
 
-    def _gen(self, j: int, q):
-        """phi(x_j) as a form, read once per coefficient domain."""
-        if (q, j) not in self._gens:
+    def _gen(self, j: int):
+        """phi(x_j) as a form, read once."""
+        if j not in self._gens:
             if len(self.gen_images[j].forms) > 1:
                 raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
-            self._gens[(q, j)] = _int_form(self.gen_images[j], q)
-        return self._gens[(q, j)]
+            self._gens[j] = _int_form(self.gen_images[j])
+        return self._gens[j]
 
-    def _mul(self, f, g, q):
+    def _mul(self, f, g):
         """The product of two forms; by the form of 1 it is the other one."""
         if f is None or g is None:
             return None
         if f is self._one or g is self._one:
             return g if f is self._one else f
+        q = self.target.modulus
         return carry([a + b for a, b in zip(f[0], g[0])], f[1] + g[1], _poly_mul(f[2], g[2], q),
                      self.target.weights.weights, self.target.int_pairs, q)[:3]
 
-    def _head(self, r: tuple, q):
+    def _head(self, r: tuple):
         """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t},
         cached per exponent vector.  h_r = h_{r - e_j} phi(x_j) for the last
         j with r_j > 0, so a head is one product once its neighbour is
         known; the neighbours missing are made first, lowest first."""
-        heads = self._heads.get(q) or self._heads.setdefault(q, {(0,) * len(r): self._one})
+        heads = self._heads
         if r in heads:
             return heads[r]
         missing = []
@@ -489,26 +485,26 @@ class AlgebraHom:
             r = r[:j] + (r[j] - 1,) + r[j + 1:]
         h = heads[r]
         for r, j in reversed(missing):
-            h = heads[r] = self._mul(h, self._gen(j, q), q)
+            h = heads[r] = self._mul(h, self._gen(j))
         return h
 
-    def _fg(self, j: int, q):
+    def _fg(self, j: int):
         """f (j = 0) or g (j = 1): the image of x_j^{q_j}."""
         qs = self.source.weights.weights
-        return self._head(tuple(qs[i] if i == j else 0 for i in range(len(qs))), q)
+        return self._head(tuple(qs[i] if i == j else 0 for i in range(len(qs))))
 
-    def _powers(self, n: int, q) -> list:
+    def _powers(self, n: int) -> list:
         """The forms f^a g^(n-a), a ascending, cached per level n: level n
         is level n - 1 times f, after g^n."""
-        levels = self._levels.setdefault(q, [[self._one]])
+        levels = self._levels
         if len(levels) <= n:
-            f, g = self._fg(0, q), self._fg(1, q)
+            f, g = self._fg(0), self._fg(1)
             while len(levels) <= n:
                 last = levels[-1]
-                levels.append([self._mul(last[0], g, q)] + [self._mul(p, f, q) for p in last])
+                levels.append([self._mul(last[0], g)] + [self._mul(p, f) for p in last])
         return levels[n]
 
-    def _rows(self, x: GroupElement, fiber, cols: int, q) -> list:
+    def _rows(self, x: GroupElement, fiber, cols: int) -> list:
         """One row per source basis monomial over the fiber of x, fibers in
         order.  The monomials of degree y with torsion r are
         m_r X_1^{q_1 a} X_2^{q_2 b} with a + b = y.l, a ascending, and the
@@ -524,13 +520,13 @@ class AlgebraHom:
             n = y.l
             if n < 0:
                 continue
-            block = self._head(y.torsion, q)
+            block = self._head(y.torsion)
             if block and n:
-                forms = self._powers(n, q)
+                forms = self._powers(n)
                 degrees = {p[:2] for p in forms if p}
                 if len(degrees) > 1:  # nonzero rows in two components
                     raise _leaves(y, x)
-                block = self._mul(block, _laid(forms, *degrees, cols), q) if degrees else None
+                block = self._mul(block, _laid(forms, *degrees, cols)) if degrees else None
             if block is None:
                 rows += [[0] * cols] * (n + 1)  # one zero row: nothing changes a row
             elif block[0] != x.torsion or block[1] != x.l:
@@ -549,10 +545,10 @@ class AlgebraHom:
         if fiber is None:
             fiber = tuple(sorted(self.group_hom.fiber(x), key=_sort_key))
         cols = len(self.target.component_basis(x))
-        rows = self._rows(x, fiber, cols, self.rank_modulus)
+        rows = self._rows(x, fiber, cols)
         rank = row_rank(rows, self.rank_modulus)
-        if rank < min(len(rows), cols) and not isinstance(self.target.field, PrimeField):
-            rank = row_rank(self._rows(x, fiber, cols, None))
+        if rank < min(len(rows), cols) and self.target.modulus is None:
+            rank = row_rank(rows)
         return DegreeRecord(degree=x, fiber=fiber, source_dim=len(rows),
                             target_dim=cols, image_rank=rank)
 
@@ -562,14 +558,14 @@ class AlgebraHom:
         generator image must sit at its group degree, which puts f and g at
         m c and keeps a map that leaves its components raising
         GradednessError where full elimination raises it."""
-        c, q = self.group_hom.c_image, self.rank_modulus
+        c = self.group_hom.c_image
         if c.l < 1 or any(c.torsion):
             return None
         for im, d in zip(self.gen_images, self.group_hom.gen_images):
             if not im.is_zero() and im.degree() != d:
                 return None
-        f, g = self._fg(0, q), self._fg(1, q)
-        if f is None or g is None or sylvester_rank(f[2], g[2], q) < 2 * c.l:
+        f, g = self._fg(0), self._fg(1)
+        if f is None or g is None or sylvester_rank(f[2], g[2], self.rank_modulus) < 2 * c.l:
             return None
         return c.l
 

@@ -89,6 +89,17 @@ class TestGroupCommands:
         assert data["admissible"] and data["edge_regime_ok"]
         assert data["kernel"] == ["0;0,0,0", "-1;2,2,0", "-1;4,1,0"]
 
+    @pytest.mark.parametrize("argv,elems", [
+        (["normal-form", "--weights", "2,2"], 2),
+        (["add", "--weights", "2,2"], 1),
+        (["add", "--weights", "2,2"], 3),
+        (["order", "--weights", "2,2"], 2),
+        (["fiber", "--case", "A"], 2),
+    ])
+    def test_wrong_number_of_elems_exit_2(self, capsys, argv, elems):
+        code, out, err = run(capsys, "group", *argv, *["--elem", "0;1,1"] * elems)
+        assert (code, out) == (2, "") and err.startswith("error: %s needs exactly" % argv[0])
+
     def test_bad_weights_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "dualizing", "--weights", "4,x")
         assert code == 2 and "error" in err
@@ -358,9 +369,10 @@ class TestVerifyCommand:
         assert path.read_bytes() == once.stdout
 
     def test_unwritable_out_exits_2_before_stdout(self, capsys, tmp_path):
-        code, out, err = run(capsys, "verify", "--case", "B", "--field", "7", "--window", "6",
-                             "--out", str(tmp_path / "missing" / "report.json"))
-        assert (code, out) == (2, "") and err.startswith("error: ")
+        for path in (str(tmp_path / "missing" / "report.json"), ""):
+            code, out, err = run(capsys, "verify", "--case", "B", "--field", "7", "--window", "6",
+                                 "--out", path)
+            assert (code, out) == (2, "") and err.startswith("error: "), path
 
     def test_constant_unavailable_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "C", "--field", "7",

@@ -92,21 +92,19 @@ def test_heads_match_the_reference_images(cid):
     neighbour's head and a generator image, is the image of x^r that
     ``monomial_image`` makes by rewriting: exactly mod an acceptance prime
     q, and over Q (the first field of B and C is a prime) as an integer
-    multiple, whose residues mod RANK_PRIME are the head of the rank."""
+    multiple."""
     for field in CASE_FIELDS[cid][:2]:
         hom = builtin_case(cid, field, lam=-3 if cid == "D" else None).algebra_hom
         powers = {}
         for r in hom.source.weights.torsion_tuples():
             want = monomial_image(hom, r, powers)
             if isinstance(field, PrimeField):
-                assert _head_terms(hom, hom._head(r, field.q), field) == want, r
+                assert _head_terms(hom, hom._head(r), field) == want, r
                 continue
-            tor, l, ints = hom._head(r, None)
-            exact = _head_terms(hom, (tor, l, ints), field)
+            exact = _head_terms(hom, hom._head(r), field)
             e = next(iter(exact))
             scale = exact[e] / want[e]
             assert scale.denominator == 1 and exact == {e: scale * c for e, c in want.items()}, r
-            assert hom._head(r, P) == (tor, l, [c % P for c in ints]), r
 
 
 def test_heads_through_a_zero_image_are_zero():
@@ -119,10 +117,9 @@ def test_heads_through_a_zero_image_are_zero():
                                [x1, x2, target.zero])
     powers = {}
     for r in hom.source.weights.torsion_tuples():
-        for q in (None, P):
-            head = hom._head(r, q)
-            assert (head is None) == (r[2] > 0), r
-            assert _head_terms(hom, head, Q) == monomial_image(hom, r, powers), r
+        head = hom._head(r)
+        assert (head is None) == (r[2] > 0), r
+        assert _head_terms(hom, head, Q) == monomial_image(hom, r, powers), r
 
 
 def _lam(cid):
@@ -135,7 +132,7 @@ def test_f_and_g_of_the_relation_check_are_the_heads(monkeypatch, cid):
     the relation check and keeps them as the heads of x_1^{q_1} and
     x_2^{q_2}, so the induction level takes no form product for them.
     They are the heads an unchecked map builds by products: equal over
-    F_q, and over Q multiples of them mod RANK_PRIME."""
+    F_q, and over Q multiples of them (read mod RANK_PRIME)."""
     for field in CASE_FIELDS[cid][:2]:
         hom = builtin_case(cid, field, lam=_lam(cid)).algebra_hom
         fresh = AlgebraHom.unchecked(hom.source, hom.target, hom.group_hom, hom.gen_images)
@@ -147,9 +144,10 @@ def test_f_and_g_of_the_relation_check_are_the_heads(monkeypatch, cid):
         monkeypatch.undo()
         assert m == fresh._induction_level()
         for j in (0, 1):
-            got, want = hom._fg(j, hom.rank_modulus), fresh._fg(j, hom.rank_modulus)
+            got, want = hom._fg(j), fresh._fg(j)
             assert got[:2] == want[:2]
-            assert got == want if field != Q else _is_multiple(got[2], want[2], P)
+            assert got == want if field != Q else _is_multiple(
+                [v % P for v in got[2]], [v % P for v in want[2]], P)
 
 
 def _is_multiple(got: list, want: list, q: int) -> bool:
@@ -185,11 +183,11 @@ def test_rows_below_the_induction_level_are_heads(monkeypatch, cid, field):
             fiber = tuple(GroupElement(hom.source.weights, off + shift, r) for off, r in pairs)
             assert all(y.l <= 0 for y in fiber)
             cols = len(hom.target.component_basis(x))
-            rows = hom._rows(x, fiber, cols, q)
+            rows = hom._rows(x, fiber, cols)
             heads = copy.deepcopy(hom._heads)
             assert row_rank(rows, q) == hom.check_surjective_at(x, fiber).image_rank
             assert hom._heads == heads
-            got.append([list(row) for row in rows])
+            got.append([[v % q for v in row] for row in rows])  # over Q read mod RANK_PRIME
             want.append([[_residue(v, q) for v in row]
                          for row in reference_rows(hom, x, fiber)])
     monkeypatch.undo()
@@ -218,11 +216,12 @@ def test_rows_above_source_level_0_are_the_reference_rows_in_order(cid, field):
             fiber = tuple(GroupElement(hom.source.weights, off + shift, r) for off, r in pairs)
             top = max([top] + [y.l for y in fiber])
             cols = len(hom.target.component_basis(x))
-            got = hom._rows(x, fiber, cols, q)
+            got = hom._rows(x, fiber, cols)
             want = [[_residue(v, q) for v in row] for row in reference_rows(hom, x, fiber)]
             assert len(got) == len(want)
-            if field == Q:
-                assert all(_is_multiple(row, r, q) for row, r in zip(got, want)), x
+            if field == Q:  # read mod RANK_PRIME
+                assert all(_is_multiple([v % q for v in row], r, q)
+                           for row, r in zip(got, want)), x
             else:
                 assert got == want, x
     assert top == 3
@@ -805,6 +804,25 @@ def test_exact_fallback_runs_on_integer_rows(monkeypatch, cid):
     assert exact and all(type(v) is int for rows in exact for row in rows for v in row)
     if cid == "D":  # carries by x_4^2 = V - 3/P U multiply by P V - 3 U
         assert any(v and v % P == 0 for rows in exact for row in rows for v in row)
+
+
+@pytest.mark.parametrize("which", ["A", "D", "demo 04"])
+def test_each_record_over_q_builds_its_rows_once(monkeypatch, which):
+    """The maps of ``_zero_images_on_lambda_over_p`` and demo 04's zero-image
+    map, at window 8: a record whose rank mod RANK_PRIME is short is ranked
+    again exactly on the very rows of that rank, so the rows of each
+    eliminated record are built once."""
+    hom = (_case_a(Q, lambda m: m.algebra.zero) if which == "demo 04"
+           else _zero_images_on_lambda_over_p(which))
+    built = []
+    rows_of = AlgebraHom._rows
+    monkeypatch.setattr(AlgebraHom, "_rows", lambda *args: built.append(1) or rows_of(*args))
+    calls = _rank_calls(monkeypatch)
+    result = hom.verify_window(8)
+    assert not result.passed and len(built) == len(result.eliminated)
+    redone = [i for i, (modulus, _, _) in enumerate(calls) if modulus is None]
+    assert redone and all(i and calls[i - 1][0] == P and calls[i][1] is calls[i - 1][1]
+                          for i in redone)
 
 
 def test_proportional_images_with_unlike_denominators_stay_dependent():
