@@ -214,11 +214,12 @@ class CoordinateAlgebra:
 
     def _element(self, out: dict) -> "AlgebraElement":
         """The element of an int form (see ``_times``): each coefficient
-        becomes an ``Fp`` or a ``Fraction`` once."""
+        becomes an ``Fp`` or a ``Fraction`` once.  Over F_q the element
+        keeps ``out`` as its int form."""
         q = self.modulus
         if q:
             return AlgebraElement(self, {key: [Fp(c, q) for c in ints]
-                                         for key, (ints, _) in out.items()})
+                                         for key, (ints, _) in out.items()}, out)
         return AlgebraElement(self, {key: [Fraction(c, s) for c in ints] if s > 1
                                      else [Fraction(c) for c in ints]  # no gcd to take
                                      for key, (ints, s) in out.items()})
@@ -289,14 +290,17 @@ class AlgebraElement:
 
     Instances are created through the parent algebra and treated as
     immutable; ``forms`` maps (torsion, l) to the l + 1 coefficients of
-    U^a V^(l-a), none of them all zero (see the module docstring).
+    U^a V^(l-a), none of them all zero (see the module docstring), and
+    ``ints``, when given, is the int form of the same element, kept for
+    ``_ints``.
     """
 
-    __slots__ = ("algebra", "forms")
+    __slots__ = ("algebra", "forms", "_kept")
 
-    def __init__(self, algebra: CoordinateAlgebra, forms: dict):
+    def __init__(self, algebra: CoordinateAlgebra, forms: dict, ints: dict | None = None):
         self.algebra = algebra
         self.forms = forms
+        self._kept = ints
 
     @property
     def terms(self) -> dict:
@@ -306,15 +310,19 @@ class AlgebraElement:
                 for (tor, l), coeffs in self.forms.items() for a, c in enumerate(coeffs) if c}
 
     def _ints(self) -> dict:
-        """The int form of the element (see ``_times``): over F_q the
-        residues' values, over Q each form over the lcm of its denominators."""
-        if self.algebra.modulus:
-            return {key: ([c.value for c in cs], 1) for key, cs in self.forms.items()}
-        out = {}
-        for key, cs in self.forms.items():
-            den = math.lcm(*[c.denominator for c in cs])
-            out[key] = [c.numerator * (den // c.denominator) for c in cs], den
-        return out
+        """The int form of the element (see ``_times``), made once and kept:
+        over F_q the residues' values, over Q each form over the lcm of its
+        denominators.  Nothing may change it."""
+        if self._kept is None:
+            if self.algebra.modulus:
+                out = {key: ([c.value for c in cs], 1) for key, cs in self.forms.items()}
+            else:
+                out = {}
+                for key, cs in self.forms.items():
+                    den = math.lcm(*[c.denominator for c in cs])
+                    out[key] = [c.numerator * (den // c.denominator) for c in cs], den
+            self._kept = out
+        return self._kept
 
     def is_zero(self) -> bool:
         return not self.forms

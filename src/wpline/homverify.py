@@ -15,19 +15,21 @@ torsions, multiplies forms and lets ``algebra.carry`` take out each
 X_i^{p_i} as U, V or a multiple of V - lam_i U.  The source is
 free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
 basis monomial is h_r f^a g^b: the head h_r the image of its torsion
-monomial x^r, f and g the images of X_1^{q_1} and X_2^{q_2}.  Heads are
-cached per exponent vector, and each is one product h_{r - e_j} phi(x_j) of
-a neighbour's head; f and g, computed once for the check of the source
-relations, enter the cache as they are.  Over F_q the coefficients are
-plain ints mod q, over Q the exact ints of an integer multiple of the image
-(a carry by lam_i = num/den is by den V - num U).  Every product of forms
-is ``field._poly_mul``: mod q a scalar multiple when a factor has one
-coefficient, schoolbook for short factors, else one big-integer product
-after Kronecker substitution.  A row at source level 0 is its head; the rows
-of a source degree at level n >= 1 come from one product, h_r times the
-cached forms f^a g^(n-a) laid end to end.  The rank is a list echelon, over
-Q first mod RANK_PRIME: a full rank there is the rank over Q, and only a
-smaller one is redone exactly on the same rows.
+monomial x^r, f and g the images of X_1^{q_1} and X_2^{q_2}.  The heads are
+one table, built in one pass generator by generator up to the highest level
+a record needs, each head one product h_{r - e_j} phi(x_j) of a neighbour's
+head; f and g, computed once for the check of the source relations, enter
+it as they are.  Over F_q the coefficients are plain ints mod q, over Q the
+exact ints of an integer multiple of the image (a carry by lam_i = num/den
+is by den V - num U).  Every product of forms is ``field._poly_mul``, or
+none by a form with the one coefficient 1: mod q a scalar multiple when a
+factor has one coefficient, schoolbook for short factors, else one
+big-integer product after Kronecker substitution.  A row at source level 0
+is its head; the rows of a source degree at level n >= 1 come from one
+product, h_r times the forms f^a g^(n-a) laid end to end, laid once per
+level n and record width.  The rank is a list echelon, over Q first mod
+RANK_PRIME: a full rank there is the rank over Q, and only a smaller one is
+redone exactly, fraction-free, on the same rows.
 
 Most records need no rows at all.  When pi(c_S) = m c carries no torsion and
 every nonzero generator image sits at its group degree, f and g are binary
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import io
 import json
-from fractions import Fraction
+import math
 from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
@@ -66,35 +68,70 @@ class RelationError(ValueError):
 def row_rank(rows: list[list], modulus: int | None = None) -> int:
     """Rank of a list of coefficient rows by Gaussian elimination on lists.
 
-    Without a modulus, entries are ints or Fractions and the rank is over Q.
-    With a prime ``modulus`` they are any ints standing for their residues
-    mod it; a nonzero row with an entry outside [0, modulus) is reduced as
-    it enters.  Exact coefficients make pivot choice irrelevant: a row is
-    cleared at its first nonzero entry by the pivot led there until it has
-    none there, and then leads a new pivot.  Elimination stops once the rank
-    is min(rows, columns).  Every row operation makes a new list, so the
-    rows are left as they are: they may be cached heads.
+    With a prime ``modulus`` the entries are any ints standing for their
+    residues mod it; a nonzero row with an entry outside [0, modulus) is
+    reduced as it enters.  Exact coefficients make pivot choice irrelevant:
+    a row is cleared at its first nonzero entry by the pivot led there until
+    it has none there, and then leads a new pivot.  Without a modulus the
+    entries are ints or Fractions and the rank is over Q, by
+    ``_exact_rank``.  Elimination stops once the rank is min(rows, columns).
+    Every row operation makes a new list, so the rows are left as they are:
+    they may be cached heads.
     """
     q = modulus
+    if q is None:
+        return _exact_rank(rows)
     full = min(len(rows), len(rows[0])) if rows else 0
     pivots: dict[int, tuple] = {}  # lead column -> (-1 / the lead, its row)
     for row in rows:
         if len(pivots) == full:
             break
         col = next(compress(count(), row), None)  # the first nonzero entry
-        if col is not None and q and (min(row) < 0 or max(row) >= q):
+        if col is not None and (min(row) < 0 or max(row) >= q):
             row = [v % q for v in row]
             col = next(compress(count(), row), None)
         while col is not None:
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = (q - pow(row[col], -1, q) if q else Fraction(-1, row[col]), row)
+                pivots[col] = (q - pow(row[col], -1, q), row)
                 break
             c, prow = row[col] * pivot[0], pivot[1]  # prow is zero before col
-            row = ([(a + c * b) % q for a, b in zip(row, prow)] if q
-                   else [a + c * b for a, b in zip(row, prow)])
+            row = [(a + c * b) % q for a, b in zip(row, prow)]
             col = next(compress(count(), row), None)
     return len(pivots)
+
+
+def _exact_rank(rows: list[list]) -> int:
+    """Rank over Q by fraction-free elimination (Bareiss 1968).  Each
+    nonzero row enters cleared of denominators by the lcm of its entries'.
+    Column by column, a row with a nonzero entry there becomes the pivot
+    row p, with lead a, and every row r below it becomes
+    (a r - r[col] p) / d, d the lead of the pivot before (1 at first): a
+    minor of the rows, so the division is exact (Sylvester's identity).
+    The rows below the pivots are kept from column ``start`` on, where
+    they may be nonzero."""
+    work = []
+    for row in rows:
+        if any(row):
+            den = math.lcm(*[v.denominator for v in row])
+            work.append([v.numerator * (den // v.denominator) for v in row])
+    full = min(len(work), len(work[0])) if work else 0
+    rank, prev, start = 0, 1, 0
+    for col in range(len(work[0]) if work else 0):
+        if rank == full:
+            break
+        k = col - start
+        i = next((i for i in range(rank, len(work)) if work[i][k]), None)
+        if i is None:
+            continue
+        work[rank], work[i] = work[i], work[rank]
+        a, tail = work[rank][k], work[rank][k + 1:]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            c = row[k]
+            work[i] = [(a * u - c * v) // prev for u, v in zip(row[k + 1:], tail)]
+        rank, prev, start = rank + 1, a, col + 1
+    return rank
 
 
 def sylvester_rank(f: list, g: list, modulus: int | None = None) -> int:
@@ -335,6 +372,12 @@ def _laid(forms: list, degree: tuple, cols: int) -> tuple:
     return tor, l, coeffs[:len(coeffs) - len(pad)]
 
 
+#: a head that is not in the head table built to the level of a record and
+#: is not zero: nonzero above that level, it meets no record there (a tuple
+#: whose torsion None matches no degree)
+_ABOVE = (None, None, None)
+
+
 def _leaves(y: GroupElement, x: GroupElement) -> GradednessError:
     return GradednessError("image of a monomial of degree %s leaves the component of %s"
                            % (y, x))
@@ -390,11 +433,16 @@ class AlgebraHom:
         self.gen_images = images
         self.rank_modulus = target.modulus or self.RANK_PRIME
         self._one = (0,) * len(target.weights), 0, [1]  # the form of 1
-        # binary-form caches in the target's coefficients: generator images,
-        # heads h_r by exponent vector, and per level n the forms f^a g^(n-a)
+        self._ws, self._pairs, self._q = target.weights.weights, target.int_pairs, target.modulus
+        # binary-form caches in the target's coefficients: generator images;
+        # heads h_r by exponent vector, every one of level <= _top among
+        # them; per level n the forms f^a g^(n-a); and their laid blocks by
+        # n at the width of the last record
         self._gens: dict[int, tuple | None] = {}
         self._heads: dict[tuple, tuple | None] = {(0,) * len(source.weights): self._one}
+        self._top = -1
         self._levels: list[list] = [[self._one]]
+        self._blocks: tuple[int, dict] = (0, {})
         if validate:
             self._validate()
 
@@ -425,10 +473,10 @@ class AlgebraHom:
         f, g = self.gen_images[0] ** qs[0], self.gen_images[1] ** qs[1]
         for i in range(2, len(qs)):
             mu = self.source.params[i - 2]
-            residual = self.gen_images[i] ** qs[i] - g + mu * f
-            if not residual.is_zero():
+            lhs = self.gen_images[i] ** qs[i] + mu * f
+            if lhs != g:  # the residual is made only for the message
                 raise RelationError("relation for generator %d fails, residual %s"
-                                    % (i + 1, _residual_text(residual)))
+                                    % (i + 1, _residual_text(lhs - g)))
         for j, h in enumerate((f, g)):
             self._heads[tuple(qs[i] if i == j else 0 for i in range(len(qs)))] = _int_form(h)
 
@@ -461,37 +509,81 @@ class AlgebraHom:
         return self._gens[j]
 
     def _mul(self, f, g):
-        """The product of two forms; by the form of 1 it is the other one."""
+        """The product of two forms; by the form of 1 it is the other one, and
+        by a form with the one coefficient 1 it takes no ``_poly_mul``."""
         if f is None or g is None:
             return None
         if f is self._one or g is self._one:
             return g if f is self._one else f
-        q = self.target.modulus
-        return carry([a + b for a, b in zip(f[0], g[0])], f[1] + g[1], _poly_mul(f[2], g[2], q),
-                     self.target.weights.weights, self.target.int_pairs, q)[:3]
+        q, a, b = self._q, f[2], g[2]
+        coeffs = b if a == [1] else a if b == [1] else _poly_mul(a, b, q)
+        return carry([u + v for u, v in zip(f[0], g[0])], f[1] + g[1], coeffs,
+                     self._ws, self._pairs, q)[:3]
 
-    def _head(self, r: tuple):
-        """h_r: the image of the source monomial x_1^{r_1} ... x_t^{r_t},
-        cached per exponent vector.  h_r = h_{r - e_j} phi(x_j) for the last
-        j with r_j > 0, so a head is one product once its neighbour is
-        known; the neighbours missing are made first, lowest first."""
+    def _runs(self, starts: list, j: int, stop: int, top: float) -> list:
+        """Put the heads of r + a e_j, 0 < a < stop, in the head table for
+        each r in ``starts``, r_j being 0: each is one product of the head
+        before it and phi(x_j), as h_{r + a e_j} = h_{r + (a-1) e_j} phi(x_j).
+        Levels only grow along a run, so it ends before the first head above
+        level top, whose level is read off the torsions without a product: a
+        product carries once at each i where the torsions sum to p_i or
+        more, and phi(x_j) has torsion at few i.  Returns the exponent
+        vectors it kept."""
+        heads, gen, kept = self._heads, self._gen(j), []
+        if gen is not None:  # (i, p_i - the torsion of phi(x_j) at i), where that is > 0
+            level, cuts = gen[1], [(i, p - t) for i, (t, p) in enumerate(zip(gen[0], self._ws))
+                                   if t]
+        for r in starts:
+            h, before, after = heads[r], r[:j], r[j + 1:]
+            for a in range(1, stop):
+                s = before + (a,) + after
+                if s in heads:
+                    h = heads[s]
+                    if h is not None and h[1] > top:
+                        break
+                elif h is None or gen is None:
+                    h = heads[s] = None
+                elif top < h[1] + level + sum([h[0][i] >= c for i, c in cuts]):
+                    break
+                else:
+                    h = heads[s] = self._mul(h, gen)
+                kept.append(s)
+        return kept
+
+    def _build_heads(self, top: int):
+        """The head table to level top: in one pass, generator by generator,
+        the ``_runs`` of x_j start at every head of the earlier generators.  A
+        head of level <= top has its prefixes there too, so the table holds
+        every such head, and a record at level <= top needs no other
+        nonzero one; a zero head (an image is zero) is kept where its run
+        reaches it."""
+        if top > self._top:
+            runs = [(0,) * len(self.source.weights)]
+            for j, q in enumerate(self.source.weights.weights):
+                runs += self._runs(runs, j, q, top)
+            self._top = top
+
+    def _head(self, r: tuple, l: int):
+        """h_r, the image of the source monomial x_1^{r_1} ... x_t^{r_t},
+        for a record at level l, from the head table built to level l first
+        if r is not in it.  A head still missing is zero when an image it
+        takes is zero (the target is a domain), else ``_ABOVE``."""
         heads = self._heads
+        if r not in heads and l > self._top:
+            self._build_heads(l)
         if r in heads:
             return heads[r]
-        missing = []
-        while r not in heads:
-            j = max(i for i, a in enumerate(r) if a)
-            missing.append((r, j))
-            r = r[:j] + (r[j] - 1,) + r[j + 1:]
-        h = heads[r]
-        for r, j in reversed(missing):
-            h = heads[r] = self._mul(h, self._gen(j))
-        return h
+        return None if any(a and self._gen(j) is None for j, a in enumerate(r)) else _ABOVE
 
     def _fg(self, j: int):
-        """f (j = 0) or g (j = 1): the image of x_j^{q_j}."""
+        """f (j = 0) or g (j = 1): the image of x_j^{q_j}, kept from
+        ``_validate``, or else one product on top of the axis heads h_{a e_j},
+        a < q_j, which this run builds past any level."""
         qs = self.source.weights.weights
-        return self._head(tuple(qs[i] if i == j else 0 for i in range(len(qs))))
+        key = tuple(qs[i] if i == j else 0 for i in range(len(qs)))
+        if key not in self._heads:
+            self._runs([(0,) * len(qs)], j, qs[j] + 1, math.inf)
+        return self._heads[key]
 
     def _powers(self, n: int) -> list:
         """The forms f^a g^(n-a), a ascending, cached per level n: level n
@@ -504,6 +596,23 @@ class AlgebraHom:
                 levels.append([self._mul(last[0], g)] + [self._mul(p, f) for p in last])
         return levels[n]
 
+    def _block(self, n: int, cols: int):
+        """The forms of ``_powers(n)`` laid end to end at stride cols, once per
+        (n, cols): None when they are all zero, False when they lie in two
+        components.  Only the blocks of one width are kept, the last asked
+        for: the records of a level share its width, and verify_window visits
+        the levels in order."""
+        width, blocks = self._blocks
+        if width != cols:
+            blocks = {}
+            self._blocks = cols, blocks
+        if n not in blocks:
+            forms = self._powers(n)
+            degrees = {p[:2] for p in forms if p}
+            blocks[n] = (False if len(degrees) > 1 else
+                         _laid(forms, *degrees, cols) if degrees else None)
+        return blocks[n]
+
     def _rows(self, x: GroupElement, fiber, cols: int) -> list:
         """One row per source basis monomial over the fiber of x, fibers in
         order.  The monomials of degree y with torsion r are
@@ -511,22 +620,22 @@ class AlgebraHom:
         image of one is h_r f^a g^b with h_r = phi(m_r), f = phi(x_1)^{q_1}
         and g = phi(x_2)^{q_2}.  At y.l = 0 the row is the head's own
         coefficient list.  Above it the forms f^a g^b of ``_powers`` share
-        one degree, y.l pi(c_S), and are laid end to end at stride cols:
-        h_r times that list is one ``_mul``, whose carries act on each form
-        alone, and it is cut into the rows.  Rows may be cached lists, so
-        nothing may change them."""
-        rows = []
+        one degree, y.l pi(c_S), and their ``_block`` lays them end to end
+        at stride cols: h_r times it is one ``_mul``, whose carries act on
+        each form alone, and it is cut into the rows.  Rows may be cached
+        lists, so nothing may change them."""
+        rows, heads = [], self._heads
         for y in fiber:
             n = y.l
             if n < 0:
                 continue
-            block = self._head(y.torsion)
+            r = y.torsion
+            block = heads[r] if r in heads else self._head(r, x.l)
             if block and n:
-                forms = self._powers(n)
-                degrees = {p[:2] for p in forms if p}
-                if len(degrees) > 1:  # nonzero rows in two components
+                laid = self._block(n, cols)
+                if laid is False:  # nonzero rows in two components
                     raise _leaves(y, x)
-                block = self._mul(block, _laid(forms, *degrees, cols)) if degrees else None
+                block = laid and (block if block is _ABOVE else self._mul(block, laid))
             if block is None:
                 rows += [[0] * cols] * (n + 1)  # one zero row: nothing changes a row
             elif block[0] != x.torsion or block[1] != x.l:
@@ -583,6 +692,7 @@ class AlgebraHom:
         fibers = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window)
         m = self._induction_level()
+        self._build_heads(window if m is None else min(2 * m - 2, window))
         src, tgt = self.group_hom.source, self.group_hom.target
         eliminated = []
 

@@ -459,3 +459,16 @@ def test_powers_take_square_and_multiply_products(monkeypatch, field, n):
     monkeypatch.setattr(algebra, "_poly_mul", lambda *args: calls.append(1) or mul(*args))
     assert x ** n == want
     assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+
+
+@pytest.mark.parametrize("field", [Q, F7, BIG], ids=["Q", "F7", "F_2^61-1"])
+def test_kept_int_forms_are_the_forms_read_again(field):
+    """An element keeps its int form: the one it was built from over F_q,
+    the one made on first use over Q.  It equals the int form read afresh
+    from the element's coefficients, and a second read returns it as kept."""
+    alg = CoordinateAlgebra((2, 2, 2, 2), field, [1, 3])
+    x = alg.element([(2, (3, 0, 1, 0)), (-1, (1, 2, 1, 0)), (5, (0, 4, 0, 1))])
+    y = alg.element([(Fraction(1, 3) if field == Q else 4, (0, 1, 3, 0))])
+    for e in (x, y, x * y, x ** 3, y ** 2 * x, x + y, 3 * x, -y):
+        kept = e._ints()
+        assert kept == type(e)(alg, e.forms)._ints() and e._ints() is kept

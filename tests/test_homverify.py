@@ -3,16 +3,17 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maps import CONFIG_FAIL, non_admissible_map
-from reference import reference_report
+from reference import reference_power, reference_report
 from wpline import (AlgebraHom, CoordinateAlgebra, GradednessError, PrimeField,
                     RationalField, RelationError, VerifyConfig, builtin_case,
                     builtin_group_hom, expected_kernel, find_admissible_primes,
                     homverify, row_rank)
 from wpline import homverify
+from wpline.config import parse_scalar
 from wpline.stringgroup import GroupElement
 
 Q = RationalField()
@@ -302,6 +303,86 @@ class TestBuiltinCases:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             builtin_case("Z", Q)
+
+
+def _map_parts(cfg: VerifyConfig, field, env: dict) -> tuple:
+    """(source, target, group map, images) of a config's map over ``field``,
+    made as ``VerifyConfig.build`` makes them, without constructing the map."""
+    pi = cfg.group_hom()
+    values = lambda texts: [parse_scalar(t, field, env) for t in texts]
+    target = CoordinateAlgebra(pi.target, field, values(cfg.target_params))
+    images = [target.element([(parse_scalar(c, field, env), e) for c, e in gen])
+              for gen in cfg.phi]
+    return CoordinateAlgebra(pi.source, field, values(cfg.source_params)), target, pi, images
+
+
+def _residual_is_nonzero(source, target, images) -> bool:
+    """Some source relation x_i^{q_i} = x_2^{q_2} - mu_i x_1^{q_1} fails on
+    the images, by the sparse rewriting of ``reference``: no arithmetic of
+    ``AlgebraElement`` is used."""
+    qs, zero = source.weights.weights, target.field.zero
+    f, g = (reference_power(target, images[j].terms, qs[j]) for j in (0, 1))
+    for i, mu in enumerate(source.params, 2):
+        residual = dict(reference_power(target, images[i].terms, qs[i]))
+        for e, c in g.items():
+            residual[e] = residual.get(e, zero) - c
+        for e, c in f.items():
+            residual[e] = residual.get(e, zero) + mu * c
+        if any(c != zero for c in residual.values()):
+            return True
+    return False
+
+
+#: the maps of the relation property: the built-in cases by (field, lambda),
+#: ``CONFIG_FAIL`` (no relation) and ``non_admissible_map`` (N)
+RELATION_POOL = {"A": [(Q, None), (F5, None)], "B": [(F7, None), (PrimeField(19), None)],
+                 "C": [(F5, None), (F17, None)], "D": [(Q, -3), (F7, -1)],
+                 "fail": [(Q, None), (F5, None)], "N": [(Q, None), (F7, None)]}
+#: values for the last target parameter of a case (None: as it is)
+TAMPERS = [None, "2", "3", "-1", "1/2", "-3/4"]
+
+
+def test_relation_error_exactly_when_the_residual_is_nonzero():
+    """Over F_q and Q, on the built-in cases with their last target
+    parameter tampered or not, ``CONFIG_FAIL`` and ``non_admissible_map``
+    with scaled images: construction raises RelationError exactly when an
+    independently computed residual is nonzero, and both occur."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(sorted(RELATION_POOL)), label="map")
+        field, lam = data.draw(st.sampled_from(RELATION_POOL[kind]), label="field")
+        if kind == "N":
+            scalars = [data.draw(st.integers(1, 4), label="scalar") for _ in range(3)]
+            hom = non_admissible_map(field, lambda target, _: [
+                c * y for c, y in zip(scalars, [*target.gens, target.gens[0]])])
+            parts = hom.source, hom.target, hom.group_hom, list(hom.gen_images)
+        else:
+            cfg, env = VerifyConfig.from_dict(CONFIG_FAIL), {}
+            if kind != "fail":
+                spec = builtin_case(kind, field, lam=lam)
+                tamper = None if kind == "C" else data.draw(st.sampled_from(TAMPERS),
+                                                            label="tamper")
+                spec = spec.tampered(tamper) if tamper else spec
+                cfg, env = spec.config, spec.constants
+            try:
+                parts = _map_parts(cfg, field, env)
+            except ValueError:  # the tampered parameter is 0, 1 or another one
+                assume(False)
+        nonzero = _residual_is_nonzero(parts[0], parts[1], parts[3])
+        try:
+            AlgebraHom(*parts)
+        except RelationError:
+            raised = True
+        else:
+            raised = False
+        assert raised == nonzero, kind
+        seen.add(raised)
+
+    check()
+    assert seen == {False, True}
 
 
 class TestNegativeControls:

@@ -77,6 +77,11 @@ def test_reference_records_use_no_element_arithmetic(monkeypatch, cid, field):
 
 # -- heads against the reference images ------------------------------------------
 
+def _head_of(hom, r):
+    """h_r from the head table, for a record at the level of pi(x^r)."""
+    return hom._head(r, hom.group_hom(GroupElement(hom.source.weights, 0, r)).l)
+
+
 def _head_terms(hom, form, field):
     """A form (torsion, level, coeffs), or None for zero, as the terms
     {exponent vector: coefficient in ``field``} of the target element."""
@@ -99,9 +104,9 @@ def test_heads_match_the_reference_images(cid):
         for r in hom.source.weights.torsion_tuples():
             want = monomial_image(hom, r, powers)
             if isinstance(field, PrimeField):
-                assert _head_terms(hom, hom._head(r), field) == want, r
+                assert _head_terms(hom, _head_of(hom, r), field) == want, r
                 continue
-            exact = _head_terms(hom, hom._head(r), field)
+            exact = _head_terms(hom, _head_of(hom, r), field)
             e = next(iter(exact))
             scale = exact[e] / want[e]
             assert scale.denominator == 1 and exact == {e: scale * c for e, c in want.items()}, r
@@ -117,7 +122,7 @@ def test_heads_through_a_zero_image_are_zero():
                                [x1, x2, target.zero])
     powers = {}
     for r in hom.source.weights.torsion_tuples():
-        head = hom._head(r)
+        head = _head_of(hom, r)
         assert (head is None) == (r[2] > 0), r
         assert _head_terms(hom, head, Q) == monomial_image(hom, r, powers), r
 
@@ -584,6 +589,27 @@ def test_list_echelon_of_zero_and_repeated_rows():
 def test_exact_rank_matches_sympy(rows):
     assert row_rank(rows) == _sympy_rank(
         rows, QQ, lambda v: QQ(v.numerator, v.denominator))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fraction_free_rank_of_low_rank_products_matches_sympy(data):
+    """Products B C of a random m x k and k x n integer matrix with entries
+    up to 2^80 (zeros among them), so of rank at most k: the exact rank
+    swaps rows and divides exactly by earlier pivots.  Some rows enter as
+    Fractions, over one denominator or a different one per entry.  The rows
+    are left as they were."""
+    m, n, k = (data.draw(st.integers(1, 8)) for _ in range(3))
+    entry = st.one_of(st.integers(-2 ** 80, 2 ** 80), st.just(0))
+    B = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    C = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    rows = [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] for brow in B]
+    for i in data.draw(st.sets(st.integers(0, m - 1))):
+        den = data.draw(st.integers(1, 10 ** 6))
+        rows[i] = [Fraction(v, den + j * data.draw(st.integers(0, 1))) for j, v in enumerate(rows[i])]
+    before = copy.deepcopy(rows)
+    assert row_rank(rows) == _sympy_rank(rows, QQ, lambda v: QQ(v.numerator, v.denominator))
+    assert rows == before
 
 
 def _sympy_product(f, g, domain):
@@ -1058,9 +1084,18 @@ BASELINE = {"A": (Q, None, []), "B": (PrimeField(7), None, ["--field", "7"]),
             "D": (PrimeField(7), -1, ["--field", "7", "--lambda", "-1"])}
 #: (row_rank calls, rows) of verify_window(40), counted on the packed kernel
 RANK_CALLS_AT_40 = {"A": (25, 52), "B": (21, 66), "C": (28, 58), "D": (13, 28)}
-#: ``_poly_mul`` calls of ``verify --case X`` at the default window, counted
-#: on the packed kernel, whose rows above source level 0 took none
-POLY_MUL_CALLS = {"A": 48, "B": 58, "C": 55, "D": 30}
+#: ``_poly_mul`` calls of ``verify --case X`` at the default window: the
+#: counts of the one-pass head table, which builds the heads the records use
+#: and no other (the packed kernel took 48, 58, 55 and 30)
+POLY_MUL_CALLS = {"A": 8, "B": 28, "C": 19, "D": 20}
+#: (``_poly_mul`` calls, ``AlgebraHom._mul`` calls) of verify_window(w) after
+#: construction, at a window that cuts the base levels 0 <= l <= 2m - 2 and
+#: one that does not, counted on the heads that each record built as it met
+#: them: the head table is pruned at the window, so it takes the same
+#: products of forms, and a product by a form with the one coefficient 1
+#: takes no ``_poly_mul``
+VERIFY_FORM_PRODUCTS = {1: {"A": (20, 23), "B": (8, 11), "C": (23, 26), "D": (7, 11)},
+                        4: {"A": (35, 41), "B": (43, 49), "C": (40, 46), "D": (14, 21)}}
 #: demo 04's zero-image map over Q by window: (row_rank calls, rows, the
 #: sha256 of the repr of the list of its eliminated records), counted on the
 #: packed kernel
@@ -1090,6 +1125,38 @@ def test_verify_takes_no_more_form_products_than_the_packed_kernel(monkeypatch, 
     assert 0 < len(calls) <= POLY_MUL_CALLS[cid]
 
 
+@pytest.mark.parametrize("window", sorted(VERIFY_FORM_PRODUCTS))
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_a_window_below_the_base_levels_builds_no_more_heads(monkeypatch, cid, window):
+    field, lam, _ = BASELINE[cid]
+    hom = builtin_case(cid, field, lam=lam).algebra_hom
+    calls, products = [], []
+    mul, form_mul = field_module._poly_mul, AlgebraHom._mul
+    monkeypatch.setattr(homverify, "_poly_mul", lambda *args: calls.append(1) or mul(*args))
+    monkeypatch.setattr(AlgebraHom, "_mul", lambda *args: products.append(1) or form_mul(*args))
+    assert hom.verify_window(window).passed
+    poly_muls, form_muls = VERIFY_FORM_PRODUCTS[window][cid]
+    assert len(calls) <= poly_muls and len(products) == form_muls
+
+
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_each_block_is_laid_once_per_map(monkeypatch, cid):
+    """The forms f^a g^(n-a) are laid at a record's width once per (n, width)
+    and shared by every fiber pair at source level n of that width."""
+    field, lam, _ = BASELINE[cid]
+    hom = builtin_case(cid, field, lam=lam).algebra_hom
+    laid, plain = [], homverify._laid
+    monkeypatch.setattr(homverify, "_laid",
+                        lambda forms, degree, cols: laid.append((len(forms) - 1, cols))
+                        or plain(forms, degree, cols))
+    used = []
+    block = AlgebraHom._block
+    monkeypatch.setattr(AlgebraHom, "_block", lambda self, n, cols: used.append((n, cols))
+                        or block(self, n, cols))
+    assert hom.verify_window(40).passed
+    assert laid and sorted(laid) == sorted(set(used)) and len(used) > len(laid)
+
+
 @pytest.mark.parametrize("window", sorted(ZERO_IMAGE_RECORDS))
 def test_zero_image_map_of_demo_04_eliminates_the_records_of_the_packed_kernel(monkeypatch,
                                                                               window):
@@ -1108,8 +1175,10 @@ def test_zero_image_map_of_demo_04_eliminates_the_records_of_the_packed_kernel(m
 def test_zero_heads_share_one_zero_row(monkeypatch):
     """The n + 1 rows of a zero head are one zero list, which row_rank
     never changes: demo 04's zero-image map at F_10007, window 200, passes
-    81232 rows of 10.9 million cells to row_rank, in 1632 distinct lists of
-    162476 cells, 28 of them nonzero."""
+    81232 rows of 10.9 million cells to row_rank, in 1624 distinct lists of
+    162459 cells, 20 of them nonzero: a product by a form with the one
+    coefficient 1 keeps the other's list, so the heads x_1^a x_2^b, all
+    of coefficient 1, share theirs."""
     spec = builtin_case("A", PrimeField(10007))
     target = spec.algebra_hom.target
     x1, x2, _, _ = target.gens
@@ -1120,5 +1189,5 @@ def test_zero_heads_share_one_zero_row(monkeypatch):
     rows = [row for _, rows, _ in calls for row in rows]
     distinct = list({id(row): row for row in rows}.values())
     assert (len(calls), len(rows), sum(map(len, rows))) == (817, 81232, 10908476)
-    assert (len(distinct), sum(map(len, distinct))) == (1632, 162476)
-    assert sum(1 for row in distinct for v in row if v) == 28
+    assert (len(distinct), sum(map(len, distinct))) == (1624, 162459)
+    assert sum(1 for row in distinct for v in row if v) == 20
