@@ -16,10 +16,10 @@ X_i^{p_i} as U, V or a multiple of V - lam_i U.  The source is
 free over k[X_1^{q_1}, X_2^{q_2}] in the same way, so the image of a source
 basis monomial is h_r f^a g^b: the head h_r the image of its torsion
 monomial x^r, f and g the images of X_1^{q_1} and X_2^{q_2}.  The heads are
-one table, built in one pass generator by generator up to the highest level
-a record needs, each head one product h_{r - e_j} phi(x_j) of a neighbour's
-head; f and g, computed once for the check of the source relations, enter
-it as they are.  Over F_q the coefficients are plain ints mod q, over Q the
+cached per exponent vector, each made when a record first needs it as one
+product h_{r - e_j} phi(x_j) with its neighbour's head; f and g, computed
+once for the check of the source relations, are cached among the heads
+as they are.  Over F_q the coefficients are plain ints mod q, over Q the
 exact ints of an integer multiple of the image (a carry by lam_i = num/den
 is by den V - num U).  Every product of forms is ``field._poly_mul``, or
 none by a form with the one coefficient 1: mod q a scalar multiple when a
@@ -372,12 +372,6 @@ def _laid(forms: list, degree: tuple, cols: int) -> tuple:
     return tor, l, coeffs[:len(coeffs) - len(pad)]
 
 
-#: a head that is not in the head table built to the level of a record and
-#: is not zero: nonzero above that level, it meets no record there (a tuple
-#: whose torsion None matches no degree)
-_ABOVE = (None, None, None)
-
-
 def _leaves(y: GroupElement, x: GroupElement) -> GradednessError:
     return GradednessError("image of a monomial of degree %s leaves the component of %s"
                            % (y, x))
@@ -434,13 +428,11 @@ class AlgebraHom:
         self.rank_modulus = target.modulus or self.RANK_PRIME
         self._one = (0,) * len(target.weights), 0, [1]  # the form of 1
         self._ws, self._pairs, self._q = target.weights.weights, target.int_pairs, target.modulus
-        # binary-form caches in the target's coefficients: generator images;
-        # heads h_r by exponent vector, every one of level <= _top among
-        # them; per level n the forms f^a g^(n-a); and their laid blocks by
-        # n at the width of the last record
-        self._gens: dict[int, tuple | None] = {}
+        # binary-form caches in the target's coefficients (with ``_gens``):
+        # heads h_r by exponent vector, each made when a record first needs
+        # it; per level n the forms f^a g^(n-a); and their laid blocks by n
+        # at the width of the last record
         self._heads: dict[tuple, tuple | None] = {(0,) * len(source.weights): self._one}
-        self._top = -1
         self._levels: list[list] = [[self._one]]
         self._blocks: tuple[int, dict] = (0, {})
         if validate:
@@ -500,13 +492,14 @@ class AlgebraHom:
     # coeffs[a] the coefficient of U^a V^(l-a); zero is None.  Coefficients
     # are ints mod q over F_q, and over Q exact ints of an integer multiple.
 
-    def _gen(self, j: int):
-        """phi(x_j) as a form, read once."""
-        if j not in self._gens:
-            if len(self.gen_images[j].forms) > 1:
+    @cached_property
+    def _gens(self) -> tuple:
+        """phi(x_j) as forms, all read at the first head made from them:
+        the first inhomogeneous image raises there."""
+        for j, im in enumerate(self.gen_images):
+            if len(im.forms) > 1:
                 raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
-            self._gens[j] = _int_form(self.gen_images[j])
-        return self._gens[j]
+        return tuple(map(_int_form, self.gen_images))
 
     def _mul(self, f, g):
         """The product of two forms; by the form of 1 it is the other one, and
@@ -520,70 +513,29 @@ class AlgebraHom:
         return carry([u + v for u, v in zip(f[0], g[0])], f[1] + g[1], coeffs,
                      self._ws, self._pairs, q)[:3]
 
-    def _runs(self, starts: list, j: int, stop: int, top: float) -> list:
-        """Put the heads of r + a e_j, 0 < a < stop, in the head table for
-        each r in ``starts``, r_j being 0: each is one product of the head
-        before it and phi(x_j), as h_{r + a e_j} = h_{r + (a-1) e_j} phi(x_j).
-        Levels only grow along a run, so it ends before the first head above
-        level top, whose level is read off the torsions without a product: a
-        product carries once at each i where the torsions sum to p_i or
-        more, and phi(x_j) has torsion at few i.  Returns the exponent
-        vectors it kept."""
-        heads, gen, kept = self._heads, self._gen(j), []
-        if gen is not None:  # (i, p_i - the torsion of phi(x_j) at i), where that is > 0
-            level, cuts = gen[1], [(i, p - t) for i, (t, p) in enumerate(zip(gen[0], self._ws))
-                                   if t]
-        for r in starts:
-            h, before, after = heads[r], r[:j], r[j + 1:]
-            for a in range(1, stop):
-                s = before + (a,) + after
-                if s in heads:
-                    h = heads[s]
-                    if h is not None and h[1] > top:
-                        break
-                elif h is None or gen is None:
-                    h = heads[s] = None
-                elif top < h[1] + level + sum([h[0][i] >= c for i, c in cuts]):
-                    break
-                else:
-                    h = heads[s] = self._mul(h, gen)
-                kept.append(s)
-        return kept
-
-    def _build_heads(self, top: int):
-        """The head table to level top: in one pass, generator by generator,
-        the ``_runs`` of x_j start at every head of the earlier generators.  A
-        head of level <= top has its prefixes there too, so the table holds
-        every such head, and a record at level <= top needs no other
-        nonzero one; a zero head (an image is zero) is kept where its run
-        reaches it."""
-        if top > self._top:
-            runs = [(0,) * len(self.source.weights)]
-            for j, q in enumerate(self.source.weights.weights):
-                runs += self._runs(runs, j, q, top)
-            self._top = top
-
-    def _head(self, r: tuple, l: int):
+    def _head(self, r: tuple):
         """h_r, the image of the source monomial x_1^{r_1} ... x_t^{r_t},
-        for a record at level l, from the head table built to level l first
-        if r is not in it.  A head still missing is zero when an image it
-        takes is zero (the target is a domain), else ``_ABOVE``."""
-        heads = self._heads
-        if r not in heads and l > self._top:
-            self._build_heads(l)
-        if r in heads:
-            return heads[r]
-        return None if any(a and self._gen(j) is None for j, a in enumerate(r)) else _ABOVE
+        cached per exponent vector.  h_r = h_{r - e_j} phi(x_j) for the last
+        j with r_j > 0, so a head is one product once its neighbour is
+        known; the neighbours missing are made first, lowest first, in a
+        loop, so no weight is too long for the walk."""
+        heads, missing = self._heads, []
+        while r not in heads:
+            j = len(r) - 1
+            while not r[j]:
+                j -= 1
+            missing.append((r, j))
+            r = r[:j] + (r[j] - 1,) + r[j + 1:]
+        h = heads[r]
+        for r, j in reversed(missing):
+            h = heads[r] = self._mul(h, self._gens[j])
+        return h
 
     def _fg(self, j: int):
         """f (j = 0) or g (j = 1): the image of x_j^{q_j}, kept from
-        ``_validate``, or else one product on top of the axis heads h_{a e_j},
-        a < q_j, which this run builds past any level."""
+        ``_validate`` or made by the walk."""
         qs = self.source.weights.weights
-        key = tuple(qs[i] if i == j else 0 for i in range(len(qs)))
-        if key not in self._heads:
-            self._runs([(0,) * len(qs)], j, qs[j] + 1, math.inf)
-        return self._heads[key]
+        return self._head(tuple(qs[i] if i == j else 0 for i in range(len(qs))))
 
     def _powers(self, n: int) -> list:
         """The forms f^a g^(n-a), a ascending, cached per level n: level n
@@ -630,12 +582,12 @@ class AlgebraHom:
             if n < 0:
                 continue
             r = y.torsion
-            block = heads[r] if r in heads else self._head(r, x.l)
+            block = heads[r] if r in heads else self._head(r)
             if block and n:
                 laid = self._block(n, cols)
                 if laid is False:  # nonzero rows in two components
                     raise _leaves(y, x)
-                block = laid and (block if block is _ABOVE else self._mul(block, laid))
+                block = laid and self._mul(block, laid)
             if block is None:
                 rows += [[0] * cols] * (n + 1)  # one zero row: nothing changes a row
             elif block[0] != x.torsion or block[1] != x.l:
@@ -692,7 +644,6 @@ class AlgebraHom:
         fibers = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window)
         m = self._induction_level()
-        self._build_heads(window if m is None else min(2 * m - 2, window))
         src, tgt = self.group_hom.source, self.group_hom.target
         eliminated = []
 

@@ -78,8 +78,8 @@ def test_reference_records_use_no_element_arithmetic(monkeypatch, cid, field):
 # -- heads against the reference images ------------------------------------------
 
 def _head_of(hom, r):
-    """h_r from the head table, for a record at the level of pi(x^r)."""
-    return hom._head(r, hom.group_hom(GroupElement(hom.source.weights, 0, r)).l)
+    """h_r by the memoised neighbour walk."""
+    return hom._head(r)
 
 
 def _head_terms(hom, form, field):
@@ -125,6 +125,21 @@ def test_heads_through_a_zero_image_are_zero():
         head = _head_of(hom, r)
         assert (head is None) == (r[2] > 0), r
         assert _head_terms(hom, head, Q) == monomial_image(hom, r, powers), r
+
+
+def test_a_long_walk_makes_each_head_once_without_recursion():
+    """(3000, 2) -> (2, 2) over F_7 with pi(x_1) = x_1, phi(x_1) = X_1 and
+    phi(x_2) = X_1^1500, unchecked: f = phi(x_1)^3000 is the head of
+    x_1^3000, reached by a walk of 3000 neighbours, each made once by one
+    product, far past Python's recursion limit."""
+    field = PrimeField(7)
+    target, source = CoordinateAlgebra((2, 2), field), CoordinateAlgebra((3000, 2), field)
+    L = target.weights
+    pi = GroupHom(source.weights, L, [L.parse("0;1,0"), L.parse("750;0,0")])
+    x1, _ = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [x1, x1 ** 1500])
+    assert hom._fg(0) == homverify._int_form(x1 ** 3000)
+    assert len(hom._heads) == 3001
 
 
 def _lam(cid):
@@ -890,6 +905,24 @@ def test_inhomogeneous_image_raises(field):
         hom.check_surjective_at(hom.group_hom.gen_images[2])
 
 
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_the_first_inhomogeneous_image_is_named_at_the_first_head(field):
+    """Case A with phi(x_2) and phi(x_3) inhomogeneous: every generator
+    image is read at the first head made, so generator 2 is named even by
+    a record whose heads take only phi(x_3), and again on a second call."""
+    spec = builtin_case("A", field)
+    tgt = spec.algebra_hom.target
+    x1, x2, x3, x4 = tgt.gens
+    hom = AlgebraHom.unchecked(spec.algebra_hom.source, tgt, spec.group_hom,
+                               [x1, x2 + x1 * x1, x3 * x4 + x1])
+    want = ("GradednessError", "image of generator 2 is inhomogeneous")
+    assert outcome(hom.verify_window, 1) == want
+    for y in spec.group_hom.gen_images:
+        fresh = AlgebraHom.unchecked(hom.source, tgt, hom.group_hom, hom.gen_images)
+        assert outcome(fresh.check_surjective_at, y) == want
+        assert outcome(fresh.check_surjective_at, y) == want
+
+
 # -- level induction ---------------------------------------------------------------
 
 @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
@@ -1084,18 +1117,21 @@ BASELINE = {"A": (Q, None, []), "B": (PrimeField(7), None, ["--field", "7"]),
             "D": (PrimeField(7), -1, ["--field", "7", "--lambda", "-1"])}
 #: (row_rank calls, rows) of verify_window(40), counted on the packed kernel
 RANK_CALLS_AT_40 = {"A": (25, 52), "B": (21, 66), "C": (28, 58), "D": (13, 28)}
-#: ``_poly_mul`` calls of ``verify --case X`` at the default window: the
-#: counts of the one-pass head table, which builds the heads the records use
-#: and no other (the packed kernel took 48, 58, 55 and 30)
+#: ``_poly_mul`` calls of ``verify --case X`` at the default window: each
+#: head is made when a record first needs it, so the heads the records use
+#: are built and no other (the packed kernel took 48, 58, 55 and 30)
 POLY_MUL_CALLS = {"A": 8, "B": 28, "C": 19, "D": 20}
 #: (``_poly_mul`` calls, ``AlgebraHom._mul`` calls) of verify_window(w) after
 #: construction, at a window that cuts the base levels 0 <= l <= 2m - 2 and
-#: one that does not, counted on the heads that each record built as it met
-#: them: the head table is pruned at the window, so it takes the same
-#: products of forms, and a product by a form with the one coefficient 1
-#: takes no ``_poly_mul``
+#: at two that do not: the ``_poly_mul`` calls are bounds (the packed
+#: kernel's at 1 and 4, the one-pass head table's at 40), the ``_mul``
+#: calls exact.  Each head is one product with its neighbour's, made when a
+#: record first needs it, and a product by a form with the one coefficient
+#: 1 takes no ``_poly_mul``.  A passing map eliminates only its base
+#: levels, which window 4 holds, so windows 4 and 40 take the same products.
 VERIFY_FORM_PRODUCTS = {1: {"A": (20, 23), "B": (8, 11), "C": (23, 26), "D": (7, 11)},
-                        4: {"A": (35, 41), "B": (43, 49), "C": (40, 46), "D": (14, 21)}}
+                        4: {"A": (35, 41), "B": (43, 49), "C": (40, 46), "D": (14, 21)},
+                        40: {"A": (0, 41), "B": (18, 49), "C": (9, 46), "D": (10, 21)}}
 #: demo 04's zero-image map over Q by window: (row_rank calls, rows, the
 #: sha256 of the repr of the list of its eliminated records), counted on the
 #: packed kernel
