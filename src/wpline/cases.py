@@ -132,13 +132,16 @@ class CaseSpec:
         return texts
 
     def tampered(self, value: str) -> "CaseSpec":
-        """The same case with the last target parameter replaced by ``value``."""
+        """The same case with the last target parameter replaced by ``value``,
+        sharing this case's group map, which reads no parameter."""
         params = self.config.target_params
         if len(params) < 2:
             raise ValueError("case %s target has no free parameter to tamper with"
                              % self.case_id)
-        return CaseSpec(self.case_id, self.config._replace(target_params=params[:-1] + (value,)),
+        spec = CaseSpec(self.case_id, self.config._replace(target_params=params[:-1] + (value,)),
                         self.field, self.constants)
+        spec.group_hom = self.group_hom
+        return spec
 
 
 def builtin_case(case, field: Field, lam=None, root_pick: str = "smallest",

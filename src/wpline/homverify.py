@@ -37,8 +37,12 @@ forms of degree m, and the image of degree x contains f Im(x - m c) +
 g Im(x - m c).  If f and g are coprime they form a regular sequence, so
 (f, g) holds every form of degree l >= 2m - 1 (Eisenbud, Commutative
 Algebra, ch. 17): surjectivity at x - m c gives it at x.  Components below
-level 0 are zero.  So verify_window eliminates only the base levels
-0 <= l <= 2m - 2 and records whose record m levels below is deficient.
+level 0 are zero.  A nonzero homogeneous element is X^t p(U, V), and a
+product multiplies the forms in the domain k[U, V] and carries by U, V or
+a V - b U: when every image is nonzero so is every head, and a level-0
+record (one column) of total >= 1 has rank 1.  So verify_window eliminates
+only the base levels 1 <= l <= 2m - 2, level-0 records of total 0 or of a
+map with a zero image, and records whose record m levels below is deficient.
 """
 
 from __future__ import annotations
@@ -253,8 +257,8 @@ class VerificationResult:
         """(l, shift, classes, counts) per level in order, with l, shift and
         classes as ``WindowFibers.levels`` gives them, and counts the
         (source_dim, target_dim, image_rank) of each class; counts is None
-        on a plain level, where no record is eliminated and admissibility
-        lists no failure, so every record is (mult, mult, mult)."""
+        on a plain level, where admissibility lists no failure and every
+        record eliminated there passes, so every record is (mult, mult, mult)."""
         totals = self.totals
         failed = {l for l, _ in totals}
         elim = iter(self.eliminated)
@@ -271,7 +275,8 @@ class VerificationResult:
                     nxt = next(elim, None)
                 else:
                     counts.append((totals.get((l, tor), mult), mult, mult))
-            yield l, shift, classes, counts
+            plain = l not in failed and counts.count((mult,) * 3) == len(counts)
+            yield l, shift, classes, None if plain else counts
 
     @cached_property
     def records(self) -> tuple[DegreeRecord, ...]:
@@ -635,12 +640,13 @@ class AlgebraHom:
         |l| <= window, as a view on the fibers of ``GroupHom.window_fibers``
         (see :class:`VerificationResult`).  Without an induction level every
         record is eliminated, level by level.  With one, m, a record below
-        level 0, or at l >= 2m - 1 above a surjective one, is (sum of fiber
-        mults, mult(x), mult(x)) without rows and is not stored; that sum is
-        mult(x) unless admissibility lists x among its failures.  So only the
-        base levels 0 <= l <= 2m - 2 are visited, and then the chains of
-        records above deficient ones.  Only the records that are eliminated
-        get ``GroupElement``s, for ``check_surjective_at``."""
+        level 0, at level 0 of total >= 1 when every image is nonzero (see
+        the module docstring), or at l >= 2m - 1 above a surjective one, is
+        (sum of fiber mults, mult(x), mult(x)) without rows and is not
+        stored; that sum is mult(x) unless admissibility lists x among its
+        failures.  So only the base levels 0 <= l <= 2m - 2 are visited, and
+        then the chains of records above deficient ones.  Only the records
+        that are eliminated get ``GroupElement``s, for ``check_surjective_at``."""
         fibers = self.group_hom.window_fibers(window)
         admissibility = self.group_hom.is_admissible(window)
         m = self._induction_level()
@@ -667,9 +673,13 @@ class AlgebraHom:
             # to a level of [m - 1, 2m - 2], they keep ``eliminated`` in the
             # order of the fibers.
             chains = []
+            empty = {x.torsion for x, got, _ in admissibility.failures if x.l == 0 and not got}
+            nonzero = all(not im.is_zero() for im in self.gen_images)
             for l in range(min(2 * m - 2, window) + 1):
                 shift, classes = fibers.level(l)
                 for cls in classes:
+                    if l == 0 and nonzero and cls[0] not in empty:
+                        continue  # rank 1 of 1 column: the row of a nonzero head
                     if deficient(l, shift, *cls) and l >= m - 1:
                         chains.append((l, shift, cls))
             for l, shift, cls in chains:  # grows while it is read

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from maps import CONFIG_FAIL
-from wpline import (PrimeField, RationalField, VerifyConfig, builtin_case, builtin_group_hom,
-                    parse_scalar)
+from wpline import (GroupHom, PrimeField, RationalField, VerifyConfig, builtin_case,
+                    builtin_group_hom, parse_scalar)
 from wpline.field import field_from_spec
 from wpline.cli import main
 
@@ -298,6 +299,22 @@ class TestVerifyCommand:
                             classmethod(lambda cls, data: docs.append(data) or parse(data)))
         code, _, _ = run(capsys, "verify", "--window", "4", *argv)
         assert (code, len(docs)) == (want, 1)
+
+    @pytest.mark.parametrize("tamper,want", [([], 0), (["--tamper", "lambda=2"], 1)],
+                             ids=["plain", "tampered"])
+    def test_a_tampered_case_keeps_its_group_map(self, capsys, monkeypatch, tamper, want):
+        """A tamper replaces a target parameter, which the group map never
+        reads: the call builds one group map and one residue table, as the
+        call without the tamper does."""
+        homs, tables = [], []
+        init, residues = GroupHom.__init__, GroupHom._residues.func
+        monkeypatch.setattr(GroupHom, "__init__",
+                            lambda self, *args: homs.append(self) or init(self, *args))
+        counted = cached_property(lambda self: tables.append(self) or residues(self))
+        counted.__set_name__(GroupHom, "_residues")
+        monkeypatch.setattr(GroupHom, "_residues", counted)
+        code, _, _ = run(capsys, "verify", "--case", "A", "--field", "5", *tamper)
+        assert (code, len(homs), tables) == (want, 1, homs)
 
     def test_reports_are_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--case", "B", "--field", "7",

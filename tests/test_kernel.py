@@ -1115,8 +1115,11 @@ def test_canonical_image_with_torsion_is_never_inferred(field):
 BASELINE = {"A": (Q, None, []), "B": (PrimeField(7), None, ["--field", "7"]),
             "C": (PrimeField(5), None, ["--field", "5"]),
             "D": (PrimeField(7), -1, ["--field", "7", "--lambda", "-1"])}
-#: (row_rank calls, rows) of verify_window(40), counted on the packed kernel
-RANK_CALLS_AT_40 = {"A": (25, 52), "B": (21, 66), "C": (28, 58), "D": (13, 28)}
+#: (row_rank calls, rows) of verify_window(40): a level-0 record of a map
+#: with every image nonzero is settled without elimination (the packed
+#: kernel, which eliminated level 0, took A (25, 52), B (21, 66),
+#: C (28, 58), D (13, 28))
+RANK_CALLS_AT_40 = {"A": (17, 44), "B": (17, 62), "C": (19, 49), "D": (9, 24)}
 #: ``_poly_mul`` calls of ``verify --case X`` at the default window: each
 #: head is made when a record first needs it, so the heads the records use
 #: are built and no other (the packed kernel took 48, 58, 55 and 30)
@@ -1129,7 +1132,10 @@ POLY_MUL_CALLS = {"A": 8, "B": 28, "C": 19, "D": 20}
 #: record first needs it, and a product by a form with the one coefficient
 #: 1 takes no ``_poly_mul``.  A passing map eliminates only its base
 #: levels, which window 4 holds, so windows 4 and 40 take the same products.
-VERIFY_FORM_PRODUCTS = {1: {"A": (20, 23), "B": (8, 11), "C": (23, 26), "D": (7, 11)},
+#: Level 0 takes no heads, so at window 1 A and B take fewer (the packed
+#: kernel took 23 and 11 ``_mul`` calls); the level-1 records of C and D
+#: need every head level 0 did.
+VERIFY_FORM_PRODUCTS = {1: {"A": (20, 19), "B": (8, 9), "C": (23, 26), "D": (7, 11)},
                         4: {"A": (35, 41), "B": (43, 49), "C": (40, 46), "D": (14, 21)},
                         40: {"A": (0, 41), "B": (18, 49), "C": (9, 46), "D": (10, 21)}}
 #: demo 04's zero-image map over Q by window: (row_rank calls, rows, the
@@ -1148,6 +1154,72 @@ def test_rank_calls_and_rows_of_the_baseline_cases(monkeypatch, cid):
     calls = _rank_calls(monkeypatch)
     assert hom.verify_window(40).passed
     assert (len(calls), sum(len(rows) for _, rows, _ in calls)) == RANK_CALLS_AT_40[cid]
+
+
+def _checked_levels(monkeypatch) -> list:
+    """Record the level of every record sent to check_surjective_at."""
+    levels, plain = [], AlgebraHom.check_surjective_at
+    monkeypatch.setattr(AlgebraHom, "check_surjective_at",
+                        lambda self, x, fiber=None: levels.append(x.l) or plain(self, x, fiber))
+    return levels
+
+
+@pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
+def test_level_0_of_a_map_with_nonzero_images_is_not_eliminated(monkeypatch, cid):
+    """Every image of a baseline case is nonzero, so every head is, and a
+    level-0 record (one column, total 1) has rank 1 without rows.  Every
+    level passes, so each is written as a plain level."""
+    field, lam, _ = BASELINE[cid]
+    hom = builtin_case(cid, field, lam=lam).algebra_hom
+    levels = _checked_levels(monkeypatch)
+    result = hom.verify_window(40)
+    assert result.passed and levels and 0 not in levels
+    assert all(counts is None for *_, counts in result._levels())
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_level_0_of_a_zero_image_map_is_eliminated(monkeypatch, field):
+    """Demo 04's map, phi(x_3) = 0, has zero heads: each of its level-0
+    records is still eliminated."""
+    hom = _case_a(field, lambda m: m.algebra.zero)
+    levels = _checked_levels(monkeypatch)
+    result = hom.verify_window(6)
+    assert result.m == 2 and levels.count(0) == len(result.fibers.level(0)[1]) > 0
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_level_0_totals_of_a_non_admissible_map_are_settled(monkeypatch, field):
+    """(2,2,2) -> (2,2) sending x_1 and x_3 to x_1 has m = 1 and level-0
+    fiber totals of 2: those records are (2, 1, 1) without elimination, and
+    the records match the reference's at every window."""
+    hom = non_admissible_map(field, lambda target, _: [*target.gens, target.gens[0]])
+    levels = _checked_levels(monkeypatch)
+    for window in range(1, 9):
+        got = records(hom, window)
+        assert got == reference_records(hom, window)
+        assert {(r["source_dim"], r["image_rank"]) for r in got
+                if r["degree"].startswith("0;")} == {(1, 1), (2, 1)}
+    assert hom._induction_level() == 1 and 0 not in levels
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_a_level_0_record_of_total_0_is_eliminated(monkeypatch, field):
+    """(2,2,2) -> (2,2,2) with pi(x_1) = x_2 + x_3, pi(x_2) = c and
+    pi(x_3) = x_1 + x_3, unchecked, all images nonzero and m = 2: the
+    fiber over x_1 + x_2 holds only a source degree below level 0, so its
+    total is 0, and that record is eliminated, to rank 0."""
+    target = CoordinateAlgebra((2, 2, 2), field, [1])
+    source = CoordinateAlgebra((2, 2, 2), field, [1])
+    L = target.weights
+    pi = GroupHom(source.weights, L, [L.parse("0;0,1,1"), L.canonical(), L.parse("0;1,0,1")])
+    x1, x2, x3 = target.gens
+    hom = AlgebraHom.unchecked(source, target, pi, [x2 * x3, x1 ** 2 + 2 * x2 ** 2, x1 * x3])
+    levels = _checked_levels(monkeypatch)
+    for window in range(1, 7):
+        assert records(hom, window) == reference_records(hom, window)
+    result = hom.verify_window(6)
+    assert result.m == 2 and result.eliminated[0] == (0, (1, 1, 0), 0, 1, 0)
+    assert levels.count(0) == 7  # one per call of verify_window
 
 
 @pytest.mark.parametrize("cid", ["A", "B", "C", "D"])

@@ -45,11 +45,12 @@ def test_traced_runs_reach_every_entry_point_and_count_rows():
             with redirect_stdout(out):
                 assert main(argv) == 0
             records = json.loads(out.getvalue())["records"]
-            # rows are built at the base levels 0 <= l <= 2m - 2 only (every
+            # rows are built at the base levels 1 <= l <= 2m - 2 only (every
+            # image is nonzero, so level 0 has rank 1 without rows, and every
             # record passes, so none above is redone), plus the 2m Sylvester
             # rows of the coprimality check
             eliminated += 2 * m + sum(r["source_dim"] for r in records
-                                      if 0 <= int(r["degree"].split(";")[0]) <= 2 * m - 2)
+                                      if 1 <= int(r["degree"].split(";")[0]) <= 2 * m - 2)
             every += sum(r["source_dim"] for r in records)
             degrees += len(records)
     finally:
