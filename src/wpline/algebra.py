@@ -19,8 +19,9 @@ a tracked denominator: Geddes, Czapor and Labahn, Algorithms for Computer
 Algebra, 1992): over F_q a form is its residues' ints mod q, over Q integer
 coefficients and a positive scale, the form ints / scale, and a carry by
 lam_i = num/den is by den V - num U and multiplies the scale by den.
-:func:`_times` is the one product of such forms, and each coefficient of a
-result becomes an ``Fp`` or a ``Fraction`` once.
+:func:`_times` is the one product of such forms.  An element is its int form
+in lowest terms; only its ``terms`` (and so its text) are ``Fp`` or
+``Fraction`` objects.
 """
 
 from __future__ import annotations
@@ -67,12 +68,24 @@ def carry(raw, l: int, coeffs: list, weights: tuple, pairs: list, q: int | None 
     return tuple(tor), l, coeffs, scale
 
 
-def _add_form(forms: dict, key: tuple, coeffs: list):
-    """forms[key] += coeffs, dropping a form that cancels to zero."""
-    if key in forms:
-        coeffs = [a + b for a, b in zip(forms.pop(key), coeffs)]
-    if any(coeffs):
-        forms[key] = coeffs
+def _add(out: dict, key: tuple, ints: list, scale: int, q: int | None):
+    """out[key] += ints / scale, an int form (see ``_times``): forms that
+    meet are summed over the lcm of their scales, and one that cancels is
+    dropped."""
+    old = out.pop(key, None)
+    if old is not None:
+        h, u = old
+        if q:
+            ints = [(x + y) % q for x, y in zip(h, ints)]
+        elif u == scale:
+            ints = [x + y for x, y in zip(h, ints)]
+        else:
+            m = math.lcm(u, scale)
+            hu, su = m // u, m // scale
+            ints = [x * hu + y * su for x, y in zip(h, ints)]
+            scale = m
+    if any(ints):
+        out[key] = ints, scale
 
 
 def _times(alg: "CoordinateAlgebra", a: dict, b: dict, out: dict | None = None) -> dict:
@@ -80,40 +93,22 @@ def _times(alg: "CoordinateAlgebra", a: dict, b: dict, out: dict | None = None) 
     of elements.  An int form maps (torsion, l) to (ints, scale), the form
     ints / scale; over F_q the ints lie in [0, q) and the scale is 1.  Each
     pair of forms is one ``_poly_mul``, one ``carry`` on the summed torsion
-    (by the ``int_pairs``), and scales multiplied; forms that meet at a key
-    are summed over the lcm of their scales, and one that cancels is
-    dropped."""
+    (by the ``int_pairs``), scales multiplied, and ``_add`` into ``out``."""
     ws, q, pairs = alg.weights.weights, alg.modulus, alg.int_pairs
     out = {} if out is None else out
     for (t1, l1), (f, s) in a.items():
         for (t2, l2), (g, t) in b.items():
             tor, l, ints, scale = carry([x + y for x, y in zip(t1, t2)], l1 + l2,
                                         _poly_mul(f, g, q), ws, pairs, q)
-            scale *= s * t
-            key = (tor, l)
-            old = out.pop(key, None)
-            if old is not None:
-                h, u = old
-                if q:
-                    ints = [(x + y) % q for x, y in zip(h, ints)]
-                elif u == scale:
-                    ints = [x + y for x, y in zip(h, ints)]
-                else:
-                    m = math.lcm(u, scale)
-                    hu, su = m // u, m // scale
-                    ints = [x * hu + y * su for x, y in zip(h, ints)]
-                    scale = m
-            if any(ints):
-                out[key] = ints, scale
+            _add(out, (tor, l), ints, scale * s * t, q)
     return out
 
 
 class CoordinateAlgebra:
     """Quotient of a polynomial ring by the weighted-line relations.
 
-    ``params`` are the normalized parameters lam_3, ..., lam_t (so the first
-    one must be 1); a list of length t-3 is also accepted and gets the
-    leading 1 prepended.
+    ``params`` are the t - 2 normalized parameters lam_3, ..., lam_t, so
+    the first one must be 1.
     """
 
     def __init__(self, weights, field: Field, params=None):
@@ -124,11 +119,10 @@ class CoordinateAlgebra:
         self.modulus = getattr(field, "q", None)  # q for F_q, None for Q
         t = len(weights)
         vals = list(params) if params is not None else []
-        if len(vals) == t - 3:
-            vals = [1] + vals
-        if len(vals) != max(t - 2, 0):
-            raise ValueError("expected %d parameters for %d weights, got %d"
-                             % (t - 2, t, len(vals)))
+        n = max(t - 2, 0)
+        if len(vals) != n:
+            raise ValueError("expected %d parameter%s for %d weights, got %d"
+                             % (n, "" if n == 1 else "s", t, len(vals)))
         ps = tuple(self.field(v) for v in vals)
         if ps:
             if ps[0] != self.field.one:
@@ -167,7 +161,7 @@ class CoordinateAlgebra:
 
     @property
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {((0,) * len(self.weights), 0): [self.field.one]})
+        return AlgebraElement(self, {((0,) * len(self.weights), 0): ([1], 1)})
 
     @property
     def gens(self) -> tuple["AlgebraElement", ...]:
@@ -210,19 +204,7 @@ class CoordinateAlgebra:
         unit = {((0,) * len(ws), 0): ([1], 1)}
         for c, e in monos:
             _times(self, {(e, 0): ([c.numerator], c.denominator)}, unit, out)
-        return self._element(out)
-
-    def _element(self, out: dict) -> "AlgebraElement":
-        """The element of an int form (see ``_times``): each coefficient
-        becomes an ``Fp`` or a ``Fraction`` once.  Over F_q the element
-        keeps ``out`` as its int form."""
-        q = self.modulus
-        if q:
-            return AlgebraElement(self, {key: [Fp(c, q) for c in ints]
-                                         for key, (ints, _) in out.items()}, out)
-        return AlgebraElement(self, {key: [Fraction(c, s) for c in ints] if s > 1
-                                     else [Fraction(c) for c in ints]  # no gcd to take
-                                     for key, (ints, s) in out.items()})
+        return AlgebraElement(self, out)
 
     # -- grading -------------------------------------------------------------
 
@@ -289,43 +271,39 @@ class AlgebraElement:
     """A finite sum of homogeneous elements with exact coefficients.
 
     Instances are created through the parent algebra and treated as
-    immutable; ``forms`` maps (torsion, l) to the l + 1 coefficients of
-    U^a V^(l-a), none of them all zero (see the module docstring), and
-    ``ints``, when given, is the int form of the same element, kept for
-    ``_ints``.
+    immutable.  ``ints`` is the element's int form (see ``_times``) in
+    lowest terms: it maps (torsion, l) to (ints, scale), the l + 1
+    coefficients of U^a V^(l-a) as ints / scale, none of them all zero (see
+    the module docstring); over F_q the ints lie in [0, q) and the scale is
+    1, over Q the scale is positive and prime to the ints.  So two elements
+    are equal when their int forms are.
     """
 
-    __slots__ = ("algebra", "forms", "_kept")
+    __slots__ = ("algebra", "ints")
 
-    def __init__(self, algebra: CoordinateAlgebra, forms: dict, ints: dict | None = None):
+    def __init__(self, algebra: CoordinateAlgebra, ints: dict):
+        """Over Q each form of ``ints`` is divided by the gcd of its ints
+        and scale, in place."""
+        if not algebra.modulus:
+            for key, (cs, s) in ints.items():
+                g = math.gcd(s, *cs)
+                if g > 1:
+                    ints[key] = [c // g for c in cs], s // g
         self.algebra = algebra
-        self.forms = forms
-        self._kept = ints
+        self.ints = ints
 
     @property
     def terms(self) -> dict:
-        """The nonzero coefficients by exponent vector of the canonical monomial."""
+        """The nonzero coefficients, as ``Fp`` or ``Fraction``, by exponent
+        vector of the canonical monomial."""
         p1, p2 = self.algebra.weights.weights[:2]
-        return {(a * p1 + tor[0], (l - a) * p2 + tor[1]) + tor[2:]: c
-                for (tor, l), coeffs in self.forms.items() for a, c in enumerate(coeffs) if c}
-
-    def _ints(self) -> dict:
-        """The int form of the element (see ``_times``), made once and kept:
-        over F_q the residues' values, over Q each form over the lcm of its
-        denominators.  Nothing may change it."""
-        if self._kept is None:
-            if self.algebra.modulus:
-                out = {key: ([c.value for c in cs], 1) for key, cs in self.forms.items()}
-            else:
-                out = {}
-                for key, cs in self.forms.items():
-                    den = math.lcm(*[c.denominator for c in cs])
-                    out[key] = [c.numerator * (den // c.denominator) for c in cs], den
-            self._kept = out
-        return self._kept
+        q = self.algebra.modulus
+        return {(a * p1 + tor[0], (l - a) * p2 + tor[1]) + tor[2:]:
+                Fp(c, q) if q else Fraction(c, s)
+                for (tor, l), (cs, s) in self.ints.items() for a, c in enumerate(cs) if c}
 
     def is_zero(self) -> bool:
-        return not self.forms
+        return not self.ints
 
     def _check_same(self, other: "AlgebraElement"):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -334,19 +312,21 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.forms == other.forms
+        return self.algebra == other.algebra and self.ints == other.ints
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.forms)
-        for key, coeffs in other.forms.items():
-            _add_form(out, key, coeffs)
+        out, q = dict(self.ints), self.algebra.modulus
+        for key, (ints, scale) in other.ints.items():
+            _add(out, key, ints, scale, q)
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {k: [-c for c in cs] for k, cs in self.forms.items()})
+        q = self.algebra.modulus
+        return AlgebraElement(self.algebra, {k: ([-c % q for c in cs] if q else [-c for c in cs],
+                                                 s) for k, (cs, s) in self.ints.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -357,14 +337,16 @@ class AlgebraElement:
         alg = self.algebra
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            return alg._element(_times(alg, self._ints(), other._ints()))
+            return AlgebraElement(alg, _times(alg, self.ints, other.ints))
         try:
             c = alg.field(other)
         except (TypeError, ValueError):
             return NotImplemented
         if c == alg.field.zero:
             return alg.zero
-        return AlgebraElement(alg, {k: [c * v for v in cs] for k, cs in self.forms.items()})
+        q, n, d = alg.modulus, c.numerator, c.denominator
+        return AlgebraElement(alg, {k: ([x * n % q for x in cs] if q else [x * n for x in cs],
+                                        s * d) for k, (cs, s) in self.ints.items()})
 
     __rmul__ = __mul__
 
@@ -376,22 +358,22 @@ class AlgebraElement:
         alg = self.algebra
         if not n:
             return alg.one
-        base, result = self._ints(), None
+        base, result = self.ints, None
         while True:
             if n & 1:
                 result = base if result is None else _times(alg, result, base)
             n >>= 1
             if not n:
-                return alg._element(result)
+                return AlgebraElement(alg, result)
             base = _times(alg, base, base)
 
     def degree(self) -> GroupElement | None:
         """Common degree of all terms, None if inhomogeneous; zero has none."""
-        if not self.forms:
+        if not self.ints:
             raise ValueError("the zero element has no degree")
-        if len(self.forms) > 1:
+        if len(self.ints) > 1:
             return None
-        (tor, l), = self.forms
+        (tor, l), = self.ints
         return GroupElement(self.algebra.weights, l, tor)
 
     def __str__(self):

@@ -41,6 +41,13 @@ def _weights(text: str) -> WeightSequence:
         raise UsageError("bad --weights value %r: %s" % (text, exc)) from None
 
 
+def _ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError("bad %s value %r" % (flag, text)) from None
+
+
 def _render(elem, pretty: bool) -> str:
     return elem.pretty() if pretty else str(elem)
 
@@ -233,21 +240,15 @@ def _cmd_algebra(args) -> int:
             _out("[%s]" % ", ".join(map(alg.monomial_text, basis)))
         return 0
     if sc == "reduce":
-        try:
-            exps = tuple(int(v) for v in args.monomial.split(","))
-        except ValueError:
-            raise UsageError("bad --monomial value %r" % args.monomial) from None
         coeff = parse_scalar(args.coeff, alg.field)
-        _out(alg.reduce_monomial(exps, coeff))
+        _out(alg.reduce_monomial(_ints(args.monomial, "--monomial"), coeff))
         return 0
     if sc == "hilbert":
         if args.lmax - args.lmin > MAX_LEVELS:
             raise UsageError("--lmax - --lmin is %d, more than the %d levels algebra hilbert "
                              "lists" % (args.lmax - args.lmin, MAX_LEVELS))
-        if args.torsion.strip():
-            tor = tuple(int(v) for v in args.torsion.split(","))
-        else:
-            tor = (0,) * len(alg.weights)
+        tor = (_ints(args.torsion, "--torsion") if args.torsion.strip()
+               else (0,) * len(alg.weights))
         # level l has degree x + (l - lmin) c, of dim max(l + shift + 1, 0)
         shift = alg.weights.normalize(args.lmin, tor).l - args.lmin
         for start in range(args.lmin, args.lmax + 1, HILBERT_BLOCK):

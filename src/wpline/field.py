@@ -190,9 +190,9 @@ class Field:
         cs = [self(c) for c in coeffs]
         while cs and cs[-1] == self.zero:
             cs.pop()
-        deg = len(cs) - 1
-        if deg not in (2, 3):
-            raise ValueError("root search supports degrees 2 and 3, got degree %d" % deg)
+        if len(cs) not in (3, 4):
+            raise ValueError("root search supports degrees 2 and 3, got %s"
+                             % ("degree %d" % (len(cs) - 1) if cs else "the zero polynomial"))
         return cs
 
 

@@ -394,9 +394,10 @@ def _residual_text(residual: AlgebraElement) -> str:
 
 
 def _int_form(elem: AlgebraElement):
-    """The one form of a homogeneous element as (torsion, l, ints), its
-    coefficients cleared of denominators, or None for zero."""
-    for (tor, l), (ints, _) in elem._ints().items():
+    """The one form of a homogeneous element as (torsion, l, ints), the ints
+    of its int form (over Q the coefficients times the lcm of their
+    denominators), or None for zero."""
+    for (tor, l), (ints, _) in elem.ints.items():
         return tor, l, ints
     return None
 
@@ -502,7 +503,7 @@ class AlgebraHom:
         """phi(x_j) as forms, all read at the first head made from them:
         the first inhomogeneous image raises there."""
         for j, im in enumerate(self.gen_images):
-            if len(im.forms) > 1:
+            if len(im.ints) > 1:
                 raise GradednessError("image of generator %d is inhomogeneous" % (j + 1))
         return tuple(map(_int_form, self.gen_images))
 

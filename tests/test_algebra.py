@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import as_elements, reference_power, reference_product, reference_reduce
-from wpline import (CoordinateAlgebra, Fp, PrimeField, RationalField,
+from wpline import (CoordinateAlgebra, Fp, PrimeField, RationalField, builtin_case,
                     builtin_group_hom)
 
 Q = RationalField()
@@ -29,10 +30,12 @@ def s2222():
 
 
 class TestConstruction:
-    def test_tail_params_get_normalized_prefix(self):
-        a = CoordinateAlgebra((2, 2, 2, 2), Q, [-1])
-        b = CoordinateAlgebra((2, 2, 2, 2), Q, [1, -1])
-        assert a == b
+    def test_tail_params_alone_are_refused(self):
+        """The parameters are all t - 2 of them, the leading 1 included."""
+        with pytest.raises(ValueError, match="expected 2 parameters for 4 weights, got 1"):
+            CoordinateAlgebra((2, 2, 2, 2), Q, [-1])
+        with pytest.raises(ValueError, match="expected 1 parameter for 3 weights, got 0"):
+            CoordinateAlgebra((4, 4, 2), Q, [])
 
     def test_first_param_must_be_one(self):
         with pytest.raises(ValueError):
@@ -297,8 +300,8 @@ def test_arithmetic_matches_the_rewriting_oracle(data):
 
 def test_products_over_a_prime_field_leave_residue_arithmetic_out(monkeypatch):
     """Over F_q a product multiplies the residues' int values (one Kronecker
-    product per pair of forms, carried mod q) and wraps each coefficient in
-    ``Fp`` once, so with every ``*`` and ``+`` of ``Fp`` raising, products
+    product per pair of forms, carried mod q) and keeps them as ints, so
+    with every ``*`` and ``+`` of ``Fp`` raising, products
     and powers still run and equal the elements of the rewriting oracle's
     terms.  The elements span several degrees, so their products collide in
     a degree, and (x1 + x2)(x1 - x2) cancels its form at x1 x2."""
@@ -327,7 +330,7 @@ def test_products_over_a_prime_field_leave_residue_arithmetic_out(monkeypatch):
 
 def test_building_over_a_prime_field_leaves_residue_arithmetic_out(monkeypatch):
     """Over F_q an element is built on the coefficients' int values (each
-    monomial scaled once and carried mod q) and wrapped in ``Fp`` once, so
+    monomial scaled once and carried mod q) and kept as ints, so
     with every ``*``, ``/``, ``+`` and ``-`` of ``Fp`` raising, elements and
     reduced monomials still build and give the rewriting oracle's terms.
     Exponents reach three times each weight, so every generator carries,
@@ -353,7 +356,7 @@ def test_building_over_a_prime_field_leaves_residue_arithmetic_out(monkeypatch):
            for alg, terms, mono in cases]
     monkeypatch.undo()
     assert [(a.terms, b.terms) for a, b in got] == want
-    assert all(a.forms and b.forms for a, b in got)
+    assert all(a.ints and b.ints for a, b in got)
 
 
 # -- products on integer forms -------------------------------------------------
@@ -461,14 +464,85 @@ def test_powers_take_square_and_multiply_products(monkeypatch, field, n):
     assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
 
 
+def _value_forms(e) -> dict:
+    """The element's value read from its terms, as (torsion, l) -> the l + 1
+    coefficients of U^a V^(l-a)."""
+    alg = e.algebra
+    p1, p2 = alg.weights.weights[:2]
+    out = {}
+    for exps, c in e.terms.items():
+        a, b = divmod(exps[0], p1), divmod(exps[1], p2)
+        key = ((a[1], b[1]) + exps[2:], a[0] + b[0])
+        out.setdefault(key, [alg.field.zero] * (key[1] + 1))[a[0]] = c
+    return out
+
+
 @pytest.mark.parametrize("field", [Q, F7, BIG], ids=["Q", "F7", "F_2^61-1"])
-def test_kept_int_forms_are_the_forms_read_again(field):
-    """An element keeps its int form: the one it was built from over F_q,
-    the one made on first use over Q.  It equals the int form read afresh
-    from the element's coefficients, and a second read returns it as kept."""
+def test_elements_are_int_forms_in_lowest_terms(field):
+    """Each form of an element is (ints, scale): the scale is the lcm of its
+    coefficients' denominators and the ints are the coefficients times it,
+    so over F_q ints in [0, q) and scale 1, over Q a positive scale prime
+    to the ints.  So elements of equal value, made by different routes,
+    are equal."""
     alg = CoordinateAlgebra((2, 2, 2, 2), field, [1, 3])
     x = alg.element([(2, (3, 0, 1, 0)), (-1, (1, 2, 1, 0)), (5, (0, 4, 0, 1))])
-    y = alg.element([(Fraction(1, 3) if field == Q else 4, (0, 1, 3, 0))])
-    for e in (x, y, x * y, x ** 3, y ** 2 * x, x + y, 3 * x, -y):
-        kept = e._ints()
-        assert kept == type(e)(alg, e.forms)._ints() and e._ints() is kept
+    y = alg.element([(Fraction(1, 3) if field == Q else 4, (0, 1, 3, 0)),
+                     (Fraction(-5, 6), (2, 1, 1, 0))])
+    z = alg.element([(Fraction(4, 9), (1, 1, 0, 1)), (Fraction(2, 3), (3, 1, 0, 1))])
+    two_thirds = Fraction(2, 3)
+    made = (x, y, z, x * y, y * z, x ** 3, z ** 4, y ** 2 * x, x + y, y - z, x - y, -y, -z,
+            3 * x, z * 6, x * two_thirds, two_thirds * y, Fraction(-9, 4) * z, z + z,
+            y * Fraction(3, 5))
+    for e in made:
+        forms = _value_forms(e)
+        assert forms and set(forms) == set(e.ints)
+        for key, (ints, scale) in e.ints.items():
+            den = math.lcm(*[c.denominator for c in forms[key]])
+            assert scale == den and ints == [(c * den).numerator for c in forms[key]], key
+            if isinstance(field, PrimeField):
+                assert scale == 1 and all(0 <= c < field.q for c in ints)
+            else:
+                assert scale > 0 and math.gcd(scale, *ints) == 1
+    assert (x * two_thirds) * Fraction(3, 2) == x and two_thirds * (Fraction(3, 2) * z) == z
+    assert (x + y) - y == x and (y - z) + z == y and -(-z) == z
+    assert z * 6 == z + z + z + z + z + z and (z + z).ints == (2 * z).ints
+    assert x * y == y * x and z ** 4 == (z * z) * (z * z) and y ** 2 * x == y * (x * y)
+    assert (x - x).is_zero() and (z - z) == alg.zero and (z * 0) == alg.zero
+    assert 9 * z == alg.element([(4, (1, 1, 0, 1)), (6, (3, 1, 0, 1))])
+
+
+#: the cases on F_7 and Q where their constants exist; C has no root of -1 in
+#: either, so it runs on F_5
+GUARD_CASES = [("A", Q), ("A", F7), ("B", F7), ("C", PrimeField(5)), ("D", Q), ("D", F7)]
+
+
+def test_arithmetic_and_verification_make_no_coefficient_objects(monkeypatch):
+    """Elements are int forms: with ``Fp`` and ``Fraction`` of the algebra
+    module raising, element arithmetic over F_7 and Q, the built-in cases'
+    algebra maps and their windows of 8 still run, to the same elements and
+    reports.  Only ``terms`` and the text of an element make them."""
+    from wpline import algebra
+
+    def run():
+        out = []
+        for field in (F7, Q):
+            alg = CoordinateAlgebra((2, 2, 2, 2), field, [1, 3])
+            x = alg.element([(2, (3, 0, 1, 0)), (Fraction(-1, 2), (1, 2, 1, 0))])
+            y = alg.reduce_monomial((0, 1, 3, 0), Fraction(5, 3))
+            out.append([x * y, x ** 4, x + y, x - y, -x, Fraction(3, 4) * y, y * 2,
+                        (x + y) * (x - y) == x * x - y * y, alg.gens, alg.one + alg.zero])
+        for cid, field in GUARD_CASES:
+            spec = builtin_case(cid, field, lam=-3 if cid == "D" else None)
+            out.append(spec.algebra_hom.verify_window(8).to_report(cid))
+        return out
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an element made a coefficient object")
+
+    monkeypatch.setattr(algebra, "Fp", refuse)
+    monkeypatch.setattr(algebra, "Fraction", refuse)
+    assert run() == want
+    with pytest.raises(AssertionError, match="coefficient object"):
+        CoordinateAlgebra((2, 3), F7).gens[0].terms

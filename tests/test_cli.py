@@ -155,6 +155,11 @@ class TestAlgebraCommands:
         assert code == 0
         assert out.splitlines() == ["-2 0", "-1 0", "0 1", "1 2", "2 3"]
 
+    def test_hilbert_bad_torsion_exit_2(self, capsys):
+        code, out, err = run(capsys, "algebra", "hilbert", "--weights", "6,3,2", "--lmin", "0",
+                             "--lmax", "2", "--torsion", "1,x")
+        assert (code, out, err) == (2, "", "error: bad --torsion value '1,x'\n")
+
     def test_hilbert_range_is_capped(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-m", "wpline", "algebra", "hilbert", "--weights",
@@ -808,6 +813,28 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed verification config: document: expected a "
                               "JSON object, got [")
+
+    @pytest.mark.parametrize("side,alg,message", [
+        ("target", {"weights": [2, 2, 2, 2], "params": ["1"]},
+         "2 parameters for 4 weights, got 1"),
+        ("source", {"weights": [4, 4, 2], "params": []}, "1 parameter for 3 weights, got 0"),
+    ], ids=["tail-only", "none"])
+    def test_short_params_exit_2(self, capsys, tmp_path, side, alg, message):
+        """An algebra's params are all t - 2 normalized parameters, the
+        leading 1 included."""
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(CASE_A_CONFIG, **{side: alg})))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: expected %s\n" % message)
+
+    @pytest.mark.parametrize("poly", [["0"], [], ["0", "0", "0"]])
+    def test_zero_root_polynomial_exit_2(self, capsys, tmp_path, poly):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(dict(CASE_C_CONFIG, constants=dict(CASE_C_CONFIG["constants"],
+                                                                      i=poly))))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: root search supports degrees 2 and 3, got the zero polynomial\n"
 
     def test_field_may_be_a_json_integer(self, capsys, tmp_path):
         path = tmp_path / "field.json"

@@ -88,7 +88,9 @@ def _head_terms(hom, form, field):
     if form is None:
         return {}
     tor, l, coeffs = form
-    return AlgebraElement(hom.target, {(tor, l): [field(c) for c in coeffs]}).terms
+    p1, p2 = hom.target.weights.weights[:2]
+    return {(a * p1 + tor[0], (l - a) * p2 + tor[1]) + tor[2:]: c
+            for a, c in enumerate(map(field, coeffs)) if c}
 
 
 @pytest.mark.parametrize("cid", ["A", "B", "C", "D"])
