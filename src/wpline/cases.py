@@ -166,13 +166,15 @@ def resolve_constants(case_id: str, field: Field, lam=None,
 
 
 def find_admissible_primes(case, count: int = 3, lam=None) -> list[int]:
-    """Smallest primes in PRIME_SCAN whose fields resolve the case constants."""
+    """Smallest primes in PRIME_SCAN whose fields resolve the case constants.
+    An unset lambda fails alike on every prime: its InvalidLambda propagates."""
     cfg = case_config(case) if isinstance(case, str) else case
+    skip = ConstantUnavailable if lam is None else (ConstantUnavailable, InvalidLambda)
     found = []
     for q in primes(*PRIME_SCAN):
         try:
             cfg.resolve(PrimeField(q), lam)
-        except (ConstantUnavailable, InvalidLambda):
+        except skip:
             continue
         found.append(q)
         if len(found) >= count:

@@ -116,7 +116,8 @@ class VerifyConfig(NamedTuple):
 
     A constant is either a root, given by the ascending coefficient list of
     its polynomial (degree 2 or 3), or a derived value, given by one
-    expression.  The name ``lambda`` is bound from the command line.
+    expression.  The name ``lambda`` is bound from the command line, and no
+    constant may take it.
     """
 
     source_weights: tuple[int, ...]
@@ -136,6 +137,8 @@ class VerifyConfig(NamedTuple):
             source = _json(data["source"], dict, "source")
             target = _json(data["target"], dict, "target")
             constants = _json(data.get("constants", {}), dict, "constants")
+            if "lambda" in constants:
+                raise ValueError("constant name 'lambda' is reserved; lambda is bound by --lambda")
             return cls(
                 source_weights=_each(source["weights"], "weights", _int),
                 source_params=_each(source.get("params", []), "params", _expr),

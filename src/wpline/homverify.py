@@ -175,58 +175,41 @@ class DegreeRecord(NamedTuple):
 #: a record at its indent in json.dumps(report, sort_keys=True, indent=2) is
 #: static text around slots: _OPEN l ";torsion" _FIBER offset ";r" (_FIBER_SEP
 #: offset ";r")... _COUNTS[0] image_rank _COUNTS[1] pass _COUNTS[2] source_dim
-#: _COUNTS[3] target_dim _CLOSE, with the fiber levels offset + shift
+#: _COUNTS[3] target_dim _CLOSE, with the fiber levels offset + shift, and the
+#: records of a level are joined by _NEXT
 _OPEN = '    {\n      "degree": "'
 _FIBER = '",\n      "fiber": [\n        "'
 _FIBER_SEP = '",\n        "'
 _COUNTS = ('"\n      ],\n      "image_rank": ', ',\n      "pass": ', ',\n      "source_dim": ',
            ',\n      "target_dim": ')
 _CLOSE = '\n    }'
-#: the parts of a record after its image_rank slot
-_TAIL = (_COUNTS[1], None, _COUNTS[2], None, _COUNTS[3], None, _CLOSE)
-#: between two records
 _NEXT = _CLOSE + ",\n" + _OPEN
-#: the records of a report are written in blocks of at least this many texts,
-#: each a plain level or one record, ending at a level
+#: the records of a report are written in blocks of at least this many
+#: levels, each one text
 REPORT_BLOCK = 256
 
 
-def _template(torsion: tuple, pairs: tuple, degrees: dict,
-              fibers: dict) -> tuple[list, list[int]]:
-    """The records of one entry (torsion, pairs) of the period table as
-    (parts, offsets): the static text of a record with a None at each of
-    its slots, parts[1::2], and the level offset of each pair, the fiber
-    slots in order.  ``degrees`` and ``fibers`` cache the static text after
-    the level of each torsion and after the fiber level of each residue."""
-    text = degrees.get(torsion)
-    if text is None:
-        text = degrees[torsion] = ";" + ",".join(map(str, torsion)) + _FIBER
-    parts = [_OPEN, None, text]
-    for _, r in pairs:
-        text = fibers.get(r)
-        if text is None:
-            text = fibers[r] = ";" + ",".join(map(str, r)) + _FIBER_SEP
-        parts += (None, text)
-    parts[-1] = parts[-1][:-len(_FIBER_SEP)] + _COUNTS[0]
-    parts += (None, *_TAIL)
-    return parts, [off for off, _ in pairs]
-
-
-def _plain(templates: list[tuple]) -> tuple[list, itemgetter, list[int]]:
-    """The records of a plain level of a class of the period table, the
-    templates of its entries joined by ",\n", as (parts, pick, offsets):
+def _template(classes: list) -> tuple[list, itemgetter, list[int], list[list[int]]]:
+    """The records of one class of the period table, its entries (torsion,
+    pairs), as (parts, pick, offsets, offs): parts is the static text of
+    all the records with a None at each slot, parts[1::2]; on a plain level
     parts[1::2] = pick([l, mult, "true", *(off + shift for off in offsets)])
-    fills in its slots, ``offsets`` the distinct level offsets of the class,
-    sorted."""
-    offsets = sorted({off for _, offs in templates for off in offs})
+    fills them, ``offsets`` the distinct level offsets of the class, sorted;
+    ``offs`` holds the level offsets of each entry, its fiber slots in order."""
+    offs = [[off for off, _ in pairs] for _, pairs in classes]
+    offsets = sorted({off for o in offs for off in o})
     slot = {off: i for i, off in enumerate(offsets, 3)}
-    parts, slots = [_OPEN], []
-    for record, offs in templates:
-        parts += record[1:-1]
-        parts.append(_NEXT)
-        slots += [0, *map(slot.__getitem__, offs), 1, 2, 1, 1]
-    parts[-1] = _CLOSE
-    return parts, itemgetter(*slots), offsets
+    parts, slots = [], []
+    for (tor, pairs), o in zip(classes, offs):
+        parts += (_NEXT, None, ";" + ",".join(map(str, tor)) + _FIBER)
+        for _, r in pairs:
+            parts += (None, ";" + ",".join(map(str, r)) + _FIBER_SEP)
+        parts[-1] = parts[-1][:-len(_FIBER_SEP)] + _COUNTS[0]
+        parts += (None, _COUNTS[1], None, _COUNTS[2], None, _COUNTS[3], None)
+        slots += [0, *map(slot.__getitem__, o), 1, 2, 1, 1]
+    parts[0] = _OPEN
+    parts.append(_CLOSE)
+    return parts, itemgetter(*slots), offsets, offs
 
 
 class VerificationResult:
@@ -313,11 +296,11 @@ class VerificationResult:
 
         Every key but the records goes through json.dumps, and the records
         go in at its one top-level ``"records": []``: a JSON string holds no
-        raw newline, and nested keys sit deeper than two spaces.  Each entry
-        of the period table gets one ``_template``, and each class its
-        ``_plain`` join of them, on first use, keyed by identity.  A plain
-        level (see ``_levels``) fills its class's join; any other level
-        fills the template of each of its records with its counts."""
+        raw newline, and nested keys sit deeper than two spaces.  Each class
+        of the period table gets one ``_template`` on first use, keyed by
+        identity, and each level is one fill of its class's template and one
+        join: a plain level (see ``_levels``) fills it by ``pick``, any other
+        level with the offsets and counts of each of its records."""
         report = {
             "case": case,
             "field": field_name,
@@ -335,25 +318,23 @@ class VerificationResult:
         write = stream.write
         head, _, tail = text.partition('\n  "records": []')
         sep = opening = head + '\n  "records": [\n'
-        block, cache, degrees, fibers = [], {}, {}, {}
+        block, cache = [], {}
         for l, shift, classes, counts in self._levels():
-            cached = cache.get(id(classes))  # the class's templates, and its plain filler
+            cached = cache.get(id(classes))
             if cached is None:
-                cached = cache[id(classes)] = [[_template(*cls, degrees, fibers)
-                                                for cls in classes], None]
+                cached = cache[id(classes)] = _template(classes)
+            parts, pick, offsets, offs = cached
             level = str(l)
             if counts is None:
-                if cached[1] is None:
-                    cached[1] = _plain(cached[0])
-                parts, pick, offsets = cached[1]
                 parts[1::2] = pick([level, str(max(l + 1, 0)), "true",
                                     *map(str, map(shift.__add__, offsets))])
-                block.append("".join(parts))
             else:
-                for (parts, offs), (s, t, rank) in zip(cached[0], counts):
-                    parts[1::2] = [level, *map(str, map(shift.__add__, offs)), str(rank),
-                                   "true" if s == t == rank else "false", str(s), str(t)]
-                    block.append("".join(parts))
+                values = []
+                for o, (s, t, rank) in zip(offs, counts):
+                    values += (level, *map(str, map(shift.__add__, o)), str(rank),
+                               "true" if s == t == rank else "false", str(s), str(t))
+                parts[1::2] = values
+            block.append("".join(parts))
             if len(block) >= REPORT_BLOCK:
                 write(sep)
                 write(",\n".join(block))

@@ -15,6 +15,7 @@ import pytest
 from maps import CONFIG_FAIL
 from wpline import (GroupHom, PrimeField, RationalField, VerifyConfig, builtin_case,
                     builtin_group_hom, parse_scalar)
+from wpline.cases import case_config
 from wpline.field import field_from_spec
 from wpline.cli import main
 
@@ -415,6 +416,13 @@ class TestVerifyCommand:
         assert err == ("error: no prime in [5, 1000] resolves the constants of case D "
                        "(try another prime, or --auto-prime)\n")
 
+    def test_auto_prime_without_lambda_names_lambda(self, capsys):
+        # an unset lambda is the same on every prime: the error of one field
+        code, out, err = run(capsys, "verify", "--case", "D", "--auto-prime")
+        assert (code, out) == (2, "")
+        assert err == "error: the constant lambda is unset (pass --lambda)\n"
+        assert run(capsys, "verify", "--case", "D", "--field", "7") == (code, out, err)
+
     def test_lambda_with_zero_denominator_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "--case", "D", "--field", "rationals",
                              "--lambda", "1/0")
@@ -569,6 +577,19 @@ class TestConfig:
         assert code == 0
         report = json.loads(out)
         assert report["case"] == "custom" and report["summary"] == "pass"
+
+    def test_constant_named_lambda_exit_2(self, capsys, tmp_path):
+        # it would override --lambda: case D over F_7 has no root at lambda = 3
+        doc = case_config("D").to_dict()
+        doc.update(field="7", constants={"lambda": "-1", **doc["constants"]})
+        path = tmp_path / "caseD.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--config", str(path), "--lambda", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: constant name 'lambda' is reserved; lambda is bound by "
+                       "--lambda\n")
+        code, out, err = run(capsys, "verify", "--case", "D", "--field", "7", "--lambda", "3")
+        assert (code, out) == (2, "") and err.startswith("error: no square root of -(lambda - 1)")
 
     def test_config_with_constants(self, capsys, tmp_path):
         cfg = {

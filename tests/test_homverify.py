@@ -432,8 +432,7 @@ class _Writes(list):
 def test_zero_image_report_streams_in_blocks_of_levels(monkeypatch, block):
     """Demo 04's zero-image map fails at window 40, on eliminated and plain
     levels alike.  Written to a stream, its report comes in blocks of at
-    least ``block`` texts (a plain level or one record each) between the
-    head and the tail, and the writes join to the text to_report returns,
+    least ``block`` texts (one level each) between the head and the tail, and the writes join to the text to_report returns,
     which is the reference dump."""
     spec = builtin_case("A", Q)
     target = spec.algebra_hom.target
@@ -457,3 +456,21 @@ def test_zero_image_report_streams_in_blocks_of_levels(monkeypatch, block):
     stream = io.StringIO()
     result.to_report("A", "rationals", out=stream)
     assert stream.getvalue() == text
+
+
+def test_one_template_per_class_writes_the_report(monkeypatch):
+    """Demo 04's zero-image report at window 40 is made from one
+    ``_template`` per class of the period table, on its plain and other
+    levels alike, and is the reference dump."""
+    spec = builtin_case("A", Q)
+    target = spec.algebra_hom.target
+    x1, x2, _, _ = target.gens
+    result = AlgebraHom.unchecked(spec.algebra_hom.source, target, spec.group_hom,
+                                  [x1, x2, target.zero]).verify_window(40)
+    calls = []
+    template = homverify._template
+    monkeypatch.setattr(homverify, "_template", lambda *a: calls.append(a) or template(*a))
+    text = result.to_report("A", "rationals")
+    assert text == reference_report(result, "A", "rationals")
+    classes = {id(c) for _, _, c in result.fibers.levels()}
+    assert len(calls) == len(classes) < len(result.records)
