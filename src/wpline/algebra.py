@@ -173,19 +173,16 @@ class CoordinateAlgebra:
         monos = []
         for coeff, exps in terms:
             e = tuple(int(a) for a in exps)
-            if len(e) != len(self.weights) or any(a < 0 for a in e):
-                raise ValueError("bad exponent vector %r" % (e,))
+            if len(e) != len(self.weights):
+                raise ValueError("exponent vector %r has wrong length" % (e,))
+            if any(a < 0 for a in e):
+                raise ValueError("exponents must be nonnegative, got %r" % (e,))
             monos.append((self.field(coeff), e))
         return self._build(monos)
 
     def reduce_monomial(self, exps, coeff=1) -> "AlgebraElement":
         """The canonical form of coeff * X^exps."""
-        e = tuple(int(a) for a in exps)
-        if len(e) != len(self.weights):
-            raise ValueError("exponent vector has wrong length")
-        if any(a < 0 for a in e):
-            raise ValueError("exponents must be nonnegative")
-        return self._build([(self.field(coeff), e)])
+        return self.element([(coeff, exps)])
 
     def _build(self, monos: list) -> "AlgebraElement":
         """The sum of c X^e over (c, e) in ``monos``: each is the int form of

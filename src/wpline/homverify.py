@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .algebra import AlgebraElement, CoordinateAlgebra, carry
 from .field import _poly_mul, digits_digest
 from .stringgroup import (AdmissibilityReport, GroupElement, GroupHom, WeightSequence,
-                          WindowFibers, _sort_key)
+                          WindowFibers)
 
 
 class GradednessError(ValueError):
@@ -591,7 +591,7 @@ class AlgebraHom:
         """Pool the images of all source component bases over the fiber of x
         and measure their rank inside the target component of x."""
         if fiber is None:
-            fiber = tuple(sorted(self.group_hom.fiber(x), key=_sort_key))
+            fiber = self.group_hom.fiber(x)
         cols = len(self.target.component_basis(x))
         rows = self._rows(x, fiber, cols)
         rank = row_rank(rows, self.rank_modulus)

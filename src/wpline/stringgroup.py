@@ -243,14 +243,6 @@ class GroupElement:
                           for p, v in zip(self.weights.weights, self.torsion)))
 
 
-def _sort_key(e: GroupElement) -> tuple:
-    return (e.l, e.torsion)
-
-
-def _kernel_sort_key(e: GroupElement) -> tuple:
-    return (not e.is_zero(), e.l, e.torsion)
-
-
 class AdmissibilityReport(NamedTuple):
     """Outcome of the effectiveness and fiber mult-sum checks on a window.
 
@@ -391,11 +383,13 @@ class GroupHom:
                 out.append((l, r))
         return out
 
-    def fiber(self, x: GroupElement) -> set[GroupElement]:
-        """The complete preimage of x; empty when x is outside the image."""
+    def fiber(self, x: GroupElement) -> tuple[GroupElement, ...]:
+        """The complete preimage of x, ordered by (l, torsion); empty when x
+        is outside the image."""
         if x.weights != self.target:
             raise ValueError("element does not belong to the target group")
-        return {GroupElement(self.source, l, r) for l, r in self._fiber(x.l, x.torsion)}
+        return tuple(GroupElement(self.source, l, r)
+                     for l, r in sorted(self._fiber(x.l, x.torsion)))
 
     @cached_property
     def _kernel(self) -> tuple[GroupElement, ...]:
@@ -412,8 +406,9 @@ class GroupHom:
         return tuple(GroupElement(self.source, l, r)
                      for l, r in sorted(pairs, key=lambda y: (y != first, y)))
 
-    def kernel(self) -> set[GroupElement]:
-        return set(self._kernel)
+    def kernel(self) -> tuple[GroupElement, ...]:
+        """The fiber of zero: zero first, then ordered by (l, torsion)."""
+        return self._kernel
 
     @cached_property
     def _classes(self) -> tuple[int, int, dict]:
@@ -474,10 +469,8 @@ class GroupHom:
             raise ValueError("window must be at least 1")
         n, m, by_class = self._classes
         failures = []
-        checked = 0
         for c, classes in by_class.items():
             ks = _levels_of_class(c, m, window)
-            checked += len(classes) * len(ks)
             if not ks:
                 continue
             # mult(L) is L + 1 from this k on (m > 0), or before it (m < 0)
@@ -499,7 +492,7 @@ class GroupHom:
         return AdmissibilityReport(
             effective=self.is_effective(),
             window=window,
-            checked=checked,
+            checked=len(WindowFibers(self._classes, window)),
             failures=tuple((GroupElement(self.target, l, tor), total, want)
                            for l, tor, total, want in failures),
             kernel=self._kernel,

@@ -29,7 +29,13 @@ from wpline import Fp, GradednessError, PrimeField, RationalField
 from wpline.field import _pack, _slot_bits, _unpack
 from wpline.homverify import DegreeRecord
 from wpline.stringgroup import (AdmissibilityReport, GroupElement, InfiniteFiberError,
-                                _ceil_div, _sort_key)
+                                _ceil_div)
+
+
+def element_key(e):
+    """(l, torsion): the order of the elements of a fiber, and of the
+    degrees of a window."""
+    return e.l, e.torsion
 
 
 def reference_rank(rows, zero):
@@ -252,7 +258,7 @@ def reference_window_fibers(group_hom, window):
             img = tgt.normalize(l * cl + hl, tuple(l * a + b for a, b in zip(ct, ht)))
             if -window <= img.l <= window:
                 buckets.setdefault(img, []).append(GroupElement(group_hom.source, l, r))
-    return {x: tuple(sorted(ys, key=_sort_key)) for x, ys in buckets.items()}
+    return {x: tuple(sorted(ys, key=element_key)) for x, ys in buckets.items()}
 
 
 def reference_fiber(group_hom, x):
@@ -278,7 +284,7 @@ def reference_admissibility(group_hom, window):
     buckets = reference_window_fibers(group_hom, window)
     failures = []
     edge_ok = True
-    for x in sorted(buckets, key=_sort_key):
+    for x in sorted(buckets, key=element_key):
         fib = buckets[x]
         total = sum(y.mult() for y in fib)
         if total != x.mult():
@@ -287,11 +293,15 @@ def reference_admissibility(group_hom, window):
             edge_ok = False
         if x.l == -window and (x.mult() != 0 or any(y.mult() != 0 for y in fib)):
             edge_ok = False
-    kernel = tuple(sorted(reference_fiber(group_hom, group_hom.target.zero()),
-                          key=lambda e: (not e.is_zero(), e.l, e.torsion)))
     return AdmissibilityReport(effective=group_hom.is_effective(), window=window,
-                               checked=len(buckets), failures=tuple(failures), kernel=kernel,
-                               edge_regime_ok=edge_ok)
+                               checked=len(buckets), failures=tuple(failures),
+                               kernel=reference_kernel(group_hom), edge_regime_ok=edge_ok)
+
+
+def reference_kernel(group_hom):
+    """The fiber of zero, zero first and then by ``element_key``."""
+    return tuple(sorted(reference_fiber(group_hom, group_hom.target.zero()),
+                        key=lambda e: (not e.is_zero(), *element_key(e))))
 
 
 def reference_records(hom, window):
@@ -299,7 +309,7 @@ def reference_records(hom, window):
     buckets = reference_window_fibers(hom.group_hom, window)
     powers = {}
     return [reference_record(hom, x, buckets[x], powers).as_dict()
-            for x in sorted(buckets, key=_sort_key)]
+            for x in sorted(buckets, key=element_key)]
 
 
 def reference_report(result, case="custom", field_name="", constants=None, extra=None):

@@ -150,6 +150,23 @@ class TestAlgebraCommands:
                            "--monomial", "0,0,2")
         assert code == 0 and out.strip() == "z2^4 - z1^4"
 
+    @pytest.mark.parametrize("exps,message", [
+        ([1, 0], "exponent vector (1, 0) has wrong length"),
+        ([1, -1, 0], "exponents must be nonnegative, got (1, -1, 0)"),
+    ], ids=["short", "negative"])
+    def test_bad_exponent_vector_exit_2(self, capsys, tmp_path, exps, message):
+        """``algebra reduce`` and a config's phi term check an exponent
+        vector alike, and name it."""
+        code, out, err = run(capsys, "algebra", "reduce", "--weights", "3,3,3",
+                             "--monomial", ",".join(map(str, exps)))
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+        cfg = copy.deepcopy(CASE_C_CONFIG)
+        cfg["phi"][0] = [["1", exps]]
+        path = tmp_path / "exps.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
     def test_hilbert(self, capsys):
         code, out, _ = run(capsys, "algebra", "hilbert", "--weights", "6,3,2",
                            "--lmin", "-2", "--lmax", "2")
