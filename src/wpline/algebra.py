@@ -19,9 +19,10 @@ a tracked denominator: Geddes, Czapor and Labahn, Algorithms for Computer
 Algebra, 1992): over F_q a form is its residues' ints mod q, over Q integer
 coefficients and a positive scale, the form ints / scale, and a carry by
 lam_i = num/den is by den V - num U and multiplies the scale by den.
-:func:`_times` is the one product of such forms.  An element is its int form
-in lowest terms; only its ``terms`` (and so its text) are ``Fp`` or
-``Fraction`` objects.
+:func:`_times` is the one product of such forms; an element built from
+exponent vectors takes no product, only one ``carry`` per monomial.  An
+element is its int form in lowest terms; only its ``terms`` (and so its
+text) are ``Fp`` or ``Fraction`` objects.
 """
 
 from __future__ import annotations
@@ -185,8 +186,9 @@ class CoordinateAlgebra:
         return self.element([(coeff, exps)])
 
     def _build(self, monos: list) -> "AlgebraElement":
-        """The sum of c X^e over (c, e) in ``monos``: each is the int form of
-        c times 1, carried by ``_times`` from the raw exponent e."""
+        """The sum of c X^e over (c, e) in ``monos``: each is one ``carry``
+        of the form [numerator of c] from the raw exponent e, at level 0,
+        added into the sum over the scale times the denominator of c."""
         ws, q = self.weights.weights, self.modulus
         units = [1 if q else -(-(n.bit_length() + d.bit_length()) // CARRY_BITS)
                  for d, n in self.int_pairs]
@@ -198,9 +200,9 @@ class CoordinateAlgebra:
                              "%d levels or %d carries an element is built with"
                              % (level, carries, MAX_LEVEL, MAX_CARRIES))
         out: dict = {}
-        unit = {((0,) * len(ws), 0): ([1], 1)}
         for c, e in monos:
-            _times(self, {(e, 0): ([c.numerator], c.denominator)}, unit, out)
+            tor, l, ints, scale = carry(e, 0, [c.numerator], ws, self.int_pairs, q)
+            _add(out, (tor, l), ints, scale * c.denominator, q)
         return AlgebraElement(self, out)
 
     # -- grading -------------------------------------------------------------

@@ -103,6 +103,10 @@ def _atom(ctx, i):
 _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(\S))")
 
 
+#: a character that ``_tokenize`` refuses: neither space, word nor operator
+_BAD_CHAR = re.compile(r"[^\s\w+\-*/^()]")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, str]]:
     tokens = _TOKEN.findall(text)
     for _, _, op in tokens:
@@ -182,7 +186,8 @@ class VerifyConfig(NamedTuple):
             fh.write("\n")
 
     def resolve(self, field: Field, lam=None, root_pick: str = "smallest") -> dict:
-        """Bind ``lambda`` (if the document uses it) and then every constant,
+        """Bind ``lambda`` (if the document uses it; a string ``lam`` is an
+        expression, read by ``parse_scalar``) and then every constant,
         depth-first in order: the roots of each are tried smallest first (or
         largest first) until all later constants resolve too."""
         if root_pick not in ("smallest", "largest"):
@@ -190,10 +195,13 @@ class VerifyConfig(NamedTuple):
         env: dict = {}
         texts = [*self.source_params, *self.target_params, *(c for g in self.phi for c, _ in g),
                  *(c for v in self.constants.values() for c in ([v] if isinstance(v, str) else v))]
-        if any(("", "lambda", "") in _tokenize(t) for t in texts):
+        # a text names lambda only if it holds the substring; one with a bad
+        # character is tokenized too, for _tokenize's error
+        if any(("lambda" in t or _BAD_CHAR.search(t)) and ("", "lambda", "") in _tokenize(t)
+               for t in texts):
             if lam is None:
                 raise InvalidLambda("the constant lambda is unset (pass --lambda)")
-            env["lambda"] = field(lam)
+            env["lambda"] = parse_scalar(lam, field) if isinstance(lam, str) else field(lam)
             if env["lambda"] in (field.zero, field.one):
                 raise InvalidLambda("lambda must avoid 0 and 1")
         items = list(self.constants.items())

@@ -17,6 +17,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from functools import cached_property
 
 
 class ConstantUnavailable(ValueError):
@@ -168,12 +169,14 @@ class Field:
     def __call__(self, value):
         raise NotImplementedError
 
-    @property
+    @cached_property
     def zero(self):
+        """The field's 0, made once per field object."""
         return self(0)
 
-    @property
+    @cached_property
     def one(self):
+        """The field's 1, made once per field object."""
         return self(1)
 
     def roots(self, coeffs) -> list:
@@ -202,7 +205,9 @@ class RationalField(Field):
     name = "rationals"
 
     def __call__(self, value):
-        if isinstance(value, (Fraction, int, str)):
+        if isinstance(value, Fraction):  # immutable, so it passes through
+            return value
+        if isinstance(value, (int, str)):
             return Fraction(value)
         if isinstance(value, Fp):
             raise ValueError("cannot coerce a prime-field residue into the rationals")
@@ -218,15 +223,15 @@ class RationalField(Field):
         return "RationalField()"
 
     def roots(self, coeffs) -> list:
-        """Clear denominators, then substitute y = a_n x: the monic integer
-        polynomial P(y) = a_n^(n-1) f(y / a_n) has the integer roots a_n r
-        for the rational roots r of f.  Quadratics take an integer square
-        root of the discriminant; cubics bisect over the integers on each
-        piece where P is monotone."""
+        """Clear denominators on ints, then substitute y = a_n x: the monic
+        integer polynomial P(y) = a_n^(n-1) f(y / a_n) has the integer roots
+        a_n r for the rational roots r of f.  Quadratics take an integer
+        square root of the discriminant; cubics bisect over the integers on
+        each piece where P is monotone.  Each root found is checked on f."""
         cs = self._poly_coeffs(coeffs)
         n = len(cs) - 1
         den = math.lcm(*(c.denominator for c in cs))
-        ics = [int(c * den) for c in cs]
+        ics = [c.numerator * (den // c.denominator) for c in cs]
         a = ics[n]
         mon = [c * a ** (n - 1 - i) for i, c in enumerate(ics[:n])] + [1]
         ys = _int_roots_quadratic(mon) if n == 2 else _int_roots_cubic(mon)

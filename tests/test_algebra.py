@@ -334,7 +334,9 @@ def test_building_over_a_prime_field_leaves_residue_arithmetic_out(monkeypatch):
     with every ``*``, ``/``, ``+`` and ``-`` of ``Fp`` raising, elements and
     reduced monomials still build and give the rewriting oracle's terms.
     Exponents reach three times each weight, so every generator carries,
-    and repeated monomials collide in a form."""
+    and repeated monomials collide in a form.  Each monomial is one carry,
+    with no product of forms: ``_times`` raises too."""
+    from wpline import algebra
     rng = random.Random(11)
     cases = []
     for alg in ORACLE_ALGEBRAS:
@@ -352,6 +354,7 @@ def test_building_over_a_prime_field_leaves_residue_arithmetic_out(monkeypatch):
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__add__", "__radd__",
                  "__sub__", "__rsub__"):
         monkeypatch.setattr(Fp, name, refuse)
+    monkeypatch.setattr(algebra, "_times", refuse)
     got = [(alg.element(terms), alg.reduce_monomial(mono[1], mono[0]))
            for alg, terms, mono in cases]
     monkeypatch.undo()
@@ -417,7 +420,9 @@ def test_int_form_arithmetic_over_q_leaves_fraction_arithmetic_out(monkeypatch):
     with a scale and make each coefficient a ``Fraction`` once, by
     construction: with every arithmetic operator of ``Fraction`` raising,
     they still give the rewriting oracle's terms.  The parameters carry
-    denominators, and the elements span several degrees."""
+    denominators, and the elements span several degrees.  The elements are
+    built with no product of forms: ``_times`` raises while they are."""
+    from wpline import algebra
     rng = random.Random(13)
     cases = []
     for alg in ORACLE_ALGEBRAS + [CoordinateAlgebra((2, 2, 2, 2, 2), Q,
@@ -439,10 +444,11 @@ def test_int_form_arithmetic_over_q_leaves_fraction_arithmetic_out(monkeypatch):
                  "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
                  "__rpow__", "__neg__", "__abs__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    got = []
-    for alg, (ta, tb) in cases:
-        a, b = alg.element(ta), alg.element(tb)
-        got.append((a, b, a * b, a ** 5))
+    times = algebra._times
+    monkeypatch.setattr(algebra, "_times", refuse)
+    built = [(alg.element(ta), alg.element(tb)) for alg, (ta, tb) in cases]
+    monkeypatch.setattr(algebra, "_times", times)
+    got = [(a, b, a * b, a ** 5) for a, b in built]
     monkeypatch.undo()
     assert [tuple(e.terms for e in row) for row in got] == want
 

@@ -445,6 +445,14 @@ class TestVerifyCommand:
                              "--lambda", "1/0")
         assert code == 2 and out == "" and err.startswith("error: division by zero")
 
+    @pytest.mark.parametrize("field", [["--field", "rationals"], ["--field", "7"],
+                                       ["--auto-prime"]], ids=["Q", "F7", "auto-prime"])
+    def test_lambda_in_exponent_notation_exit_2(self, capsys, field):
+        # --lambda is an expression, like a config constant: no 10^100000 is made
+        code, out, err = run(capsys, "verify", "--case", "D", *field, "--lambda", "1e100000")
+        assert (code, out) == (2, "")
+        assert err == "error: trailing input in expression '1e100000'\n"
+
     def test_rational_lambda_over_a_prime_field(self, capsys):
         # 1/3 is 13 in F_19, and the report is the one of the residue
         code, out, err = run(capsys, "verify", "--case", "D", "--field", "19",
@@ -607,6 +615,16 @@ class TestConfig:
                        "--lambda\n")
         code, out, err = run(capsys, "verify", "--case", "D", "--field", "7", "--lambda", "3")
         assert (code, out) == (2, "") and err.startswith("error: no square root of -(lambda - 1)")
+
+    def test_bad_character_before_lambda_exit_2(self, capsys, tmp_path):
+        # the text is refused before an unset lambda is, as the parser reads it
+        doc = case_config("D").to_dict()
+        doc["source"]["params"][0] = "1 $"
+        path = tmp_path / "caseD.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected character '$' in expression '1 $'\n"
 
     def test_config_with_constants(self, capsys, tmp_path):
         cfg = {

@@ -12,6 +12,7 @@ from reference import reference_roots
 from wpline import (ConstantUnavailable, Fp, InvalidLambda, PrimeField,
                     RationalField, field_from_spec, is_prime, primes,
                     resolve_constants)
+from wpline import config
 from wpline.field import MILLER_RABIN_LIMIT, _gcd_roots, _sqrt_mod
 
 Q = RationalField()
@@ -41,6 +42,12 @@ class TestArithmetic:
             Fp(1, 7) + Fp(1, 5)
         with pytest.raises(TypeError):
             Fraction(1, 2) + Fp(1, 7)
+
+    def test_fractions_pass_through_and_constants_are_made_once(self):
+        x = Fraction(3, 4)
+        assert Q(x) is x
+        for field in (Q, F7):
+            assert field.zero is field.zero and field.one is field.one
 
     def test_fraction_coercion_into_prime_field(self):
         assert F7(Fraction(1, 2)) == F7(4)
@@ -112,7 +119,12 @@ class TestRootFinding:
 
 
 class TestConstants:
-    def test_case_a_needs_nothing(self):
+    def test_case_a_needs_nothing(self, monkeypatch):
+        # no text of case A holds the substring lambda, so none is tokenized
+        def refuse(text):
+            raise AssertionError("tokenized %r" % text)
+
+        monkeypatch.setattr(config, "_tokenize", refuse)
         assert resolve_constants("A", Q) == {}
 
     def test_case_b_mod_7(self):
