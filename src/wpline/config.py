@@ -29,7 +29,8 @@ def parse_scalar(text: str, field: Field, env: dict | None = None):
     | name | "(" sum ")".  Each rule is a module function of (ctx, i), with
     ctx = (tokens, text, field, env) and i the index of the next token, and
     returns (value, next index); positions in messages are token indices.
-    Over Q a power of more than 2^16 bits is refused."""
+    Over Q a power of more than 2^16 bits is refused, and so is the result
+    of any + - * / whose numerator and denominator pass 2^16 bits together."""
     tokens = _tokenize(text)
     tokens.append(_END)
     value, i = _sum((tokens, text, field, env or {}), 0)
@@ -47,7 +48,7 @@ def _sum(ctx, i):
     op = ctx[0][i][2]
     while op == "+" or op == "-":
         rhs, i = _product(ctx, i + 1)
-        node = node + rhs if op == "+" else node - rhs
+        node = _bounded(node + rhs if op == "+" else node - rhs, ctx)
         op = ctx[0][i][2]
     return node, i
 
@@ -57,9 +58,18 @@ def _product(ctx, i):
     op = ctx[0][i][2]
     while op == "*" or op == "/":
         rhs, i = _unary(ctx, i + 1)
-        node = node * rhs if op == "*" else node / rhs
+        node = _bounded(node * rhs if op == "*" else node / rhs, ctx)
         op = ctx[0][i][2]
     return node, i
+
+
+def _bounded(value, ctx):
+    """value, refused over Q when its numerator and denominator pass 2^16
+    bits together."""
+    if isinstance(ctx[2], RationalField) and (abs(value.numerator).bit_length()
+                                              + value.denominator.bit_length()) > 1 << 16:
+        raise ValueError("number too large in expression %r" % ctx[1])
+    return value
 
 
 def _unary(ctx, i):

@@ -9,8 +9,8 @@ element, and group homomorphisms with effectiveness, fiber, kernel and
 admissibility checks.  Those run on plain (l, torsion) int tuples and build
 ``GroupElement`` values only for what they return.  A group map's period
 table, built generator by generator with one normal form per entry, holds
-every fiber: windows of fibers, admissibility and the kernel are read off
-it.
+every fiber: single fibers, windows of fibers, admissibility and the kernel
+are all read off it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ class InfiniteFiberError(ValueError):
 _LETTERS = {(2, 2, 2, 2): "x", (3, 3, 3): "y", (4, 4, 2): "z", (6, 3, 2): "u"}
 
 
-#: the most source torsion residues a group map solves its fibers over
+#: the most source torsion residues, and the most period table entries, a
+#: group map solves its fibers over: past it fiber, kernel, window_fibers and
+#: is_admissible raise ValueError
 MAX_RESIDUES = 10 ** 5
 
 
@@ -327,35 +329,25 @@ class GroupHom:
 
     @cached_property
     def _residues(self) -> tuple:
-        """Per source torsion residue r: (r, image l, image torsion, image
-        degree), the image in normal form, in ``torsion_tuples`` order.  More
-        than MAX_RESIDUES residues raise ValueError before any is made.
+        """Per source torsion residue r: (r, image l, image torsion), the
+        image in normal form, in ``torsion_tuples`` order.  More than
+        MAX_RESIDUES residues raise ValueError before any is made.
 
         The raw sums sum(r_j pi(x_j)) are built generator by generator: each
         is its predecessor in the order plus one entry a pi(x_j), a < q_j,
-        of a step table, and the degree adds up with them.  Only the last
-        sums are normalized, once each."""
+        of a step table.  Only the last sums are normalized, once each."""
         count = math.prod(self.source.weights)
         if count > MAX_RESIDUES:
             raise ValueError("source weights %s have %d torsion residues, more than the %d "
                              "a group map can solve fibers over"
                              % (self.source, count, MAX_RESIDUES))
         tw = self.target.weights
-        sums = [(0, (0,) * len(tw), 0)]  # (l, raw torsion, degree)
+        sums = [(0, (0,) * len(tw))]  # (l, raw torsion)
         for q, im in zip(self.source.weights, self.gen_images):
-            d = im.degree()
-            steps = [(a * im.l, [a * v for v in im.torsion], a * d) for a in range(q)]
-            sums = [(l + sl, tuple(map(add, raw, st)), deg + sd)
-                    for l, raw, deg in sums for sl, st, sd in steps]
-        return tuple((r, *_normal(tw, l, raw), deg)
-                     for r, (l, raw, deg) in zip(self.source.torsion_tuples(), sums))
-
-    def _canonical_degree(self) -> int:
-        """The degree of pi(c_S); fibers are finite only when it is nonzero."""
-        d_c = self.c_image.degree()
-        if d_c == 0:
-            raise InfiniteFiberError("canonical element maps to degree 0; fibers may be infinite")
-        return d_c
+            steps = [(a * im.l, [a * v for v in im.torsion]) for a in range(q)]
+            sums = [(l + sl, tuple(map(add, raw, st))) for l, raw in sums for sl, st in steps]
+        return tuple((r, *_normal(tw, l, raw))
+                     for r, (l, raw) in zip(self.source.torsion_tuples(), sums))
 
     @cached_property
     def _period(self) -> tuple[int, int]:
@@ -365,49 +357,25 @@ class GroupHom:
         n = math.lcm(*(p // math.gcd(p, v) for p, v in zip(tw, ct)))
         return n, n * self.c_image.l + sum(n * v // p for p, v in zip(tw, ct))
 
-    def _fiber(self, xl: int, xt: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """The preimage of the target element (xl, xt) as source pairs (l, r).
-
-        Scans the source torsion residues and solves for the unique integer
-        multiple of the canonical element matching the degree of (xl, xt).
-        """
-        d_c = self._canonical_degree()
-        tgt = self.target
-        cl, ct = self.c_image.l, self.c_image.torsion
-        dx = xl * tgt.lcm + sum(v * d for v, d in zip(xt, tgt.degree_weights))
-        out = []
-        for r, hl, ht, hd in self._residues:
-            l, rem = divmod(dx - hd, d_c)
-            if not rem and _normal(tgt.weights, l * cl + hl,
-                                   [l * a + b for a, b in zip(ct, ht)]) == (xl, xt):
-                out.append((l, r))
-        return out
-
     def fiber(self, x: GroupElement) -> tuple[GroupElement, ...]:
         """The complete preimage of x, ordered by (l, torsion); empty when x
-        is outside the image."""
+        is outside the image.  It is the entry of x's torsion at level x.l
+        of the period table ``_classes``."""
         if x.weights != self.target:
             raise ValueError("element does not belong to the target group")
-        return tuple(GroupElement(self.source, l, r)
-                     for l, r in sorted(self._fiber(x.l, x.torsion)))
+        shift, classes = WindowFibers(self._classes, abs(x.l) + 1).level(x.l)
+        pairs = next((pairs for xt, pairs in classes if xt == x.torsion), ())
+        return tuple(GroupElement(self.source, off + shift, r) for off, r in pairs)
 
     @cached_property
     def _kernel(self) -> tuple[GroupElement, ...]:
-        """The fiber of zero, zero first: the period table's entry of zero
-        torsion in class 0, at L = 0, where a pair's level is its offset.
-        A map whose table would exceed MAX_RESIDUES entries solves the fiber
-        residue by residue instead."""
-        zero = (0,) * len(self.target.weights)
-        if self._period[0] * math.prod(self.source.weights) > MAX_RESIDUES:
-            pairs = self._fiber(0, zero)
-        else:
-            pairs = next((pairs for xt, pairs in self._classes[2].get(0, ()) if xt == zero), ())
-        first = (0, (0,) * len(self.source.weights))
-        return tuple(GroupElement(self.source, l, r)
-                     for l, r in sorted(pairs, key=lambda y: (y != first, y)))
+        """The fiber of zero, zero first."""
+        zero = self.source.zero()
+        return (zero, *(y for y in self.fiber(self.target.zero()) if y != zero))
 
     def kernel(self) -> tuple[GroupElement, ...]:
-        """The fiber of zero: zero first, then ordered by (l, torsion)."""
+        """The fiber of zero, read off the period table like every fiber:
+        zero first, then ordered by (l, torsion)."""
         return self._kernel
 
     @cached_property
@@ -423,11 +391,12 @@ class GroupHom:
         puts the pair (j + k n, r) over (xl + k m, xt) for every k, that is,
         the pair (j - (xl // m) n + (L // m) n, r) over each (L, xt) with
         L = xl (mod m); the pairs of a fiber keep one order as L moves.
-        Property tests cross-check the fibers against :meth:`fiber`.  A table
-        of more than MAX_RESIDUES entries raises ValueError before any is
-        made.
+        Property tests cross-check the fibers against the reference
+        oracles, which solve them residue by residue.  A table of more than
+        MAX_RESIDUES entries raises ValueError before any is made.
         """
-        self._canonical_degree()
+        if self.c_image.degree() == 0:
+            raise InfiniteFiberError("canonical element maps to degree 0; fibers may be infinite")
         n, m = self._period
         if n * len(self._residues) > MAX_RESIDUES:
             raise ValueError("a period table of %d residues and %d level classes is larger "
@@ -436,7 +405,7 @@ class GroupHom:
         tw = self.target.weights
         cl, ct = self.c_image.l, self.c_image.torsion
         groups: dict[tuple, list] = defaultdict(list)  # (xl mod m, xt) -> (offset, r)
-        for r, hl, ht, _ in self._residues:
+        for r, hl, ht in self._residues:
             groups[(hl % m, ht)].append((-(hl // m) * n, r))  # j = 0: the residue's own image
             for j in range(1, n):
                 xl, xt = _normal(tw, j * cl + hl, [j * a + b for a, b in zip(ct, ht)])

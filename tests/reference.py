@@ -386,7 +386,8 @@ def reference_order(elem):
 
 def reference_parse_scalar(text: str, field, env: dict | None = None):
     """The expression parser of nested closures that ``config.parse_scalar``
-    replaced, kept verbatim as its oracle: same grammar, values and messages."""
+    replaced, kept verbatim as its oracle: same grammar, values and messages.
+    The bound on the result of each + - * / over Q was added to both."""
     env = env or {}
     tokens = _reference_tokenize(text)
     pos = 0
@@ -402,12 +403,18 @@ def reference_parse_scalar(text: str, field, env: dict | None = None):
         pos += 1
         return tok
 
+    def bounded(value):
+        if isinstance(field, RationalField) and (abs(value.numerator).bit_length()
+                                                 + value.denominator.bit_length()) > 1 << 16:
+            raise ValueError("number too large in expression %r" % text)
+        return value
+
     def parse_expr():
         node = parse_term()
         while peek() and peek()[0] in "+-":
             op = take()[0]
             rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
+            node = bounded(node + rhs if op == "+" else node - rhs)
         return node
 
     def parse_term():
@@ -415,7 +422,7 @@ def reference_parse_scalar(text: str, field, env: dict | None = None):
         while peek() and peek()[0] in "*/":
             op = take()[0]
             rhs = parse_unary()
-            node = node * rhs if op == "*" else node / rhs
+            node = bounded(node * rhs if op == "*" else node / rhs)
         return node
 
     def parse_unary():

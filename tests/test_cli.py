@@ -822,6 +822,19 @@ class TestConfig:
         assert json.loads(out)["constants"] == {
             "big": "a number of more than 4300 digits, sha256 " + digest}
 
+    def test_doubling_constants_are_bounded_over_q_only(self, capsys, tmp_path):
+        """c0 = 2^20000 and c_i = c_(i-1)*c_(i-1): over Q, c2 would pass 2^16
+        bits and is refused; over F_7 the same document verifies."""
+        cfg = copy.deepcopy(CASE_A_CONFIG)
+        cfg["constants"] = {"c0": "2^20000",
+                            **{"c%d" % i: "c%d*c%d" % (i - 1, i - 1) for i in range(1, 6)}}
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: number too large in expression 'c1*c1'\n")
+        code, out, err = run(capsys, "verify", "--config", str(path), "--field", "7")
+        assert (code, err) == (0, "") and json.loads(out)["summary"] == "pass"
+
     def test_huge_source_weights_exit_2_before_enumerating_residues(self, capsys, tmp_path):
         """(1000,1000,1000) has 10^9 torsion residues; the relation fails, and
         the error report's admissibility check must refuse them, not list them."""

@@ -181,6 +181,8 @@ MALFORMED = [
     ("2^100000", Q, ValueError, "power too large in expression '2^100000'"),
     ("(2/3)^40000", Q, ValueError, "power too large in expression '(2/3)^40000'"),
     ("a^1000000", Q, ValueError, "power too large in expression 'a^1000000'"),
+    ("2^20000*2^20000*2^20000*2^20000", Q, ValueError,
+     "number too large in expression '2^20000*2^20000*2^20000*2^20000'"),
     ("1$2", Q, ValueError, "unexpected character '$' in expression '1$2'"),
     ("3 @", F7, ValueError, "unexpected character '@' in expression '3 @'"),
     ("1/0", Q, ZeroDivisionError, "Fraction(1, 0)"),
